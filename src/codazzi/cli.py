@@ -17,6 +17,7 @@ import numpy as np
 from . import embedding, fileio, solver, verify
 from .energy import codazzi_residual
 from .grid import Grid, poincare_disk
+from .jcalc import check_symmetric
 from .manufactured import ManufacturedDiffeo, pullback_of_scaled_poincare, recovery_error
 from .operators import curvature
 
@@ -194,9 +195,10 @@ def cmd_embed(args, parser):
         print(f"error: {args.endo}: missing required key 'endo'", file=sys.stderr)
         return 2
     grid = doc["grid"]
-    a = doc["endo"]
-    if np.max(np.abs(a - np.swapaxes(a, -1, -2))) > 1e-10 * (1.0 + np.abs(a).max()):
-        print("error: refusing non-symmetric endomorphism input", file=sys.stderr)
+    try:
+        a = check_symmetric(doc["endo"])
+    except ValueError as exc:
+        print(f"error: {args.endo}: refusing 'endo': {exc}", file=sys.stderr)
         return 1
     patch = embedding.HyperboloidPatch(grid)
     resid = codazzi_residual(a, patch.metric)

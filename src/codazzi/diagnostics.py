@@ -15,9 +15,9 @@ import math
 import numpy as np
 
 from .grid import ConformalMetric, Grid
-from .jcalc import J, det, inv2, trace
+from .jcalc import J, check_symmetric, det, inv2, trace
 from .maps import FieldInterpolator, map_jacobian
-from .operators import conformal_christoffels, general_christoffels
+from .operators import general_christoffels
 from .energy import codazzi_residual
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "alpha_field",
     "alpha_curl",
     "alpha_harmonic_residual",
-    "scalar_alpha_laplacian",
     "map_energy",
     "energy_identity_check",
     "collar_and_modulus",
@@ -35,9 +34,7 @@ __all__ = [
 
 
 def _check_positive_symmetric(a):
-    a = np.asarray(a, dtype=float)
-    if np.max(np.abs(a[..., 0, 1] - a[..., 1, 0])) > 1e-10 * (1.0 + np.abs(a).max()):
-        raise ValueError("field must be symmetric")
+    a = check_symmetric(a)
     if np.any(det(a) <= 0.0) or np.any(trace(a) <= 0.0):
         raise ValueError("field must be positive-definite")
     return a
@@ -88,39 +85,18 @@ def alpha_harmonic_residual(a, g: ConformalMetric, margin=3, codazzi_tol=None):
             raise ValueError(f"Codazzi residual {r:.3e} exceeds {codazzi_tol:.3e}")
     h = g.matrix() @ a
     hinv = inv2(h)
-    gam_h = general_christoffels(grid, h)
-    gam_g = conformal_christoffels(g)
-    lap = np.einsum("...mn,...kmn->...k", hinv, gam_g - gam_h)
+    dphi = np.stack(g.phi_derivs(), axis=-1)
+    # h^{mn} Gamma_g^k_mn = (h^{kn} + h^{nk}) phi_n - h^{mm} phi_k, from
+    # Gamma_g^k_mn = delta_km phi_n + delta_kn phi_m - delta_mn phi_k
+    lap_g = (
+        np.einsum("...kn,...n->...k", hinv + np.swapaxes(hinv, -1, -2), dphi)
+        - trace(hinv)[..., None] * dphi
+    )
+    lap = lap_g - np.einsum("...mn,...kmn->...k", hinv, general_christoffels(grid, h))
     al = alpha_field(a, grid)
     rhs = np.einsum("...kn,...n->...k", hinv, al)
     mask = grid.interior(margin)
     return float(np.max(np.abs((lap - rhs)[mask])))
-
-
-def scalar_alpha_laplacian(f, a, g: ConformalMetric):
-    """The operator Delta_h f - df(alpha-sharp) on scalar fields.
-
-    Delta_h is the Laplace-Beltrami operator of h = g(A., .); the sharp is
-    taken with h.  Non-negative at interior minima of alpha-harmonic
-    compositions, up to O(h^2).
-    """
-    grid = g.grid
-    a = _check_positive_symmetric(grid.check_field(a, rank=2))
-    f = grid.check_field(f)
-    h = g.matrix() @ a
-    hinv = inv2(h)
-    fx, fy = grid.ddx(f), grid.ddy(f)
-    d2 = np.empty((grid.ny, grid.nx, 2, 2))
-    d2[..., 0, 0] = grid.ddx(fx)
-    d2[..., 0, 1] = grid.ddy(fx)
-    d2[..., 1, 0] = d2[..., 0, 1]
-    d2[..., 1, 1] = grid.ddy(fy)
-    gam_h = general_christoffels(grid, h)
-    df = np.stack([fx, fy], axis=-1)
-    hess = d2 - np.einsum("...kij,...k->...ij", gam_h, df)
-    lap = np.einsum("...ij,...ij->...", hinv, hess)
-    al = alpha_field(a, grid)
-    return lap - np.einsum("...ij,...i,...j->...", hinv, df, al)
 
 
 def map_energy(x, gS: ConformalMetric, hN):

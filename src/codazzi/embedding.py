@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import ConformalMetric, Grid, poincare_disk
-from .jcalc import ID2, det
+from .jcalc import ID2, check_symmetric, det
 from .maps import FieldInterpolator
 from .operators import hessian_endo
 from .energy import codazzi_residual
@@ -207,13 +207,12 @@ def integrate_immersion(a, patch: HyperboloidPatch, u, sign=1, path="xy",
 
     ``path`` selects x-then-y ("xy") or y-then-x ("yx") staircases from the
     base node; for a Codazzi field the two agree to O(h^2).  Raises
+    ValueError unless ``a`` is finite and symmetric, and
     :class:`PathDependenceError` when the Codazzi residual of ``a`` exceeds
     ``codazzi_tol`` (pass None to skip the certificate).
     """
     grid = patch.grid
-    a = grid.check_field(a, rank=2)
-    if np.max(np.abs(a[..., 0, 1] - a[..., 1, 0])) > 1e-10 * (1.0 + np.abs(a).max()):
-        raise ValueError("integrate_immersion needs a symmetric field")
+    a = check_symmetric(grid.check_field(a, rank=2))
     if codazzi_tol is not None:
         r = codazzi_residual(a, patch.metric)
         if r > codazzi_tol:
@@ -254,30 +253,6 @@ def plaquette_defect(a, patch: HyperboloidPatch):
     return float(np.max(np.linalg.norm(loop, axis=-1)))
 
 
-def _ddx4(grid, f):
-    """High-order x-derivative: sixth-order deep inside, falling back to
-    fourth- and second-order stencils toward the chart edge."""
-    out = grid.ddx(f)
-    out[:, 2:-2] = (
-        f[:, :-4] - 8.0 * f[:, 1:-3] + 8.0 * f[:, 3:-1] - f[:, 4:]
-    ) / (12.0 * grid.dx)
-    out[:, 3:-3] = (
-        -f[:, :-6] + 9.0 * f[:, 1:-5] - 45.0 * f[:, 2:-4]
-        + 45.0 * f[:, 4:-2] - 9.0 * f[:, 5:-1] + f[:, 6:]
-    ) / (60.0 * grid.dx)
-    return out
-
-
-def _ddy4(grid, f):
-    out = grid.ddy(f)
-    out[2:-2] = (f[:-4] - 8.0 * f[1:-3] + 8.0 * f[3:-1] - f[4:]) / (12.0 * grid.dy)
-    out[3:-3] = (
-        -f[:-6] + 9.0 * f[1:-5] - 45.0 * f[2:-4]
-        + 45.0 * f[4:-2] - 9.0 * f[5:-1] + f[6:]
-    ) / (60.0 * grid.dy)
-    return out
-
-
 def induced_metric_error(x, a, patch: HyperboloidPatch, margin=3):
     """L-infinity defect of (dX)^T eta (dX) = h0(A., A.) over the interior.
 
@@ -287,8 +262,8 @@ def induced_metric_error(x, a, patch: HyperboloidPatch, margin=3):
     """
     grid = patch.grid
     x = np.asarray(x, dtype=float)
-    dx_ = _ddx4(grid, x)
-    dy_ = _ddy4(grid, x)
+    dx_ = grid.ddx(x, order=4)
+    dy_ = grid.ddy(x, order=4)
     gram = np.empty((grid.ny, grid.nx, 2, 2))
     gram[..., 0, 0] = mdot(dx_, dx_)
     gram[..., 0, 1] = mdot(dx_, dy_)

@@ -12,20 +12,17 @@ import numpy as np
 from scipy.integrate import simpson
 
 from .grid import ConformalMetric
-from .jcalc import J, det, inv2, spd_sqrt_pair, trace
+from .jcalc import J, check_symmetric, det, inv2, sigma, spd_sqrt_pair, trace
 from .maps import FieldInterpolator
 from .operators import (
     apply_J,
     brioschi_curvature,
-    conformal_christoffels,
     curvature,
     div_endo,
-    div_endo4,
     div_vec,
     dnabla_endo,
     grad,
     _cov_deriv_vecfield,
-    _d4_axis,
 )
 
 __all__ = [
@@ -56,11 +53,7 @@ def energy(h, g: ConformalMetric):
     For symmetric A the seminorm reduces to Tr(A)/sqrt(2), but sigma is
     evaluated in full so the routine stays correct for any input.
     """
-    a = field_A(h, g)
-    tr = trace(a)
-    trj = trace(a @ J)
-    s = np.sqrt(0.5 * tr**2 + 0.5 * trj**2)
-    return g.integrate(s)
+    return g.integrate(sigma(field_A(h, g)))
 
 
 def trace_energy(h, g: ConformalMetric):
@@ -113,7 +106,7 @@ def gradient_pairing4(h, g: ConformalMetric, x):
     """
     x = g.grid.check_field(x, rank=1)
     a = field_A(h, g)
-    ge = -apply_J(div_endo4(a @ J, g))
+    ge = -apply_J(div_endo(a @ J, g, order=4))
     w = g.conformal_factor
     dens = w * w * np.einsum("...k,...k->...", ge, x)
     return _simpson2(g.grid, dens)
@@ -133,8 +126,8 @@ def flow_derivative_fd(h, g: ConformalMetric, x, eps=1e-4):
         h = FieldInterpolator(grid, grid.check_field(h, rank=2))
     xx, yy = grid.meshgrid()
     pts0 = np.stack([xx, yy], axis=-1)
-    dxu = _d4_axis(x, grid.dx, 1)
-    dyu = _d4_axis(x, grid.dy, 0)
+    dxu = grid.ddx(x, order=4)
+    dyu = grid.ddy(x, order=4)
     w = g.conformal_factor
 
     def energy_at(t):
@@ -154,7 +147,7 @@ def flow_derivative_fd(h, g: ConformalMetric, x, eps=1e-4):
 def nabla_vec_endo(x, g: ConformalMetric):
     """Covariant differential of a vector field as the endomorphism nabla x."""
     x = g.grid.check_field(x, rank=1)
-    nv = _cov_deriv_vecfield(g.grid, x, conformal_christoffels(g))
+    nv = _cov_deriv_vecfield(g, x)
     # nv[..., i, k] = (nabla_i x)^k; the endomorphism is v -> nabla_v x
     return np.swapaxes(nv, -1, -2)
 
@@ -196,9 +189,7 @@ def curvature_identity_residual(a, g: ConformalMetric, margin=3):
     the conformal structure, so agreement is a genuine two-sided check.
     Returns the interior L-infinity residual.
     """
-    a = g.grid.check_field(a, rank=2)
-    if np.max(np.abs(a - np.swapaxes(a, -1, -2))) > 1e-10 * (1.0 + np.abs(a).max()):
-        raise ValueError("curvature identity needs a symmetric field")
+    a = check_symmetric(g.grid.check_field(a, rank=2))
     h = np.swapaxes(a, -1, -2) @ g.matrix() @ a
     kh = brioschi_curvature(g.grid, h)
     resid = det(a) * kh - curvature(g) - _q_field(a, g)

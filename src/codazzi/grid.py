@@ -12,9 +12,15 @@ Charts are centred on the origin.  Periodic grids cover ``[-l/2, l/2)``
 with spacing ``l/n``; Dirichlet grids cover ``[-l/2, l/2]`` with spacing
 ``l/(n-1)`` and include their boundary nodes.
 
-All derivatives are second-order central differences, with second-order
-one-sided stencils at Dirichlet boundaries (this is what ``np.gradient``
-with ``edge_order=2`` provides).
+First derivatives come in two orders, from one pair of methods
+(:meth:`Grid.ddx`, :meth:`Grid.ddy`):
+
+* ``order=2``: central differences, with second-order one-sided stencils at
+  Dirichlet boundaries (``np.gradient`` with ``edge_order=2``);
+* ``order=4``: the five-point central stencil, wrapped on periodic charts.
+  On Dirichlet charts it holds from the third ring inward; the second ring
+  takes central differences and the boundary ring ``np.gradient``'s
+  first-order one-sided value.
 """
 
 from dataclasses import dataclass, field
@@ -73,19 +79,31 @@ class Grid:
 
     # -- differentiation -------------------------------------------------
 
-    def ddx(self, f):
-        """d/dx along axis 1, second order."""
-        f = np.asarray(f, dtype=float)
-        if self.periodic:
-            return (np.roll(f, -1, axis=1) - np.roll(f, 1, axis=1)) / (2 * self.dx)
-        return np.gradient(f, self.dx, axis=1, edge_order=2)
+    def ddx(self, f, order=2):
+        """d/dx along axis 1, of ``order`` 2 or 4."""
+        return self._derivative(f, 1, self.dx, order)
 
-    def ddy(self, f):
-        """d/dy along axis 0, second order."""
+    def ddy(self, f, order=2):
+        """d/dy along axis 0, of ``order`` 2 or 4."""
+        return self._derivative(f, 0, self.dy, order)
+
+    def _derivative(self, f, axis, step, order):
         f = np.asarray(f, dtype=float)
+        if order not in (2, 4):
+            raise ValueError("derivative order must be 2 or 4")
         if self.periodic:
-            return (np.roll(f, -1, axis=0) - np.roll(f, 1, axis=0)) / (2 * self.dy)
-        return np.gradient(f, self.dy, axis=0, edge_order=2)
+            def r(k):
+                return np.roll(f, k, axis)
+
+            if order == 2:
+                return (r(-1) - r(1)) / (2 * step)
+            return (r(2) - 8.0 * r(1) + 8.0 * r(-1) - r(-2)) / (12.0 * step)
+        if order == 2:
+            return np.gradient(f, step, axis=axis, edge_order=2)
+        out = np.gradient(f, step, axis=axis)
+        fa, oa = np.moveaxis(f, axis, 0), np.moveaxis(out, axis, 0)
+        oa[2:-2] = (fa[:-4] - 8.0 * fa[1:-3] + 8.0 * fa[3:-1] - fa[4:]) / (12.0 * step)
+        return out
 
     def laplace_flat(self, f):
         """Flat 5-point Laplacian d2/dx2 + d2/dy2."""

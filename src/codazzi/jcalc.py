@@ -36,6 +36,7 @@ __all__ = [
     "spd_sqrt_pair",
     "inv2",
     "is_spd",
+    "check_symmetric",
 ]
 
 
@@ -112,6 +113,19 @@ def is_spd(a, tol=1e-12):
     sym = np.abs(a[..., 0, 1] - a[..., 1, 0]) <= tol * (1.0 + np.abs(a).max())
     pos = (a[..., 0, 0] > 0) & (det(a) > 0)
     return bool(np.all(sym & pos))
+
+
+def check_symmetric(a):
+    """``a`` as a float array; ValueError unless it is finite and symmetric.
+
+    Symmetric means |a01 - a10| <= 1e-10 (1 + max|a|) in every trailing
+    2x2 block.  The test is written so that a NaN anywhere fails it.
+    """
+    a = np.asarray(a, dtype=float)
+    defect = np.max(np.abs(a[..., 0, 1] - a[..., 1, 0]))
+    if not (np.all(np.isfinite(a)) and defect <= 1e-10 * (1.0 + np.abs(a).max())):
+        raise ValueError("non-symmetric or non-finite field")
+    return a
 
 
 def metric_action(a, h):

@@ -4,15 +4,18 @@ Gradient, vector divergence, endomorphism divergence, the exterior-derivative
 residual of endomorphism fields, and curvature, all on a :class:`~codazzi.grid.Grid`
 carrying a conformal metric e^{2 phi} delta.
 
-Each divergence comes in two discretely independent routes: a Christoffel
-route (the definition through an orthonormal frame) and an exterior-calculus
-route (through exterior derivatives of J-twisted forms).  The two agree to
+Every Christoffel symbol of e^{2 phi} delta is a signed component of
+d phi: Gamma^k_ij = delta_ki phi_j + delta_kj phi_i - delta_ij phi_k.  The
+operators are written in the closed forms this allows.  Each divergence
+comes in two discretely independent routes: the covariant route (the
+definition through an orthonormal frame) and an exterior-calculus route
+(through exterior derivatives of J-twisted forms).  The two agree to
 O(h^2) on smooth fields, which is the module's main self-check.
 """
 
 import numpy as np
 
-from .jcalc import J, det, inv2, trace
+from .jcalc import J, inv2, trace
 from .grid import ConformalMetric
 
 __all__ = [
@@ -20,13 +23,11 @@ __all__ = [
     "div_vec",
     "div_vec_oracle",
     "div_endo",
-    "div_endo4",
     "div_endo_oracle",
     "dnabla_endo",
     "curvature",
     "frame_identity_residual",
     "frame_identity_crosscheck",
-    "conformal_christoffels",
     "hessian_endo",
     "general_christoffels",
     "brioschi_curvature",
@@ -43,46 +44,24 @@ def apply_J(v):
     return out
 
 
-def conformal_christoffels(g: ConformalMetric):
-    """Christoffel symbols Gamma[..., k, i, j] of e^{2 phi} delta."""
-    px, py = g.phi_derivs()
-    gamma = np.empty((g.grid.ny, g.grid.nx, 2, 2, 2))
-    gamma[..., 0, 0, 0] = px
-    gamma[..., 0, 0, 1] = py
-    gamma[..., 0, 1, 0] = py
-    gamma[..., 0, 1, 1] = -px
-    gamma[..., 1, 0, 0] = -py
-    gamma[..., 1, 0, 1] = px
-    gamma[..., 1, 1, 0] = px
-    gamma[..., 1, 1, 1] = py
-    return gamma
-
-
-def grad(f, g: ConformalMetric):
+def grad(f, g: ConformalMetric, order=2):
     """Metric gradient of a scalar field: e^{-2 phi} (f_x, f_y)."""
     f = g.grid.check_field(f)
     out = np.empty((g.grid.ny, g.grid.nx, 2))
     w = np.exp(-2.0 * g.phi)
-    out[..., 0] = w * g.grid.ddx(f)
-    out[..., 1] = w * g.grid.ddy(f)
+    out[..., 0] = w * g.grid.ddx(f, order)
+    out[..., 1] = w * g.grid.ddy(f, order)
     return out
 
 
-def _coord_derivs_vec(grid, v):
-    """Partial derivatives dv[..., i, k] = d_i v^k of a vector field."""
-    dv = np.empty(v.shape[:-1] + (2, 2))
-    dv[..., 0, :] = grid.ddx(v)
-    dv[..., 1, :] = grid.ddy(v)
-    return dv
-
-
 def div_vec(x, g: ConformalMetric):
-    """Divergence of a vector field through the Christoffel symbols."""
+    """Divergence d_i x^i + Gamma^i_ij x^j, with sum_i Gamma^i_ij = 2 phi_j."""
     x = g.grid.check_field(x, rank=1)
-    dv = _coord_derivs_vec(g.grid, x)
-    gamma = conformal_christoffels(g)
-    # sum_i (d_i x^i + Gamma^i_{i j} x^j)
-    return dv[..., 0, 0] + dv[..., 1, 1] + np.einsum("...iij,...j->...", gamma, x)
+    px, py = g.phi_derivs()
+    return (
+        g.grid.ddx(x[..., 0]) + g.grid.ddy(x[..., 1])
+        + 2.0 * (px * x[..., 0] + py * x[..., 1])
+    )
 
 
 def div_vec_oracle(x, g: ConformalMetric):
@@ -92,89 +71,68 @@ def div_vec_oracle(x, g: ConformalMetric):
     return (g.grid.ddx(w * x[..., 0]) + g.grid.ddy(w * x[..., 1])) / w
 
 
-def _cov_deriv_endo(grid, a, gamma):
-    """Covariant derivative na[..., i, k, j] = (nabla_i a)^k_j."""
-    da = np.empty(a.shape[:-2] + (2, 2, 2))
-    da[..., 0, :, :] = grid.ddx(a)
-    da[..., 1, :, :] = grid.ddy(a)
-    corr_up = np.einsum("...kip,...pj->...ikj", gamma, a)
-    corr_dn = np.einsum("...pij,...kp->...ikj", gamma, a)
-    return da + corr_up - corr_dn
+def _div_columns(c0, c1, g: ConformalMetric, order=2):
+    """Divergence of the endomorphism field with columns c0 = a e_1, c1 = a e_2.
 
-
-def div_endo(a, g: ConformalMetric):
-    """Divergence of an endomorphism field: sum_i (nabla_{e_i} a) e_i."""
-    a = g.grid.check_field(a, rank=2)
-    na = _cov_deriv_endo(g.grid, a, conformal_christoffels(g))
-    return np.exp(-2.0 * g.phi)[..., None] * np.einsum("...iki->...k", na)
-
-
-def _d4_axis(f, step, axis):
-    """First derivative along an axis: fourth-order interior stencils.
-
-    Falls back to the ``np.gradient`` second-order/one-sided values on the
-    two rings nearest the boundary, so it is usable on Dirichlet charts.
+    Since sum_i Gamma^p_ii = 0 it is
+    e^{-2 phi} [d_i a^k_i + (a^T d phi)_k + (a d phi)_k - phi_k Tr a].
     """
-    out = np.gradient(f, step, axis=axis)
-    sl = [slice(None)] * f.ndim
-
-    def shifted(k):
-        s = list(sl)
-        s[axis] = slice(2 + k, f.shape[axis] - 2 + k or None)
-        return f[tuple(s)]
-
-    s = list(sl)
-    s[axis] = slice(2, -2)
-    out[tuple(s)] = (
-        shifted(-2) - 8.0 * shifted(-1) + 8.0 * shifted(1) - shifted(2)
-    ) / (12.0 * step)
-    return out
+    px, py = g.phi_derivs()
+    skew = c0[..., 0] - c1[..., 1]  # a00 - a11
+    sym = c0[..., 1] + c1[..., 0]  # a10 + a01
+    out = g.grid.ddx(c0, order) + g.grid.ddy(c1, order)
+    out[..., 0] += px * skew + py * sym
+    out[..., 1] += px * sym - py * skew
+    return np.exp(-2.0 * g.phi)[..., None] * out
 
 
-def div_endo4(a, g: ConformalMetric):
-    """Endomorphism divergence with fourth-order interior derivatives.
+def div_endo(a, g: ConformalMetric, order=2):
+    """Divergence of an endomorphism field: sum_i (nabla_{e_i} a) e_i.
 
-    Same operator as :func:`div_endo` but with O(h^4) coordinate
-    derivatives away from the boundary; used where the O(h^2) truncation
-    of the standard route would dominate a comparison.
+    ``order`` 4 takes fourth-order coordinate derivatives of ``a`` (see
+    :meth:`~codazzi.grid.Grid.ddx`), for comparisons where the O(h^2)
+    truncation of the standard route would dominate.
     """
     a = g.grid.check_field(a, rank=2)
-    gamma = conformal_christoffels(g)
-    da = np.empty(a.shape[:-2] + (2, 2, 2))
-    da[..., 0, :, :] = _d4_axis(a, g.grid.dx, 1)
-    da[..., 1, :, :] = _d4_axis(a, g.grid.dy, 0)
-    na = (
-        da
-        + np.einsum("...kip,...pj->...ikj", gamma, a)
-        - np.einsum("...pij,...kp->...ikj", gamma, a)
-    )
-    return np.exp(-2.0 * g.phi)[..., None] * np.einsum("...iki->...k", na)
+    return _div_columns(a[..., :, 0], a[..., :, 1], g, order)
 
 
-def _cov_deriv_vecfield(grid, v, gamma):
-    """Covariant derivative nv[..., i, k] = (nabla_i v)^k of a vector field."""
-    dv = _coord_derivs_vec(grid, v)
-    return dv + np.einsum("...kip,...p->...ik", gamma, v)
+def _cov_deriv_vecfield(g: ConformalMetric, v):
+    """Covariant derivative nv[..., i, k] = (nabla_i v)^k of a vector field.
+
+    Gamma^k_ip v^p = delta_ik <d phi, v> + phi_i v^k - phi_k v^i.
+    """
+    px, py = g.phi_derivs()
+    nv = np.empty(v.shape[:-1] + (2, 2))
+    nv[..., 0, :] = g.grid.ddx(v)
+    nv[..., 1, :] = g.grid.ddy(v)
+    dot = px * v[..., 0] + py * v[..., 1]
+    rot = px * v[..., 1] - py * v[..., 0]
+    nv[..., 0, 0] += dot
+    nv[..., 1, 1] += dot
+    nv[..., 0, 1] += rot
+    nv[..., 1, 0] -= rot
+    return nv
 
 
 def div_endo_oracle(a, g: ConformalMetric):
     """Divergence through -d^nabla(aJ)(e1, e2)."""
     a = g.grid.check_field(a, rank=2)
-    gamma = conformal_christoffels(g)
     aj = a @ J
-    col_y = aj[..., :, 1]  # (aJ) applied to d/dy
-    col_x = aj[..., :, 0]
-    ny_ = _cov_deriv_vecfield(g.grid, col_y, gamma)[..., 0, :]  # nabla_x (aJ dy)
-    nx_ = _cov_deriv_vecfield(g.grid, col_x, gamma)[..., 1, :]  # nabla_y (aJ dx)
+    ny_ = _cov_deriv_vecfield(g, aj[..., :, 1])[..., 0, :]  # nabla_x (aJ dy)
+    nx_ = _cov_deriv_vecfield(g, aj[..., :, 0])[..., 1, :]  # nabla_y (aJ dx)
     return -np.exp(-2.0 * g.phi)[..., None] * (ny_ - nx_)
 
 
 def dnabla_endo(a, g: ConformalMetric):
-    """Codazzi residual (d^nabla a)(e1, e2) as a vector field."""
+    """Codazzi residual (d^nabla a)(e1, e2) as a vector field.
+
+    (nabla_x a) dy - (nabla_y a) dx on the orthonormal frame; J is
+    parallel and Gamma is symmetric, so this is the divergence of aJ,
+    whose columns are a e_2 and -a e_1.
+    """
     a = g.grid.check_field(a, rank=2)
-    na = _cov_deriv_endo(g.grid, a, conformal_christoffels(g))
-    # (nabla_x a) dy - (nabla_y a) dx on the orthonormal frame
-    return np.exp(-2.0 * g.phi)[..., None] * (na[..., 0, :, 1] - na[..., 1, :, 0])
+    return _div_columns(a[..., :, 1], -a[..., :, 0], g)
 
 
 def curvature(g: ConformalMetric):
@@ -203,24 +161,6 @@ def frame_identity_residual(a, g: ConformalMetric, margin=2):
     return float(np.max(np.abs(t[mask])))
 
 
-def _grad4(f, g: ConformalMetric):
-    """Metric gradient with fourth-order interior stencils (periodic charts)."""
-    f = g.grid.check_field(f)
-    grid = g.grid
-    if not grid.periodic:
-        raise ValueError("fourth-order gradient implemented for periodic charts")
-
-    def d4(arr, axis):
-        r = np.roll
-        return (
-            r(arr, 2, axis) - 8.0 * r(arr, 1, axis)
-            + 8.0 * r(arr, -1, axis) - r(arr, -2, axis)
-        ) / (12.0 * (grid.dx if axis == 1 else grid.dy))
-
-    w = np.exp(-2.0 * g.phi)
-    return np.stack([w * d4(f, 1), w * d4(f, 0)], axis=-1)
-
-
 def frame_identity_crosscheck(a, g: ConformalMetric, margin=2):
     """Frame identity residual across two discretizations.
 
@@ -230,9 +170,9 @@ def frame_identity_crosscheck(a, g: ConformalMetric, margin=2):
     """
     a = g.grid.check_field(a, rank=2)
     t = (
-        _grad4(trace(a), g)
+        grad(trace(a), g, order=4)
         - div_endo(a, g)
-        - apply_J(_grad4(trace(a @ J), g))
+        - apply_J(grad(trace(a @ J), g, order=4))
         + apply_J(div_endo(a @ J, g))
     )
     mask = g.grid.interior(margin)
@@ -245,22 +185,23 @@ def frame_identity_crosscheck(a, g: ConformalMetric, margin=2):
 def hessian_endo(f, g: ConformalMetric):
     """Covariant Hessian of a scalar as an endomorphism field.
 
-    Computes (Hess f)_ij = d_i d_j f - Gamma^k_ij d_k f and raises the
-    first index with the conformal metric, so the result is the operator
-    v -> nabla_v grad f.
+    Computes (Hess f)_ij = d_i d_j f - Gamma^k_ij d_k f, where
+    Gamma^k_ij f_k = f_i phi_j + f_j phi_i - delta_ij <d phi, d f>, and
+    raises the first index with the conformal metric, so the result is the
+    operator v -> nabla_v grad f.
     """
     f = g.grid.check_field(f)
     grid = g.grid
     fx, fy = grid.ddx(f), grid.ddy(f)
-    d2 = np.empty((grid.ny, grid.nx, 2, 2))
-    d2[..., 0, 0] = grid.ddx(fx)
-    d2[..., 0, 1] = grid.ddy(fx)
-    d2[..., 1, 0] = grid.ddx(fy)
-    d2[..., 1, 1] = grid.ddy(fy)
-    gamma = conformal_christoffels(g)
-    df = np.stack([fx, fy], axis=-1)
-    lower = d2 - np.einsum("...kij,...k->...ij", gamma, df)
-    return np.exp(-2.0 * g.phi)[..., None, None] * lower
+    px, py = g.phi_derivs()
+    dot = px * fx + py * fy
+    mixed = px * fy + py * fx
+    hess = np.empty((grid.ny, grid.nx, 2, 2))
+    hess[..., 0, 0] = grid.ddx(fx) - 2.0 * px * fx + dot
+    hess[..., 0, 1] = grid.ddy(fx) - mixed
+    hess[..., 1, 0] = grid.ddx(fy) - mixed
+    hess[..., 1, 1] = grid.ddy(fy) - 2.0 * py * fy + dot
+    return np.exp(-2.0 * g.phi)[..., None, None] * hess
 
 
 def general_christoffels(grid, h):

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.linalg
 
 from .grid import ConformalMetric, Grid
-from .energy import codazzi_residual, correction_G, energy_gradient, field_A
+from .energy import codazzi_residual, energy_gradient, field_A
 from .maps import FieldInterpolator, FoldOverError, pullback_metric
 from .operators import curvature
 
@@ -26,15 +26,14 @@ __all__ = [
     "SolveReport",
     "SolverError",
     "CurvatureSignError",
-    "residual",
     "solver_residual",
     "newton_solve",
     "continuation_solve",
 ]
 
-# Stencil radius of the corrected-gradient residual: four nested first
-# derivatives, each reaching two nodes at a one-sided Dirichlet boundary
-# stencil.  Columns at least 2*8+1 nodes apart never collide.
+# Upper bound on the stencil radius of :func:`solver_residual`: no node of
+# its output depends on unknowns further than 8 nodes away.  Columns at
+# least 2*8+1 nodes apart never collide.
 _STENCIL_REACH = 8
 _COLOR_STRIDE = 2 * _STENCIL_REACH + 1
 
@@ -84,19 +83,6 @@ def _require_negative_curvature(g):
     k = curvature(g)
     if np.max(k) >= 0.0:
         raise CurvatureSignError("background curvature must be negative everywhere")
-
-
-def residual(x, g: ConformalMetric, h_interp):
-    """Corrected gradient grad E - G of the pulled-back target at X.
-
-    Vanishes (to discretization error) exactly when the pullback's A field
-    is Codazzi.  This is the analytic characterization of criticality; the
-    Newton iteration itself drives :func:`solver_residual` instead, because
-    the triple derivative inside G amplifies off-node interpolation error
-    far above useful Newton tolerances.
-    """
-    hp = pullback_metric(g.grid, h_interp, x)
-    return energy_gradient(hp, g) - correction_G(hp, g)
 
 
 def solver_residual(x, g: ConformalMetric, h_interp, stabilization=1.0):

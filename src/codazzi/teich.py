@@ -1,14 +1,14 @@
 """Variation of the trace energy along quadratic deformation families.
 
-The two-argument functional e_hat(g, h) integrates Tr(A) against the area
-of the base metric.  Along the family B_t = (1 + t^2 phi0) Id + t B, with B
-trace-free symmetric Codazzi and phi0 the solution of (Laplace_h - 2) phi0
-= Det(B), the first and second t-derivatives have closed forms whose
-finite-difference verification is the point of this module.  Evaluating
-the functional with the identity map (rather than re-solving for the
-one-harmonic map at each t) gives an upper envelope that touches at t = 0,
-so first derivatives agree there and the finite-difference second
-derivative dominates the closed-form lower bound.
+The trace energy (:func:`codazzi.energy.trace_energy`) integrates Tr(A)
+against the area of the base metric.  Along the family
+B_t = (1 + t^2 phi0) Id + t B, with B trace-free symmetric Codazzi and phi0
+the solution of (Laplace_h - 2) phi0 = Det(B), the first and second
+t-derivatives have closed forms whose finite-difference verification is
+the point of this module.  Evaluating the functional with the identity map
+(rather than re-solving for the one-harmonic map at each t) gives an upper
+envelope that touches at t = 0, so first derivatives agree there and the
+finite-difference second derivative dominates the closed-form lower bound.
 """
 
 from dataclasses import dataclass, field
@@ -18,11 +18,10 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .grid import ConformalMetric, Grid
-from .jcalc import ID2, det, inv2, spd_sqrt, trace
-from .energy import codazzi_residual, field_A
+from .jcalc import ID2, check_symmetric, det, inv2, spd_sqrt, trace
+from .energy import codazzi_residual
 
 __all__ = [
-    "e_hat",
     "e_hat_general",
     "phi0_solve",
     "e_hat_first_derivative",
@@ -33,22 +32,12 @@ __all__ = [
 ]
 
 
-def e_hat(g: ConformalMetric, h):
-    """Two-argument trace energy: integral of Tr(A) against dArea_g.
-
-    A is the positive g-self-adjoint square root with h = g(A., A.).  When
-    A is Codazzi this is the critical value of the underlying variational
-    problem; the Codazzi residual is the caller's concern and available
-    via :func:`codazzi.energy.codazzi_residual`.
-    """
-    return g.integrate(trace(field_A(h, g)))
-
-
 def e_hat_general(grid: Grid, base, target):
     """Trace energy of ``target`` over an arbitrary SPD base metric field.
 
     Needed along deformation families whose intermediate metrics are not
-    conformal; reduces to :func:`e_hat` when ``base`` is e^{2 phi} Id.
+    conformal; reduces to :func:`codazzi.energy.trace_energy` when ``base``
+    is e^{2 phi} Id.
     """
     base = grid.check_field(base, rank=2)
     target = grid.check_field(target, rank=2)
@@ -57,13 +46,10 @@ def e_hat_general(grid: Grid, base, target):
     return float(np.sum(dens * grid.cell_weights()))
 
 
-def _check_tracefree_symmetric(b, tol=1e-10):
-    b = np.asarray(b, dtype=float)
-    scale = 1.0 + np.abs(b).max()
-    if np.max(np.abs(trace(b))) > tol * scale:
+def _check_tracefree_symmetric(b):
+    b = check_symmetric(b)
+    if np.max(np.abs(trace(b))) > 1e-10 * (1.0 + np.abs(b).max()):
         raise ValueError("field is not trace-free")
-    if np.max(np.abs(b[..., 0, 1] - b[..., 1, 0])) > tol * scale:
-        raise ValueError("field is not symmetric")
     return b
 
 
@@ -173,8 +159,8 @@ def second_derivative_lower_bound(a0, family: DeformationFamily, target, eps=3e-
     """FD second derivative of the family energy and its closed-form bound.
 
     Returns ``(lhs_fd, rhs)``: the central second difference at t = 0 of
-    e_hat along the family (identity-map envelope), and the lower bound
-    2 * integral of phi0 Tr(A0) dArea[h0].  The envelope property gives
+    the trace energy along the family (identity-map envelope), and the
+    lower bound 2 * integral of phi0 Tr(A0) dArea[h0].  The envelope property gives
     lhs_fd >= rhs up to discretization slack, strictly positive for
     nonzero B.
     """

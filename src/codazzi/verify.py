@@ -430,7 +430,7 @@ def suite_teich(seed=0, n1=32, n2=64):
     checks.append(
         _equal(
             "e_hat_conformal_value",
-            teich.e_hat(h0, target),
+            trace_energy(target, h0),
             2.0 * c * h0.area(),
             1e-10,
         )

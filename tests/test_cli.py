@@ -112,6 +112,19 @@ def test_embed_refuses_nonsymmetric(tmp_path, capsys):
     assert "non-symmetric" in capsys.readouterr().err
 
 
+def test_embed_refuses_non_finite_endo(tmp_path, capsys):
+    grid = Grid(17, 17, 0.8, 0.8, "dirichlet")
+    patch = embedding.HyperboloidPatch(grid)
+    a = np.broadcast_to(ID2, (17, 17, 2, 2)).copy()
+    a[8, 3, 0, 0] = np.nan
+    path = tmp_path / "nan.json"
+    fileio.save_field(path, patch.metric, endo=a)
+    prefix = tmp_path / "e"
+    assert run_cli("embed", "--endo", path, "--out", prefix) == 1
+    assert "non-symmetric" in capsys.readouterr().err
+    assert not (tmp_path / "e_mesh.csv").exists()
+
+
 def test_embed_refuses_non_codazzi_naming_residual(tmp_path, capsys):
     grid = Grid(17, 17, 0.8, 0.8, "dirichlet")
     patch = embedding.HyperboloidPatch(grid)

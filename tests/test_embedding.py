@@ -115,3 +115,16 @@ def test_integrate_immersion_rejects_non_codazzi():
     with pytest.raises(embedding.PathDependenceError):
         embedding.integrate_immersion(a, p, p.nodes()[p.base_index],
                                       codazzi_tol=1e-3)
+
+
+@pytest.mark.parametrize("defect", ["asymmetric", "nan"])
+def test_integrate_immersion_rejects_non_symmetric_or_non_finite(defect):
+    p = _patch(17)
+    a = np.broadcast_to(ID2, (17, 17, 2, 2)).copy()
+    if defect == "nan":
+        a[8, 3, 0, 0] = np.nan
+    else:
+        a[8, 3, 0, 1] += 1e-6
+    # no Codazzi certificate: the symmetry check alone must refuse
+    with pytest.raises(ValueError, match="non-symmetric or non-finite"):
+        embedding.integrate_immersion(a, p, p.nodes()[p.base_index], codazzi_tol=None)

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from codazzi.energy import nabla_vec_endo
 from codazzi.grid import ConformalMetric, Grid, poincare_disk
+from codazzi.jcalc import J
 from codazzi.operators import (
     brioschi_curvature,
     curvature,
@@ -17,7 +19,13 @@ from codazzi.operators import (
     grad,
     hessian_endo,
 )
-from codazzi.randfields import rng_for, tracefree_codazzi_flat, trig_endo, trig_scalar
+from codazzi.randfields import (
+    rng_for,
+    tracefree_codazzi_flat,
+    trig_endo,
+    trig_scalar,
+    trig_vector,
+)
 
 
 def test_grid_rejects_tiny_axes():
@@ -132,3 +140,122 @@ def test_brioschi_matches_conformal_curvature():
         return float(np.max(np.abs(d[g.grid.interior(3)])))
 
     assert gap(32) / gap(64) > 3.4
+
+
+def _wave(grid):
+    """A smooth test field with two components, and its exact x and y derivatives."""
+    xx, yy = grid.meshgrid()
+    u, v = 2 * np.pi * xx + 0.3, 4 * np.pi * yy - 0.2
+    f = np.stack([np.sin(u) * np.cos(v), np.cos(u + v)], axis=-1)
+    fx = np.stack([2 * np.pi * np.cos(u) * np.cos(v), -2 * np.pi * np.sin(u + v)], axis=-1)
+    fy = np.stack([-4 * np.pi * np.sin(u) * np.sin(v), -4 * np.pi * np.sin(u + v)], axis=-1)
+    return f, fx, fy
+
+
+@pytest.mark.parametrize("topology", ["periodic", "dirichlet"])
+def test_fourth_order_derivatives_converge_at_fourth_order(topology):
+    # every node of a periodic chart (wrap nodes included); rings >= 2 of a
+    # Dirichlet chart, where the fourth-order stencil applies
+    def err(n):
+        grid = Grid(n, n, 1.0, 1.0, topology)
+        f, fx, fy = _wave(grid)
+        mask = grid.interior(2)
+        return (np.max(np.abs(grid.ddx(f, order=4) - fx)[mask]),
+                np.max(np.abs(grid.ddy(f, order=4) - fy)[mask]))
+
+    for e32, e64 in zip(err(32), err(64)):
+        assert e32 / e64 >= 14.0
+
+
+def test_fourth_order_dirichlet_edge_rings():
+    # rings 0 and 1 keep np.gradient's default values: first-order one-sided
+    # on the boundary ring, central differences on the next
+    grid = Grid(16, 16, 1.0, 1.0, "dirichlet")
+    f, _, _ = _wave(grid)
+    ref_x = np.gradient(f, grid.dx, axis=1)
+    ref_y = np.gradient(f, grid.dy, axis=0)
+    d4x, d4y = grid.ddx(f, order=4), grid.ddy(f, order=4)
+    for ring in (0, 1, -2, -1):
+        np.testing.assert_array_equal(d4x[:, ring], ref_x[:, ring])
+        np.testing.assert_array_equal(d4y[ring], ref_y[ring])
+
+
+def test_derivative_order_must_be_two_or_four():
+    grid = Grid(16, 16, 1.0, 1.0, "dirichlet")
+    with pytest.raises(ValueError):
+        grid.ddx(np.zeros((16, 16)), order=6)
+
+
+# Reference operators: the Christoffel tensor of e^{2 phi} delta built from
+# Gamma^k_ij = delta_ki phi_j + delta_kj phi_i - delta_ij phi_k and
+# contracted with einsum, as the covariant derivative is defined.
+
+
+def _christoffels(g):
+    dphi = np.stack(g.phi_derivs(), axis=-1)
+    eye = np.eye(2)
+    return (np.einsum("ki,...j->...kij", eye, dphi)
+            + np.einsum("kj,...i->...kij", eye, dphi)
+            - np.einsum("ij,...k->...kij", eye, dphi))
+
+
+def _partials(grid, f, order=2):
+    """d[..., i, ...] = d_i f, the derivative axis right after the node axes."""
+    return np.stack([grid.ddx(f, order), grid.ddy(f, order)], axis=2)
+
+
+def _ref_nabla_vec(g, v):
+    """nv[..., i, k] = (nabla_i v)^k."""
+    return _partials(g.grid, v) + np.einsum("...kip,...p->...ik", _christoffels(g), v)
+
+
+def _ref_nabla_endo(g, a, order=2):
+    """na[..., i, k, j] = (nabla_i a)^k_j."""
+    gam = _christoffels(g)
+    return (_partials(g.grid, a, order)
+            + np.einsum("...kip,...pj->...ikj", gam, a)
+            - np.einsum("...pij,...kp->...ikj", gam, a))
+
+
+def _references(g, a, x, f):
+    grid = g.grid
+    w = np.exp(-2.0 * g.phi)
+    dx = _partials(grid, x)
+    na2, na4 = _ref_nabla_endo(g, a), _ref_nabla_endo(g, a, order=4)
+    aj = a @ J
+    df = np.stack([grid.ddx(f), grid.ddy(f)], axis=-1)
+    d2 = _partials(grid, df)
+    return {
+        "div_vec": dx[..., 0, 0] + dx[..., 1, 1]
+        + np.einsum("...iij,...j->...", _christoffels(g), x),
+        "div_endo": w[..., None] * np.einsum("...iki->...k", na2),
+        "div_endo order 4": w[..., None] * np.einsum("...iki->...k", na4),
+        "dnabla_endo": w[..., None] * (na2[..., 0, :, 1] - na2[..., 1, :, 0]),
+        "hessian_endo": w[..., None, None]
+        * (d2 - np.einsum("...kij,...k->...ij", _christoffels(g), df)),
+        "nabla_vec_endo": np.swapaxes(_ref_nabla_vec(g, x), -1, -2),
+        "div_endo_oracle": -w[..., None] * (_ref_nabla_vec(g, aj[..., :, 1])[..., 0, :]
+                                            - _ref_nabla_vec(g, aj[..., :, 0])[..., 1, :]),
+    }
+
+
+@pytest.mark.parametrize("topology", ["periodic", "dirichlet"])
+def test_closed_form_operators_match_christoffel_contraction(topology):
+    grid = Grid(32, 32, 0.8, 0.8, topology)
+    g = (ConformalMetric(grid, trig_scalar(grid, rng_for(101), amp=0.3))
+         if grid.periodic else poincare_disk(grid))
+    a = trig_endo(grid, rng_for(202), amp=1.0)
+    x = trig_vector(grid, rng_for(303), amp=1.0)
+    f = trig_scalar(grid, rng_for(404), amp=1.0)
+    got = {
+        "div_vec": div_vec(x, g),
+        "div_endo": div_endo(a, g),
+        "div_endo order 4": div_endo(a, g, order=4),
+        "dnabla_endo": dnabla_endo(a, g),
+        "hessian_endo": hessian_endo(f, g),
+        "nabla_vec_endo": nabla_vec_endo(x, g),
+        "div_endo_oracle": div_endo_oracle(a, g),
+    }
+    for name, ref in _references(g, a, x, f).items():
+        rel = np.max(np.abs(got[name] - ref)) / np.max(np.abs(ref))
+        assert rel <= 1e-13, f"{name}: relative gap {rel:.2e}"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from codazzi import teich
+from codazzi.energy import trace_energy
 from codazzi.grid import ConformalMetric, Grid, poincare_disk
 from codazzi.jcalc import ID2
 from codazzi.randfields import rng_for, tracefree_codazzi_conformal
@@ -42,7 +43,7 @@ def test_phi0_plateau_value_on_large_flat_chart():
 def test_e_hat_conformal_value(family):
     h0, _, _ = family
     c = 1.4
-    assert teich.e_hat(h0, c * c * h0.matrix()) == pytest.approx(
+    assert trace_energy(c * c * h0.matrix(), h0) == pytest.approx(
         2.0 * c * h0.area(), abs=1e-10
     )
 
