@@ -243,7 +243,8 @@ def main(argv=None):
         if args.command == "solve":
             return cmd_solve(args, parser)
         return cmd_embed(args, parser)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
+        # OSError: an output path that cannot be written; its message names it
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

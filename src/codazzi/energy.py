@@ -72,10 +72,11 @@ def energy_gradient(h, g: ConformalMetric):
     This is the L2 gradient of :func:`trace_energy` (equivalently, of
     sqrt(2) times the seminorm energy: for symmetric A the two functionals
     differ by that constant factor).  It vanishes exactly when A is a
-    Codazzi field.
+    Codazzi field.  div(A J) is evaluated as d^nabla A(e1, e2), which
+    reads the columns of A directly instead of forming the product A J.
     """
     a = field_A(h, g)
-    return -apply_J(div_endo(a @ J, g))
+    return -apply_J(dnabla_endo(a, g))
 
 
 def gradient_pairing(h, g: ConformalMetric, x):

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import ConformalMetric, Grid
+from .grid import Grid
 from .randfields import rng_for
 
 

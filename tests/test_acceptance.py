@@ -13,10 +13,9 @@ import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 import codazzi
-from codazzi import diagnostics, embedding, fileio, solver, teich, verify
+from codazzi import fileio, solver, verify
 from codazzi.energy import curvature_identity_residual, second_variation, trace_energy
 from codazzi.grid import Grid, poincare_disk
 from codazzi.jcalc import ID2

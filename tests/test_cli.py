@@ -56,6 +56,16 @@ def test_verify_failure_injection_exits_one(tmp_path, capsys):
     assert "FAIL input.input_codazzi_residual" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("verify", "--suite", "jcalc"), ("solve", "--manufactured-seed", "3", "--nx", "16")],
+)
+def test_unwritable_output_is_io_error(tmp_path, capsys, argv):
+    out = tmp_path / "missing" / "r.json"
+    assert run_cli(*argv, "--out", out) == 2
+    assert str(out) in capsys.readouterr().err
+
+
 def test_solve_missing_h_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         run_cli("solve")

@@ -18,8 +18,9 @@ from codazzi.energy import (
     second_variation,
     trace_energy,
 )
-from codazzi.grid import ConformalMetric, Grid, poincare_disk
-from codazzi.jcalc import ID2, metric_action
+from codazzi.grid import Grid, poincare_disk
+from codazzi.jcalc import ID2, J, metric_action
+from codazzi.operators import apply_J, div_endo
 from codazzi.randfields import (
     bump,
     random_displacement,
@@ -56,6 +57,16 @@ def test_energy_of_conformal_pair_is_exact(disk64):
 def test_gradient_vanishes_at_conformal_target(disk64):
     g = disk64
     assert np.max(np.abs(energy_gradient(2.25 * g.matrix(), g))) < 1e-10
+
+
+@pytest.mark.parametrize("topology", ["dirichlet", "periodic"])
+def test_gradient_is_exactly_minus_J_div_AJ(topology):
+    # energy_gradient reads the columns of A instead of forming A J; the
+    # arithmetic is the same, so the two routes agree bit for bit
+    g = poincare_disk(Grid(32, 32, 0.8, 0.8, topology))
+    h = metric_action(trig_spd(g.grid, rng_for(5), amp=0.15), g.matrix())
+    expected = -apply_J(div_endo(field_A(h, g) @ J, g))
+    assert np.array_equal(energy_gradient(h, g), expected)
 
 
 def test_gradient_pairings_agree(disk64):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from codazzi.grid import ConformalMetric, Grid, poincare_disk
+from codazzi.grid import Grid, poincare_disk
 from codazzi.maps import FieldInterpolator, FoldOverError, map_jacobian, pullback_metric
 from codazzi.operators import dnabla_endo
 from codazzi.randfields import (
