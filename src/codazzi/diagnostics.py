@@ -16,9 +16,7 @@ import numpy as np
 
 from .grid import ConformalMetric, Grid
 from .jcalc import J, check_symmetric, det, inv2, trace
-from .maps import FieldInterpolator, map_jacobian
 from .operators import general_christoffels
-from .energy import codazzi_residual
 
 __all__ = [
     "intermediate_J",
@@ -35,16 +33,16 @@ __all__ = [
 
 def _check_positive_symmetric(a):
     a = check_symmetric(a)
-    if np.any(det(a) <= 0.0) or np.any(trace(a) <= 0.0):
+    if not (np.all(det(a) > 0.0) and np.all(trace(a) > 0.0)):
         raise ValueError("field must be positive-definite")
     return a
 
 
-def intermediate_J(a, g: ConformalMetric = None):
+def intermediate_J(a):
     """Complex structure of the intermediate metric: Det(A)^{-1/2} J A.
 
-    Squares to -Id at every node; compatible with h = g(A., .).  The
-    background only fixes the frame, so it is optional.
+    Squares to -Id at every node; compatible with h = g(A., .) for any
+    conformal background g, which therefore is not an argument.
     """
     a = _check_positive_symmetric(a)
     return J / np.sqrt(det(a))[..., None, None] @ a
@@ -68,21 +66,17 @@ def alpha_curl(a, grid: Grid, margin=2):
     return float(np.max(np.abs(curl[grid.interior(margin)])))
 
 
-def alpha_harmonic_residual(a, g: ConformalMetric, margin=3, codazzi_tol=None):
+def alpha_harmonic_residual(a, g: ConformalMetric, margin=3):
     """Defect of alpha-harmonicity of the identity from (chart, h) to (chart, g).
 
     h = g(A., .); the coordinate laplacian of the identity map reduces to
     h^{mn} (Gamma_g - Gamma_h)^k_{mn} and must match h^{kn} alpha_n, the
-    source-sharp of alpha, within O(h^2) when A is Codazzi.  Passing a
-    ``codazzi_tol`` certifies the field first; the default leaves the
-    residual meaningful as a negative control for non-Codazzi input.
+    source-sharp of alpha, within O(h^2) when A is Codazzi.  The field is
+    not certified Codazzi first, so the residual also serves as a negative
+    control for non-Codazzi input.
     """
     grid = g.grid
     a = _check_positive_symmetric(grid.check_field(a, rank=2))
-    if codazzi_tol is not None:
-        r = codazzi_residual(a, g)
-        if r > codazzi_tol:
-            raise ValueError(f"Codazzi residual {r:.3e} exceeds {codazzi_tol:.3e}")
     h = g.matrix() @ a
     hinv = inv2(h)
     dphi = np.stack(g.phi_derivs(), axis=-1)
@@ -99,25 +93,16 @@ def alpha_harmonic_residual(a, g: ConformalMetric, margin=3, codazzi_tol=None):
     return float(np.max(np.abs((lap - rhs)[mask])))
 
 
-def map_energy(x, gS: ConformalMetric, hN):
-    """Energy of Phi(p) = p + X(p) from (chart, gS) into (chart, hN).
+def map_energy(gS: ConformalMetric, hN):
+    """Energy of the identity map from (chart, gS) into (chart, hN).
 
-    Integrand g^{mn} h_{pq}(Phi) Phi^p_m Phi^q_n against dVol(gS); for a
-    conformal source the factors cancel, so the value depends only on the
-    source conformal class (exactly, even discretely).  ``x`` may be None
-    for the identity map.
+    Integrand g^{mn} h_{mn} against dVol(gS); for a conformal source the
+    factors cancel, so the value depends only on the source conformal class
+    (exactly, even discretely).
     """
     grid = gS.grid
     hN = grid.check_field(hN, rank=2)
-    if x is None:
-        dens = trace(inv2(gS.matrix()) @ hN) * gS.conformal_factor
-        return float(np.sum(dens * grid.cell_weights()))
-    x = grid.check_field(x, rank=1)
-    xx, yy = grid.meshgrid()
-    pts = np.stack([xx, yy], axis=-1) + x
-    h_at = FieldInterpolator(grid, hN)(pts)
-    jac = map_jacobian(grid, x)
-    dens = trace(np.swapaxes(jac, -1, -2) @ h_at @ jac)
+    dens = trace(inv2(gS.matrix()) @ hN) * gS.conformal_factor
     return float(np.sum(dens * grid.cell_weights()))
 
 

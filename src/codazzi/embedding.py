@@ -119,15 +119,6 @@ class HyperboloidPatch:
         j0, i0 = self.base_index
         return float(self.grid.x[i0]), float(self.grid.y[j0])
 
-    def immersion(self, x, y):
-        return _disk_immersion(x, y)
-
-    def immersion_dx(self, x, y):
-        return _disk_immersion_dx(x, y)
-
-    def immersion_dy(self, x, y):
-        return _disk_immersion_dy(x, y)
-
     def nodes(self):
         """Node values of iota, shape (ny, nx, 3)."""
         xx, yy = self.grid.meshgrid()
@@ -201,12 +192,12 @@ def _cum_from(seg, k0, n):
     return out
 
 
-def integrate_immersion(a, patch: HyperboloidPatch, u, sign=1, path="xy",
-                        codazzi_tol=0.05):
-    """X = U + sign * int A . d iota along canonical axis-ordered grid paths.
+def integrate_immersion(a, patch: HyperboloidPatch, u, sign=1, codazzi_tol=0.05):
+    """X = U + sign * int A . d iota along canonical grid paths.
 
-    ``path`` selects x-then-y ("xy") or y-then-x ("yx") staircases from the
-    base node; for a Codazzi field the two agree to O(h^2).  Raises
+    Each node is reached from the base node along the base row, then up or
+    down its column; for a Codazzi field any other staircase agrees to
+    O(h^2) (:func:`plaquette_defect` bounds the difference per cell).  Raises
     ValueError unless ``a`` is finite and symmetric, and
     :class:`PathDependenceError` when the Codazzi residual of ``a`` exceeds
     ``codazzi_tol`` (pass None to skip the certificate).
@@ -224,18 +215,8 @@ def integrate_immersion(a, patch: HyperboloidPatch, u, sign=1, path="xy",
     j0, i0 = patch.base_index
     seg_x = _segments_x(a, patch)
     seg_y = _segments_y(a, patch)
-    if path == "xy":
-        along_x = _cum_from(np.swapaxes(seg_x, 0, 1)[:, j0], i0, grid.nx)
-        rest = _cum_from(seg_y, j0, grid.ny)
-        total = along_x[None, :, :] + rest
-    elif path == "yx":
-        along_y = _cum_from(seg_y[:, i0], j0, grid.ny)
-        rest = np.swapaxes(
-            _cum_from(np.swapaxes(seg_x, 0, 1), i0, grid.nx), 0, 1
-        )
-        total = along_y[:, None, :] + rest
-    else:
-        raise ValueError("path must be 'xy' or 'yx'")
+    along_x = _cum_from(np.swapaxes(seg_x, 0, 1)[:, j0], i0, grid.nx)
+    total = along_x[None, :, :] + _cum_from(seg_y, j0, grid.ny)
     return np.asarray(u, dtype=float) + sign * total
 
 

@@ -13,7 +13,7 @@ from scipy.integrate import simpson
 
 from .grid import ConformalMetric
 from .jcalc import J, check_symmetric, det, inv2, sigma, spd_sqrt_pair, trace
-from .maps import FieldInterpolator
+from .maps import FieldInterpolator, pullback_metric
 from .operators import (
     apply_J,
     brioschi_curvature,
@@ -125,21 +125,10 @@ def flow_derivative_fd(h, g: ConformalMetric, x, eps=1e-4):
     x = grid.check_field(x, rank=1)
     if not isinstance(h, FieldInterpolator):
         h = FieldInterpolator(grid, grid.check_field(h, rank=2))
-    xx, yy = grid.meshgrid()
-    pts0 = np.stack([xx, yy], axis=-1)
-    dxu = grid.ddx(x, order=4)
-    dyu = grid.ddy(x, order=4)
     w = g.conformal_factor
 
     def energy_at(t):
-        h_at = h(pts0 + t * x)
-        jac = np.empty((grid.ny, grid.nx, 2, 2))
-        jac[..., 0, 0] = 1.0 + t * dxu[..., 0]
-        jac[..., 0, 1] = t * dyu[..., 0]
-        jac[..., 1, 0] = t * dxu[..., 1]
-        jac[..., 1, 1] = 1.0 + t * dyu[..., 1]
-        # jac[..., k, i] = d_i Phi^k; the pullback is jac^T h jac
-        hp = np.swapaxes(jac, -1, -2) @ h_at @ jac
+        hp = pullback_metric(grid, h, x, t, order=4)
         return _simpson2(grid, trace(field_A(hp, g)) * w)
 
     return (energy_at(eps) - energy_at(-eps)) / (2.0 * eps)

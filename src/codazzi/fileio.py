@@ -50,6 +50,14 @@ def save_field(path, g: ConformalMetric, h=None, endo=None, x=None):
     write_json(path, doc)
 
 
+def _node_count(header, key):
+    """Integral node count from a grid header; refuses 17.9 instead of truncating."""
+    n = float(header[key])
+    if not n.is_integer():
+        raise ValueError(f"'{key}' must be a whole number, got {header[key]!r}")
+    return int(n)
+
+
 def load_field(path):
     """Read a field file; returns a dict with the metric and any payloads.
 
@@ -63,7 +71,7 @@ def load_field(path):
     try:
         gd = doc["grid"]
         grid = Grid(
-            int(gd["nx"]), int(gd["ny"]), float(gd["lx"]), float(gd["ly"]),
+            _node_count(gd, "nx"), _node_count(gd, "ny"), float(gd["lx"]), float(gd["ly"]),
             str(gd["topology"]),
         )
     except (KeyError, TypeError, ValueError) as exc:

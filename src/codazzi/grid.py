@@ -42,10 +42,14 @@ class Grid:
     topology: str = PERIODIC
 
     def __post_init__(self):
+        for n in (self.nx, self.ny):
+            if not isinstance(n, (int, np.integer)):
+                raise ValueError(f"node counts must be integers, got {n!r}")
         if self.nx < 8 or self.ny < 8:
             raise ValueError("grids need at least 8 nodes per axis")
-        if self.lx <= 0 or self.ly <= 0:
-            raise ValueError("chart extents must be positive")
+        # written so that a NaN extent fails
+        if not (0 < self.lx < np.inf and 0 < self.ly < np.inf):
+            raise ValueError("chart extents must be positive and finite")
         if self.topology not in (PERIODIC, DIRICHLET):
             raise ValueError(f"unknown topology {self.topology!r}")
 
@@ -157,11 +161,6 @@ class ConformalMetric:
     @classmethod
     def flat(cls, grid):
         return cls(grid, np.zeros((grid.ny, grid.nx)))
-
-    @classmethod
-    def from_function(cls, grid, fn):
-        xx, yy = grid.meshgrid()
-        return cls(grid, np.asarray(fn(xx, yy), dtype=float))
 
     @property
     def conformal_factor(self):

@@ -135,7 +135,7 @@ def metric_action(a, h):
     """
     a = np.asarray(a, dtype=float)
     h = np.asarray(h, dtype=float)
-    if np.any(det(a) <= 0):
+    if not np.all(det(a) > 0):
         raise ValueError("metric_action requires Det(a) > 0")
     at = np.swapaxes(a, -1, -2)
     return at @ h @ a
@@ -151,7 +151,7 @@ def spd_sqrt(m):
     m = np.asarray(m, dtype=float)
     d = det(m)
     t = trace(m)
-    if np.any(d <= 0) or np.any(t <= 0):
+    if not (np.all(d > 0) and np.all(t > 0)):
         raise ValueError("spd_sqrt requires positive spectrum (Tr > 0 and Det > 0)")
     s = np.sqrt(d)
     denom = np.sqrt(t + 2.0 * s)

@@ -14,6 +14,8 @@ from scipy.interpolate import RectBivariateSpline
 from .grid import Grid
 from .jcalc import det
 
+_SPLINE_ORDER = 3
+
 
 class FoldOverError(RuntimeError):
     """The map p -> p + X(p) fails to be an orientation-preserving immersion."""
@@ -26,22 +28,21 @@ class FieldInterpolator:
     a Newton iteration) costs only the B-spline sums.
     """
 
-    def __init__(self, grid: Grid, values, order=3):
+    def __init__(self, grid: Grid, values):
         values = np.asarray(values, dtype=float)
         if values.shape[:2] != (grid.ny, grid.nx):
             raise ValueError("field shape does not match grid")
         self.grid = grid
-        self.order = order
         self.comp_shape = values.shape[2:]
         flat = values.reshape(grid.ny, grid.nx, -1)
         if grid.periodic:
             coeffs = np.empty_like(flat)
             for c in range(flat.shape[-1]):
                 w = ndimage.spline_filter1d(
-                    flat[..., c], order=order, axis=0, mode="grid-wrap"
+                    flat[..., c], order=_SPLINE_ORDER, axis=0, mode="grid-wrap"
                 )
                 coeffs[..., c] = ndimage.spline_filter1d(
-                    w, order=order, axis=1, mode="grid-wrap"
+                    w, order=_SPLINE_ORDER, axis=1, mode="grid-wrap"
                 )
             self.coeffs = coeffs
         else:
@@ -49,7 +50,7 @@ class FieldInterpolator:
             # to the chart edge, unlike reflective padding
             self.splines = [
                 RectBivariateSpline(
-                    grid.y, grid.x, flat[..., c], kx=order, ky=order, s=0
+                    grid.y, grid.x, flat[..., c], kx=_SPLINE_ORDER, ky=_SPLINE_ORDER, s=0
                 )
                 for c in range(flat.shape[-1])
             ]
@@ -66,7 +67,7 @@ class FieldInterpolator:
             coords = np.stack([iy.ravel(), ix.ravel()])
             cols = [
                 ndimage.map_coordinates(
-                    self.coeffs[..., c], coords, order=self.order,
+                    self.coeffs[..., c], coords, order=_SPLINE_ORDER,
                     mode="grid-wrap", prefilter=False,
                 )
                 for c in range(self.coeffs.shape[-1])
@@ -91,12 +92,15 @@ def map_points(grid: Grid, x, t=1.0):
     return pts
 
 
-def map_jacobian(grid: Grid, x, t=1.0):
-    """Coordinate Jacobian D Phi[..., k, j] = delta_kj + t d_j x^k."""
+def map_jacobian(grid: Grid, x, t=1.0, order=2):
+    """Coordinate Jacobian D Phi[..., k, j] = delta_kj + t d_j x^k.
+
+    ``order`` (2 or 4) selects the :meth:`Grid.ddx` stencils.
+    """
     x = grid.check_field(x, rank=1)
     jac = np.zeros((grid.ny, grid.nx, 2, 2))
-    dxd = grid.ddx(x)  # d_x (x^1, x^2)
-    dyd = grid.ddy(x)
+    dxd = grid.ddx(x, order=order)  # d_x (x^1, x^2)
+    dyd = grid.ddy(x, order=order)
     jac[..., 0, 0] = 1.0 + t * dxd[..., 0]
     jac[..., 1, 0] = t * dxd[..., 1]
     jac[..., 0, 1] = t * dyd[..., 0]
@@ -104,17 +108,20 @@ def map_jacobian(grid: Grid, x, t=1.0):
     return jac
 
 
-def pullback_metric(grid: Grid, h_interp, x, t=1.0, check_fold=True):
+def pullback_metric(grid: Grid, h_interp, x, t=1.0, order=2):
     """Pull an SPD matrix field back through Phi(p) = p + t X(p).
 
     ``h_interp`` is a :class:`FieldInterpolator` of the (ny, nx, 2, 2) metric
-    matrix (or the matrix itself, interpolated on the fly).  Returns the node
-    field (D Phi)^T h(Phi) (D Phi).
+    matrix (or the matrix itself, interpolated on the fly).  ``order`` is
+    the order of the map-Jacobian stencils: 2 for the solver, 4 for the
+    finite-difference oracle :func:`codazzi.energy.flow_derivative_fd`.
+    Returns the node field (D Phi)^T h(Phi) (D Phi); raises
+    :class:`FoldOverError` unless Det(D Phi) > 0 at every node (a NaN fails).
     """
     if not isinstance(h_interp, FieldInterpolator):
         h_interp = FieldInterpolator(grid, grid.check_field(h_interp, rank=2))
-    jac = map_jacobian(grid, x, t)
-    if check_fold and np.any(det(jac) <= 0.0):
+    jac = map_jacobian(grid, x, t, order)
+    if not np.all(det(jac) > 0.0):
         raise FoldOverError("displacement folds the chart over")
     hvals = h_interp(map_points(grid, x, t))
     return np.swapaxes(jac, -1, -2) @ hvals @ jac

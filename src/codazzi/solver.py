@@ -92,7 +92,7 @@ def _require_negative_curvature(g):
         raise CurvatureSignError("background curvature must be negative everywhere")
 
 
-def solver_residual(x, g: ConformalMetric, h_interp, stabilization=1.0):
+def solver_residual(x, g: ConformalMetric, h_interp):
     """Residual driven by Newton: grad E plus a checkerboard suppressor.
 
     The correction G of the continuum theory restores ellipticity in
@@ -101,18 +101,12 @@ def solver_residual(x, g: ConformalMetric, h_interp, stabilization=1.0):
     positive definite, so criticality is equivalent to grad E = 0.  The
     discrete central-difference Hessian is however nearly blind to
     grid-frequency (checkerboard) displacement modes; the consistent
-    O(h^2) term -stabilization * dx * dy * Laplace(X) removes that spurious
-    near-kernel without moving the smooth discrete solution at leading
-    order.
+    O(h^2) term -dx * dy * Laplace(X) removes that spurious near-kernel
+    without moving the smooth discrete solution at leading order.
     """
     hp = pullback_metric(g.grid, h_interp, x)
-    r = energy_gradient(hp, g)
-    if stabilization:
-        lap = np.stack(
-            [_lap5(g.grid, x[..., 0]), _lap5(g.grid, x[..., 1])], axis=-1
-        )
-        r = r - stabilization * g.grid.dx * g.grid.dy * lap
-    return r
+    lap = np.stack([_lap5(g.grid, x[..., 0]), _lap5(g.grid, x[..., 1])], axis=-1)
+    return energy_gradient(hp, g) - g.grid.dx * g.grid.dy * lap
 
 
 def _interior_index(grid: Grid):

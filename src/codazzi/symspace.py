@@ -35,7 +35,7 @@ def quotient_metric(a, b, alpha=0.0):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     da = det(a)
-    if np.any(da <= 0.0) or np.any(trace(a) <= 0.0):
+    if not (np.all(da > 0.0) and np.all(trace(a) > 0.0)):
         raise ValueError("quotient_metric needs a positive-definite base point")
     return da**alpha * (-0.25 * det(b) / da)
 
@@ -57,7 +57,7 @@ def geodesic(a, t):
     """Geodesic of the alpha = 1/2 rescaled metric through Id: (Id + tA)^2."""
     a = np.asarray(a, dtype=float)
     m = ID2 + t * a
-    if np.any(det(m) <= 0.0) or np.any(trace(m) <= 0.0):
+    if not (np.all(det(m) > 0.0) and np.all(trace(m) > 0.0)):
         raise ValueError("Id + tA left the positive-definite cone")
     return m @ m
 
@@ -81,7 +81,7 @@ def exp_map(a, g0):
     """Exponential chart about the metric g0: g0((Id+A)., (Id+A).)."""
     a = np.asarray(a, dtype=float)
     m = ID2 + a
-    if np.any(det(m) <= 0.0) or np.any(trace(m) <= 0.0):
+    if not (np.all(det(m) > 0.0) and np.all(trace(m) > 0.0)):
         raise ValueError("Id + A outside the domain of the exponential chart")
     return metric_action(m, np.asarray(g0, dtype=float))
 

@@ -64,29 +64,27 @@ def phi0_solve(b, h: ConformalMetric):
     if grid.periodic:
         raise ValueError("phi0_solve needs a Dirichlet chart")
     b = _check_tracefree_symmetric(grid.check_field(b, rank=2))
-    rhs_full = det(b) * h.conformal_factor  # multiplied through by e^{2 phi}
-    ny, nx = grid.ny, grid.nx
-    mask = grid.interior(1)
-    num = np.full((ny, nx), -1, dtype=int)
-    num[mask] = np.arange(mask.sum())
-    rows, cols, vals = [], [], []
-    rhs = np.empty(mask.sum())
-    cx, cy = 1.0 / grid.dx**2, 1.0 / grid.dy**2
     w = h.conformal_factor
-    jj, ii = np.where(mask)
-    for k, (j, i) in enumerate(zip(jj, ii)):
-        rows.append(k)
-        cols.append(k)
-        vals.append(-2.0 * (cx + cy) - 2.0 * w[j, i])
-        for j2, i2, c in ((j, i - 1, cx), (j, i + 1, cx), (j - 1, i, cy), (j + 1, i, cy)):
-            if num[j2, i2] >= 0:
-                rows.append(k)
-                cols.append(num[j2, i2])
-                vals.append(c)
-        rhs[k] = rhs_full[j, i]
-    mat = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(rhs.size, rhs.size))
+    mask = grid.interior(1)
+    num = np.full((grid.ny, grid.nx), -1)
+    num[mask] = np.arange(mask.sum())
+    # row k of interior node (j, i): the diagonal, then the neighbours
+    # (j, i-1), (j, i+1), (j-1, i), (j+1, i); a neighbour on the boundary
+    # ring has number -1 and drops out (zero boundary value)
+    shifts = ((1, 1), (-1, 1), (1, 0), (-1, 0))
+    cols = np.stack([num] + [np.roll(num, k, axis) for k, axis in shifts], axis=-1)[mask]
+    cx, cy = 1.0 / grid.dx**2, 1.0 / grid.dy**2
+    vals = np.empty(cols.shape)
+    vals[:, 0] = -2.0 * (cx + cy) - 2.0 * w[mask]
+    vals[:, 1:3] = cx
+    vals[:, 3:] = cy
+    n = cols.shape[0]
+    rows = np.broadcast_to(np.arange(n)[:, None], cols.shape)
+    keep = cols >= 0
+    mat = scipy.sparse.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(n, n))
+    rhs = det(b)[mask] * w[mask]  # multiplied through by e^{2 phi}
     sol = scipy.sparse.linalg.spsolve(mat, rhs)
-    out = np.zeros((ny, nx))
+    out = np.zeros((grid.ny, grid.nx))
     out[mask] = sol
     return out
 
@@ -141,7 +139,7 @@ class DeformationFamily:
     def b_t(self, t):
         scale = 1.0 + t * t * self.phi0
         out = scale[..., None, None] * ID2 + t * self.b
-        if np.any(det(out) <= 0.0) or np.any(trace(out) <= 0.0):
+        if not (np.all(det(out) > 0.0) and np.all(trace(out) > 0.0)):
             raise ValueError(f"family leaves the positive cone at t = {t}")
         return out
 

@@ -703,9 +703,9 @@ def suite_diagnostics(seed=0, n1=32, n2=64):
     lhs, rhs = diagnostics.energy_identity_check(a_spd, g)
     checks.append(_equal("energy_identity_relative", abs(lhs - rhs) / abs(rhs), 0.0, 1e-10))
 
-    e_base = diagnostics.map_energy(None, g, g.matrix())
+    e_base = diagnostics.map_energy(g, g.matrix())
     g_scaled = ConformalMetric(g.grid, g.phi + 0.37)
-    e_scaled = diagnostics.map_energy(None, g_scaled, g.matrix())
+    e_scaled = diagnostics.map_energy(g_scaled, g.matrix())
     checks.append(
         _equal("map_energy_conformal_invariance", abs(e_base - e_scaled) / e_base, 0.0, 1e-12)
     )

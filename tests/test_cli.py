@@ -1,6 +1,7 @@
 """Command-line front end: exit contract, determinism, refusal paths."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -153,3 +154,59 @@ def test_verify_reports_are_deterministic(tmp_path, monkeypatch):
     run_cli("verify", "--suite", "fields", "--seed", "1", "--out", "a.json")
     run_cli("verify", "--suite", "fields", "--seed", "1", "--out", "b.json")
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("verify", {"--suite", "--seed", "--nx", "--nx2", "--g", "--tol", "--out"}),
+        ("solve", {"--g", "--h", "--nx", "--ny", "--lx", "--ly", "--tol", "--out",
+                   "--continuation-steps", "--manufactured-seed"}),
+        ("embed", {"--endo", "--tol", "--out"}),
+    ],
+)
+def test_help_lists_exactly_the_flags_each_subcommand_reads(capsys, command, flags):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, "--help")
+    assert exc.value.code == 0
+    shown = set(re.findall(r"--[a-z0-9][a-z0-9-]*", capsys.readouterr().out))
+    assert shown - {"--help"} == flags
+
+
+def _identity_endo_file(tmp_path):
+    grid = Grid(17, 17, 0.8, 0.8, "dirichlet")
+    path = tmp_path / "f.json"
+    idf = np.broadcast_to(ID2, (17, 17, 2, 2)).copy()
+    fileio.save_field(path, embedding.HyperboloidPatch(grid).metric, endo=idf)
+    return path
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("embed", "--endo", "{f}", "--seed", "1"),
+        ("embed", "--endo", "{f}", "--h", "{f}"),
+        ("verify", "--suite", "jcalc", "--endo", "{f}"),
+        ("solve", "--manufactured-seed", "0", "--nx", "16", "--topology", "dirichlet"),
+    ],
+)
+def test_flags_a_subcommand_does_not_read_are_usage_errors(tmp_path, monkeypatch, argv):
+    # each ran and exited 0 when every subcommand took every flag; --h on
+    # embed must not be read as an abbreviation of --help
+    monkeypatch.chdir(tmp_path)
+    f = _identity_endo_file(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*(a.format(f=f) for a in argv))
+    assert exc.value.code == 2
+
+
+def test_embed_refuses_non_integral_header_naming_file_and_key(tmp_path, capsys):
+    path = _identity_endo_file(tmp_path)
+    doc = json.loads(path.read_text())
+    doc["grid"]["nx"] = 17.9
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SystemExit) as exc:
+        run_cli("embed", "--endo", path, "--out", tmp_path / "e")
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "f.json" in err and "'nx'" in err

@@ -60,9 +60,9 @@ def test_energy_identity():
 
 def test_map_energy_is_conformally_invariant_in_the_source():
     g = _disk(48)
-    e0 = diagnostics.map_energy(None, g, g.matrix())
+    e0 = diagnostics.map_energy(g, g.matrix())
     g2 = ConformalMetric(g.grid, g.phi + 0.37)
-    e1 = diagnostics.map_energy(None, g2, g.matrix())
+    e1 = diagnostics.map_energy(g2, g.matrix())
     assert abs(e0 - e1) / e0 < 1e-12
 
 

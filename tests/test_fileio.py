@@ -62,6 +62,32 @@ def test_load_reports_truncated_payload(sample):
         fileio.load_field(path)
 
 
+@pytest.mark.parametrize("key", ["nx", "ny"])
+def test_load_refuses_non_integral_node_count(sample, key):
+    import json
+
+    tmp, grid, g, *_ = sample
+    path = tmp / "f.json"
+    fileio.save_field(path, g)
+    doc = json.load(open(path))
+    doc["grid"][key] += 0.9
+    json.dump(doc, open(path, "w"))
+    with pytest.raises(ValueError, match=f"f.json.*'{key}'"):
+        fileio.load_field(path)
+
+
+def test_load_accepts_integral_float_node_count(sample):
+    import json
+
+    tmp, grid, g, *_ = sample
+    path = tmp / "f.json"
+    fileio.save_field(path, g)
+    doc = json.load(open(path))
+    doc["grid"]["nx"] = float(grid.nx)
+    json.dump(doc, open(path, "w"))
+    assert fileio.load_field(path)["grid"].nx == grid.nx
+
+
 def test_load_rejects_invalid_json(tmp_path):
     path = tmp_path / "junk.json"
     path.write_text("{not json")

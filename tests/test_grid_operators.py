@@ -38,6 +38,24 @@ def test_grid_rejects_bad_topology():
         Grid(16, 16, 1.0, 1.0, "torus")
 
 
+@pytest.mark.parametrize("nx, ny", [(8.5, 8), (8, 8.5), (16.0, 16)])
+def test_grid_rejects_non_integer_node_counts(nx, ny):
+    with pytest.raises(ValueError, match="integers"):
+        Grid(nx, ny)
+
+
+def test_grid_accepts_numpy_integer_node_counts():
+    assert Grid(np.int64(8), np.int32(9)).dx == 1.0 / 8
+
+
+@pytest.mark.parametrize(
+    "lx, ly", [(np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0), (1.0, -np.inf), (0.0, 1.0)]
+)
+def test_grid_rejects_non_finite_or_non_positive_extents(lx, ly):
+    with pytest.raises(ValueError, match="extents"):
+        Grid(8, 8, lx, ly)
+
+
 def test_cell_weights_sum_to_chart_area():
     grid = Grid(24, 40, 1.3, 0.7, "dirichlet")
     # trapezoid weights: total mass equals the physical area lx * ly

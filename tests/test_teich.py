@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+import scipy.sparse
+import scipy.sparse.linalg
 
 from codazzi import teich
 from codazzi.energy import trace_energy
 from codazzi.grid import ConformalMetric, Grid, poincare_disk
-from codazzi.jcalc import ID2
+from codazzi.jcalc import ID2, det
 from codazzi.randfields import rng_for, tracefree_codazzi_conformal
 
 
@@ -20,6 +22,53 @@ def family():
 def test_phi0_is_nonnegative(family):
     _, _, fam = family
     assert float(fam.phi0.min()) >= -1e-10
+
+
+def test_phi0_solves_the_five_point_equation_at_interior_nodes(family):
+    # (Laplace_5 - 2 e^{2 phi}) phi0 = Det(B) e^{2 phi}, the Laplacian taken
+    # by array slicing of the node field (zero on the boundary ring)
+    h0, b, fam = family
+    grid, p, w = h0.grid, fam.phi0, h0.conformal_factor
+    assert np.all(p[0] == 0) and np.all(p[-1] == 0)
+    assert np.all(p[:, 0] == 0) and np.all(p[:, -1] == 0)
+    lap = (p[1:-1, 2:] - 2.0 * p[1:-1, 1:-1] + p[1:-1, :-2]) / grid.dx**2 + (
+        p[2:, 1:-1] - 2.0 * p[1:-1, 1:-1] + p[:-2, 1:-1]
+    ) / grid.dy**2
+    lhs = lap - 2.0 * w[1:-1, 1:-1] * p[1:-1, 1:-1]
+    rhs = (det(b) * w)[1:-1, 1:-1]
+    scale = np.max(np.abs(p)) / grid.dx**2
+    assert np.max(np.abs(rhs)) > 0.1 * scale * grid.dx**2
+    assert np.max(np.abs(lhs - rhs)) <= 1e-12 * scale
+
+
+def _phi0_by_node_loop(b, h):
+    # the per-node assembly phi0_solve used before its index arithmetic
+    grid, w = h.grid, h.conformal_factor
+    mask = grid.interior(1)
+    num = np.full((grid.ny, grid.nx), -1)
+    num[mask] = np.arange(mask.sum())
+    cx, cy = 1.0 / grid.dx**2, 1.0 / grid.dy**2
+    rows, cols, vals = [], [], []
+    for k, (j, i) in enumerate(zip(*np.where(mask))):
+        rows.append(k)
+        cols.append(k)
+        vals.append(-2.0 * (cx + cy) - 2.0 * w[j, i])
+        for j2, i2, c in ((j, i - 1, cx), (j, i + 1, cx), (j - 1, i, cy), (j + 1, i, cy)):
+            if num[j2, i2] >= 0:
+                rows.append(k)
+                cols.append(num[j2, i2])
+                vals.append(c)
+    n = int(mask.sum())
+    mat = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    out = np.zeros((grid.ny, grid.nx))
+    out[mask] = scipy.sparse.linalg.spsolve(mat, (det(b) * w)[mask])
+    return out
+
+
+def test_phi0_equals_the_node_loop_assembly_bit_for_bit():
+    h0 = poincare_disk(Grid(17, 13, 0.8, 0.6, "dirichlet"))
+    b = tracefree_codazzi_conformal(h0, rng_for(5), amp=0.25)
+    assert np.array_equal(teich.phi0_solve(b, h0), _phi0_by_node_loop(b, h0))
 
 
 def test_phi0_vanishes_for_zero_direction():
