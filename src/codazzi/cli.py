@@ -211,7 +211,7 @@ def cmd_embed(args, parser):
         return 1
     patch = embedding.HyperboloidPatch(grid)
     resid = codazzi_residual(a, patch.metric)
-    if resid > args.tol:
+    if not (resid <= args.tol):
         print(
             f"error: refusing non-Codazzi input: residual {resid:.3e} exceeds {args.tol:.3e}",
             file=sys.stderr,

@@ -199,14 +199,15 @@ def integrate_immersion(a, patch: HyperboloidPatch, u, sign=1, codazzi_tol=0.05)
     down its column; for a Codazzi field any other staircase agrees to
     O(h^2) (:func:`plaquette_defect` bounds the difference per cell).  Raises
     ValueError unless ``a`` is finite and symmetric, and
-    :class:`PathDependenceError` when the Codazzi residual of ``a`` exceeds
-    ``codazzi_tol`` (pass None to skip the certificate).
+    :class:`PathDependenceError` unless the Codazzi residual of ``a`` is at
+    most ``codazzi_tol``, so a NaN residual is refused (pass None to skip
+    the certificate).
     """
     grid = patch.grid
     a = check_symmetric(grid.check_field(a, rank=2))
     if codazzi_tol is not None:
         r = codazzi_residual(a, patch.metric)
-        if r > codazzi_tol:
+        if not (r <= codazzi_tol):
             raise PathDependenceError(
                 f"Codazzi residual {r:.3e} exceeds {codazzi_tol:.3e}"
             )

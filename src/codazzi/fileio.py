@@ -61,7 +61,9 @@ def _node_count(header, key):
 def load_field(path):
     """Read a field file; returns a dict with the metric and any payloads.
 
-    Raises ValueError naming the file and offending key on malformed input.
+    Raises ValueError naming the file and offending key on malformed input,
+    and the first node (j, i) of a non-finite ``phi``.  A non-finite ``endo``
+    is left to :func:`codazzi.jcalc.check_symmetric` at its point of use.
     """
     with open(path) as fh:
         try:
@@ -91,6 +93,10 @@ def load_field(path):
         phi = _payload("phi", 1).reshape(grid.ny, grid.nx)
     except KeyError:
         raise ValueError(f"{path}: missing required key 'phi'") from None
+    bad = np.argwhere(~np.isfinite(phi))
+    if bad.size:
+        j, i = bad[0]
+        raise ValueError(f"{path}: key 'phi' is not finite at node (j, i) = ({j}, {i})")
     out["g"] = ConformalMetric(grid, phi)
     if "h" in doc:
         tri = _payload("h", 3).reshape(grid.ny, grid.nx, 3)

@@ -13,7 +13,19 @@ unknowns within a stencil reach of 2 nodes, so all unknowns of one
 component on a stride-5 sublattice are probed by a single residual
 evaluation (25 colours, 2 components).  The probed differences go
 straight into a sparse CSC matrix, which SuperLU (``splu``) factors with
-a minimum-degree ordering of A^T + A.
+a minimum-degree ordering of A^T + A in symmetric mode (diagonal pivots
+only, about a fifth of the fill of partial pivoting at 128^2).  If that
+factor is refused as singular or gives a non-finite step, the matrix is
+refactored with partial pivoting before the solve gives up.
+
+Newton builds and factors a Jacobian only at the first step, after a step
+that needed a line-search halving, and after a step whose residual
+contraction (max-norm) was above :data:`_REFRESH_CONTRACTION`; every other
+step is a chord step on the factor it already has (Kelley, "Solving
+Nonlinear Equations with Newton's Method", SIAM 2003, ch. 5).  A chord
+step that is not finite or whose line search fails is retried with a
+fresh Jacobian at the same iterate; only a fresh factor's failure is a
+:class:`SolverError`.
 """
 
 from dataclasses import dataclass, field
@@ -44,6 +56,10 @@ __all__ = [
 _STENCIL_REACH = 2
 _COLOR_STRIDE = 2 * _STENCIL_REACH + 1
 
+# An accepted step whose residual contraction ||r_new|| / ||r|| (max-norm)
+# is above this makes the next step rebuild and refactor the Jacobian.
+_REFRESH_CONTRACTION = 0.5
+
 
 class SolverError(RuntimeError):
     """Newton or continuation failed to converge."""
@@ -73,6 +89,7 @@ class SolveReport:
     """Machine-readable record of a solve."""
 
     iterations: int = 0
+    jacobians: int = 0
     residuals: list = field(default_factory=list)
     steps: list = field(default_factory=list)
     codazzi_residual: float = 0.0
@@ -80,6 +97,7 @@ class SolveReport:
     def to_dict(self):
         return {
             "iterations": int(self.iterations),
+            "jacobians": int(self.jacobians),
             "residuals": [float(r) for r in self.residuals],
             "steps": [float(s) for s in self.steps],
             "codazzi_residual": float(self.codazzi_residual),
@@ -172,6 +190,52 @@ def _fd_jacobian(vec, g, h_interp, idx, base, eps=1e-6):
     )
 
 
+def _factor_step(jac, r):
+    """Factor ``jac`` and solve for the Newton step; returns ``(lu, step)``.
+
+    The symmetric-mode factor (minimum degree on A^T + A, diagonal pivots)
+    is tried first; if SuperLU refuses it or its step is not finite, the
+    matrix is refactored with partial pivoting.
+    """
+    # splu is called through the module, so perfbench's probe on it times it
+    try:
+        lu = scipy.sparse.linalg.splu(
+            jac, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+            options=dict(SymmetricMode=True),
+        )
+        step = lu.solve(-r)
+        if np.all(np.isfinite(step)):
+            return lu, step
+    except RuntimeError:  # SuperLU: "Factor is exactly singular"
+        pass
+    try:
+        lu = scipy.sparse.linalg.splu(jac, permc_spec="MMD_AT_PLUS_A")
+    except RuntimeError as exc:
+        raise SolverError("singular Newton system") from exc
+    step = lu.solve(-r)
+    if not np.all(np.isfinite(step)):
+        raise SolverError("non-finite Newton step")
+    return lu, step
+
+
+def _line_search(vec, step, rnorm, g, h, idx, max_halvings):
+    """Halve ``lam`` from 1 until the residual's max-norm drops below ``rnorm``.
+
+    Returns ``(lam, r_new)``, or None if no admissible ``lam`` was found.
+    """
+    lam = 1.0
+    for _ in range(max_halvings + 1):
+        try:
+            r_new = _residual_vec(vec + lam * step, g, h, idx)
+        except FoldOverError:
+            lam *= 0.5
+            continue
+        if np.max(np.abs(r_new)) < rnorm:
+            return lam, r_new
+        lam *= 0.5
+    return None
+
+
 def newton_solve(
     g: ConformalMetric,
     h,
@@ -181,11 +245,12 @@ def newton_solve(
     max_halvings=8,
     report=None,
 ):
-    """Damped Newton iteration for the corrected critical-point equation.
+    """Damped chord-Newton iteration for the corrected critical-point equation.
 
     ``h`` may be an SPD matrix field or a prebuilt :class:`FieldInterpolator`.
     Returns ``(x, report)``; raises :class:`SolverError` if the residual
-    fails to reach ``tol``.
+    fails to reach ``tol`` in ``max_iter`` accepted steps, or if a freshly
+    factored Jacobian gives no admissible step.
     """
     grid = g.grid
     if grid.periodic:
@@ -211,33 +276,28 @@ def newton_solve(
     r = _residual_vec(vec, g, h, idx)
     rnorm = float(np.max(np.abs(r)))
     report.residuals.append(rnorm)
+    lu = None
     for _ in range(max_iter):
         if rnorm <= tol:
             return _finish(vec)
-        jac = _fd_jacobian(vec, g, h, idx, r)
-        try:
-            # called through the module, so perfbench's probe on splu times it
-            lu = scipy.sparse.linalg.splu(jac, permc_spec="MMD_AT_PLUS_A")
-        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
-            raise SolverError("singular Newton system") from exc
-        step = lu.solve(-r)
-        if not np.all(np.isfinite(step)):
-            raise SolverError("non-finite Newton step")
-        lam = 1.0
-        for _ in range(max_halvings + 1):
-            try:
-                r_new = _residual_vec(vec + lam * step, g, h, idx)
-            except FoldOverError:
-                lam *= 0.5
-                continue
-            if np.max(np.abs(r_new)) < rnorm:
-                break
-            lam *= 0.5
-        else:
-            raise SolverError("line search failed to reduce the residual")
+        found = None
+        if lu is not None:  # chord step on the factor of an earlier iterate
+            step = lu.solve(-r)
+            if np.all(np.isfinite(step)):
+                found = _line_search(vec, step, rnorm, g, h, idx, max_halvings)
+        if found is None:  # no factor yet, or the stale one failed
+            jac = _fd_jacobian(vec, g, h, idx, r)
+            report.jacobians += 1
+            lu, step = _factor_step(jac, r)
+            found = _line_search(vec, step, rnorm, g, h, idx, max_halvings)
+            if found is None:
+                raise SolverError("line search failed to reduce the residual")
+        lam, r_new = found
         vec = vec + lam * step
-        r = r_new
-        rnorm = float(np.max(np.abs(r)))
+        rnorm_new = float(np.max(np.abs(r_new)))
+        if lam < 1.0 or not (rnorm_new <= _REFRESH_CONTRACTION * rnorm):
+            lu = None
+        r, rnorm = r_new, rnorm_new
         report.iterations += 1
         report.residuals.append(rnorm)
     if rnorm <= tol:

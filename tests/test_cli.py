@@ -136,6 +136,38 @@ def test_embed_refuses_non_finite_endo(tmp_path, capsys):
     assert not (tmp_path / "e_mesh.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["verify", "embed"])
+def test_non_finite_phi_is_refused_naming_file_key_and_node(tmp_path, capsys, command):
+    grid = Grid(17, 17, 0.8, 0.8, "dirichlet")
+    patch = embedding.HyperboloidPatch(grid)
+    phi = patch.metric.phi.copy()
+    phi[5, 11] = np.nan
+    path = tmp_path / "nanphi.json"
+    endo = np.broadcast_to(ID2, (17, 17, 2, 2)).copy()
+    fileio.save_field(path, ConformalMetric(grid, phi), endo=endo)
+    argv = {
+        "verify": ("verify", "--suite", "jcalc", "--g", path, "--out", tmp_path / "r.json"),
+        "embed": ("embed", "--endo", path, "--out", tmp_path / "e"),
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "nanphi.json" in err and "'phi'" in err and "(5, 11)" in err
+
+
+def test_embed_nan_codazzi_residual_is_refused(tmp_path, capsys, monkeypatch):
+    grid = Grid(17, 17, 0.8, 0.8, "dirichlet")
+    patch = embedding.HyperboloidPatch(grid)
+    path = tmp_path / "id.json"
+    fileio.save_field(path, patch.metric, endo=np.broadcast_to(ID2, (17, 17, 2, 2)))
+    monkeypatch.setattr(cli, "codazzi_residual", lambda a, g: float("nan"))
+    prefix = tmp_path / "e"
+    assert run_cli("embed", "--endo", path, "--out", prefix) == 1
+    assert "refusing non-Codazzi input: residual nan" in capsys.readouterr().err
+    assert not (tmp_path / "e_mesh.csv").exists()
+
+
 def test_embed_refuses_non_codazzi_naming_residual(tmp_path, capsys):
     grid = Grid(17, 17, 0.8, 0.8, "dirichlet")
     patch = embedding.HyperboloidPatch(grid)

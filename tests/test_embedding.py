@@ -117,6 +117,14 @@ def test_integrate_immersion_rejects_non_codazzi():
                                       codazzi_tol=1e-3)
 
 
+def test_integrate_immersion_refuses_nan_codazzi_residual(monkeypatch):
+    p = _patch(17)
+    a = np.broadcast_to(ID2, (17, 17, 2, 2)).copy()
+    monkeypatch.setattr(embedding, "codazzi_residual", lambda a, g: float("nan"))
+    with pytest.raises(embedding.PathDependenceError, match="nan"):
+        embedding.integrate_immersion(a, p, p.nodes()[p.base_index], codazzi_tol=0.05)
+
+
 @pytest.mark.parametrize("defect", ["asymmetric", "nan"])
 def test_integrate_immersion_rejects_non_symmetric_or_non_finite(defect):
     p = _patch(17)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.sparse
+import scipy.sparse.linalg
 
 from codazzi import solver
 from codazzi.grid import ConformalMetric, Grid, poincare_disk
@@ -49,7 +50,7 @@ def test_terminal_residual_contraction(small_solve):
 def test_report_serializes_required_keys(small_solve):
     _, _, _, _, report = small_solve
     d = report.to_dict()
-    for key in ("iterations", "residuals", "steps", "codazzi_residual"):
+    for key in ("iterations", "jacobians", "residuals", "steps", "codazzi_residual"):
         assert key in d
 
 
@@ -134,3 +135,95 @@ def test_bad_newton_system_raises_solver_error(monkeypatch, scale, match):
     monkeypatch.setattr(solver, "_fd_jacobian", fake_jacobian)
     with pytest.raises(SolverError, match=match):
         newton_solve(g, h, tol=1e-12)
+
+
+# Recovery errors at 32^2, tol=1e-9, of full Newton (a fresh Jacobian at each
+# of its three steps); chord steps must reproduce the same solution.
+_FULL_NEWTON_RECOVERY_32 = {
+    0: 6.821185062005908e-05,
+    1: 7.305616456115827e-05,
+    2: 6.055768058538247e-05,
+    3: 7.657373170782966e-05,
+    4: 3.293010607724467e-05,
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_FULL_NEWTON_RECOVERY_32))
+def test_chord_steps_reuse_the_factor_and_keep_the_solution(seed):
+    grid, g, diffeo, h = _manufactured(32, seed=seed)
+    x, report = newton_solve(g, h, tol=1e-9)
+    assert report.jacobians < report.iterations
+    assert report.residuals[-1] <= 1e-9
+    err = float(recovery_error(diffeo, grid, x))
+    assert err == pytest.approx(_FULL_NEWTON_RECOVERY_32[seed], rel=1e-6)
+
+
+class _NonFiniteLU:
+    def solve(self, rhs):
+        return np.full_like(rhs, np.nan)
+
+
+@pytest.mark.parametrize("failure", ["raises", "non-finite step"])
+def test_symmetric_mode_failure_falls_back_to_pivoted_factor(monkeypatch, failure):
+    _, g, _, h = _manufactured(16)
+    real_splu = scipy.sparse.linalg.splu
+    modes = []
+
+    def splu(jac, **kwargs):
+        symmetric = bool(kwargs.get("options", {}).get("SymmetricMode"))
+        modes.append(symmetric)
+        if not symmetric:
+            return real_splu(jac, **kwargs)
+        if failure == "raises":
+            raise RuntimeError("Factor is exactly singular")
+        return _NonFiniteLU()
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", splu)
+    _, report = newton_solve(g, h, tol=1e-9)
+    assert report.residuals[-1] <= 1e-9
+    # every Jacobian is tried in symmetric mode, then refactored with pivoting
+    assert modes == [True, False] * report.jacobians
+
+
+class _StaleLU:
+    """Solves correctly once, then returns the uphill direction."""
+
+    def __init__(self, lu):
+        self.lu, self.calls = lu, 0
+
+    def solve(self, rhs):
+        self.calls += 1
+        step = self.lu.solve(rhs)
+        return step if self.calls == 1 else -step
+
+
+def test_stale_factor_line_search_failure_rebuilds_the_jacobian(monkeypatch):
+    _, g, _, h = _manufactured(16)
+    real_splu = scipy.sparse.linalg.splu
+    factors = []
+
+    def splu(jac, **kwargs):
+        factors.append(_StaleLU(real_splu(jac, **kwargs)))
+        return factors[-1]
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", splu)
+    _, report = newton_solve(g, h, tol=1e-9)
+    assert report.residuals[-1] <= 1e-9
+    # each chord step on an old factor fails its line search; a rebuilt
+    # Jacobian at the same iterate then gives the accepted step
+    assert any(lu.calls > 1 for lu in factors)
+    assert report.jacobians == report.iterations == len(factors)
+
+
+def test_recovery_error_order_rises_toward_two_under_refinement():
+    errs, steps = [], []
+    for n in (32, 64, 128):
+        grid, g, diffeo, h = _manufactured(n, seed=0)
+        x, _ = newton_solve(g, h, tol=1e-9)
+        errs.append(float(recovery_error(diffeo, grid, x)))
+        steps.append(grid.dx)
+    coarse, fine = (
+        np.log(errs[k] / errs[k + 1]) / np.log(steps[k] / steps[k + 1]) for k in (0, 1)
+    )
+    assert fine >= 1.7
+    assert fine > coarse
