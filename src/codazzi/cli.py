@@ -4,7 +4,8 @@ and immersion meshes.
 Each subcommand accepts only the flags it reads; any other flag, and any
 abbreviation of a flag, is a usage error:
 
-* ``verify``: ``--suite --seed --nx --nx2 --g --tol --out``;
+* ``verify``: ``--suite --seed --g --tol --out``.  The suites run at their
+  fixed resolutions (32 and 64 for the refinement checks);
 * ``solve``: ``--g --h --nx --ny --lx --ly --tol --out
   --continuation-steps --manufactured-seed``.  The solver runs on Dirichlet
   charts only; without ``--g`` the background is the Dirichlet Poincare
@@ -22,14 +23,11 @@ artifacts.
 import argparse
 import sys
 
-import numpy as np
-
 from . import embedding, fileio, solver, verify
 from .energy import codazzi_residual
 from .grid import DIRICHLET, Grid, poincare_disk
 from .jcalc import check_symmetric
 from .manufactured import ManufacturedDiffeo, pullback_of_scaled_poincare, recovery_error
-from .operators import curvature
 
 __all__ = ["main"]
 
@@ -52,8 +50,6 @@ def _build_parser():
         help="which suite to run",
     )
     pv.add_argument("--seed", type=int, default=0)
-    pv.add_argument("--nx", type=int, default=32, help="first (coarse) resolution")
-    pv.add_argument("--nx2", type=int, default=None, help="second (fine) resolution, default 2 nx")
     pv.add_argument("--g", metavar="FILE", help="field file to validate; an endo in it is checked")
     pv.add_argument("--tol", type=float, default=1e-2, help="Codazzi residual bound of that endo")
     pv.add_argument("--out", default="verify_report.json", help="report path")
@@ -107,8 +103,6 @@ def _load_or_usage(path):
 
 def cmd_verify(args, parser):
     names = verify.SUITE_NAMES if args.suite == "all" else (args.suite,)
-    n1 = args.nx
-    n2 = args.nx2 if args.nx2 is not None else 2 * n1
     # optional input field: validated, and checked when it carries an endo
     report_extra = []
     if args.g is not None:
@@ -125,7 +119,7 @@ def cmd_verify(args, parser):
                     "pass": resid <= args.tol,
                 }
             )
-    report = verify.run_suites(names, seed=args.seed, n1=n1, n2=n2)
+    report = verify.run_suites(names, seed=args.seed)
     if report_extra:
         report["suites"].append(
             {
@@ -152,13 +146,6 @@ def cmd_solve(args, parser):
     if args.h is None and args.manufactured_seed is None:
         parser.error("solve requires --h (or --manufactured-seed)")
     g = _background(args)
-    if np.max(curvature(g)) >= 0.0:
-        print(
-            "error: the background metric is not negatively curved everywhere; "
-            "the critical-point equation is elliptic only for kappa < 0",
-            file=sys.stderr,
-        )
-        return 1
     diffeo = None
     if args.manufactured_seed is not None:
         diffeo = ManufacturedDiffeo.seeded(g.grid, args.manufactured_seed)

@@ -59,14 +59,15 @@ def alpha_field(a, grid: Grid):
     return np.stack([-0.5 * grid.ddx(phi), -0.5 * grid.ddy(phi)], axis=-1)
 
 
-def alpha_curl(a, grid: Grid, margin=2):
-    """Discrete curl of alpha; O(h^2) since alpha is exact by construction."""
+def alpha_curl(a, grid: Grid):
+    """Discrete curl of alpha off two boundary rings; O(h^2) since alpha is
+    exact by construction."""
     al = alpha_field(a, grid)
     curl = grid.ddx(al[..., 1]) - grid.ddy(al[..., 0])
-    return float(np.max(np.abs(curl[grid.interior(margin)])))
+    return float(np.max(np.abs(curl[grid.interior(2)])))
 
 
-def alpha_harmonic_residual(a, g: ConformalMetric, margin=3):
+def alpha_harmonic_residual(a, g: ConformalMetric):
     """Defect of alpha-harmonicity of the identity from (chart, h) to (chart, g).
 
     h = g(A., .); the coordinate laplacian of the identity map reduces to
@@ -89,7 +90,7 @@ def alpha_harmonic_residual(a, g: ConformalMetric, margin=3):
     lap = lap_g - np.einsum("...mn,...kmn->...k", hinv, general_christoffels(grid, h))
     al = alpha_field(a, grid)
     rhs = np.einsum("...kn,...n->...k", hinv, al)
-    mask = grid.interior(margin)
+    mask = grid.interior(3)
     return float(np.max(np.abs((lap - rhs)[mask])))
 
 

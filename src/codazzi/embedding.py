@@ -38,6 +38,11 @@ __all__ = [
 
 ETA = np.diag([1.0, 1.0, -1.0])
 
+# Midpoints of the quadrature along the segment in _path_integral.
+_PATH_STEPS = 512
+# Largest invariance defect of the field that equivariance_residual accepts.
+_INVARIANCE_TOL = 1e-2
+
 
 def mdot(u, v):
     """Minkowski inner product x1 y1 + x2 y2 - x3 y3 over the last axis."""
@@ -235,12 +240,12 @@ def plaquette_defect(a, patch: HyperboloidPatch):
     return float(np.max(np.linalg.norm(loop, axis=-1)))
 
 
-def induced_metric_error(x, a, patch: HyperboloidPatch, margin=3):
+def induced_metric_error(x, a, patch: HyperboloidPatch):
     """L-infinity defect of (dX)^T eta (dX) = h0(A., A.) over the interior.
 
     The immersion derivative uses fourth-order differences so that the
     reported error reflects the integration scheme, not the differencing
-    of an exactly-known immersion.
+    of an exactly-known immersion.  Three boundary rings are left out.
     """
     grid = patch.grid
     x = np.asarray(x, dtype=float)
@@ -254,7 +259,7 @@ def induced_metric_error(x, a, patch: HyperboloidPatch, margin=3):
     target = patch.metric.conformal_factor[..., None, None] * (
         np.swapaxes(a, -1, -2) @ a
     )
-    mask = grid.interior(margin)
+    mask = grid.interior(3)
     return float(np.max(np.abs((gram - target)[mask])))
 
 
@@ -316,9 +321,10 @@ class Isometry21:
         tra = np.asarray(self.translation, dtype=float)
         object.__setattr__(self, "linear", lin)
         object.__setattr__(self, "translation", tra)
-        if np.max(np.abs(lin.T @ ETA @ lin - ETA)) > 1e-12:
+        # both gates are written so that a NaN fails them
+        if not (np.max(np.abs(lin.T @ ETA @ lin - ETA)) <= 1e-12):
             raise ValueError("linear part does not preserve the Minkowski form")
-        if np.linalg.det(lin) < 0.0 or lin[2, 2] <= 0.0:
+        if not (np.linalg.det(lin) > 0.0 and lin[2, 2] > 0.0):
             raise ValueError("linear part must be proper and future-preserving")
 
     @classmethod
@@ -357,9 +363,10 @@ class Isometry21:
         lifted = _disk_immersion(points[..., 0], points[..., 1])
         return _hyperboloid_project(self.apply_linear(lifted))
 
-    def disk_jacobian(self, points, step=1e-6):
+    def disk_jacobian(self, points):
         """Derivative of the disk action by central differences of the closed form."""
         points = np.asarray(points, dtype=float)
+        step = 1e-6
         out = np.empty(points.shape[:-1] + (2, 2))
         for j in range(2):
             dp = np.zeros_like(points)
@@ -370,13 +377,13 @@ class Isometry21:
         return out
 
 
-def _path_integral(a_interp, patch: HyperboloidPatch, p0, p1, nsteps=512):
+def _path_integral(a_interp, patch: HyperboloidPatch, p0, p1):
     """Midpoint quadrature of int A . d iota along the chart segment p0 -> p1."""
     p0 = np.asarray(p0, dtype=float)
     p1 = np.asarray(p1, dtype=float)
-    t = (np.arange(nsteps) + 0.5) / nsteps
+    t = (np.arange(_PATH_STEPS) + 0.5) / _PATH_STEPS
     mids = p0 + t[:, None] * (p1 - p0)
-    dstep = (p1 - p0) / nsteps
+    dstep = (p1 - p0) / _PATH_STEPS
     amid = a_interp(mids)
     vec = np.einsum("nkj,j->nk", amid, dstep)
     dio_x = _disk_immersion_dx(mids[:, 0], mids[:, 1])
@@ -384,15 +391,15 @@ def _path_integral(a_interp, patch: HyperboloidPatch, p0, p1, nsteps=512):
     return np.sum(vec[:, 0, None] * dio_x + vec[:, 1, None] * dio_y, axis=0)
 
 
-def equivariance_residual(x, gamma: Isometry21, a, patch: HyperboloidPatch,
-                          invariance_tol=1e-2, margin=2):
+def equivariance_residual(x, gamma: Isometry21, a, patch: HyperboloidPatch):
     """Cocycle tau of gamma and the equivariance defect of the immersion.
 
     ``x`` must come from :func:`integrate_immersion` (the base value U is
     read off at the base node, where the path integral vanishes), with
     sign inferred from the derivative of x against A . d iota.  The field
-    ``a`` has to be invariant under gamma's action on the disk, which is
-    verified on the overlap region before integrating; tau is then
+    ``a`` has to be invariant under gamma's action on the disk, to
+    :data:`_INVARIANCE_TOL` on the overlap region (a NaN defect fails),
+    which is verified before integrating; tau is then
     sign * int_{x0}^{gamma x0} A . d iota + U - rho(gamma) U, and the
     residual is the L-infinity norm of X(gamma p) - rho(gamma) X(p) - tau
     over interior nodes whose image stays in the chart.
@@ -418,7 +425,7 @@ def equivariance_residual(x, gamma: Isometry21, a, patch: HyperboloidPatch,
     inside = (np.abs(gpts[..., 0]) < grid.lx * half) & (
         np.abs(gpts[..., 1]) < grid.ly * half
     )
-    region = inside & grid.interior(margin)
+    region = inside & grid.interior(2)
     if np.count_nonzero(region) < 16:
         raise ValueError("insufficient overlap between the patch and its image")
 
@@ -427,7 +434,7 @@ def equivariance_residual(x, gamma: Isometry21, a, patch: HyperboloidPatch,
     dg = gamma.disk_jacobian(pts[region])
     a_at = a_interp(gpts[region])
     defect = a_at @ dg - dg @ a[region]
-    if np.max(np.abs(defect)) > invariance_tol:
+    if not (np.max(np.abs(defect)) <= _INVARIANCE_TOL):
         raise ValueError(
             f"field is not invariant under the isometry "
             f"(defect {np.max(np.abs(defect)):.3e})"
@@ -442,20 +449,21 @@ def equivariance_residual(x, gamma: Isometry21, a, patch: HyperboloidPatch,
     return tau, float(np.max(np.abs(resid)))
 
 
-def convexity_check(x, patch: HyperboloidPatch, margin=2):
+def convexity_check(x, patch: HyperboloidPatch):
     """Spacelike and convexity flags of an immersed surface.
 
     Returns ``(spacelike, definite, orientation)``: whether the first
     fundamental form is positive-definite on the interior, whether the
     second fundamental form with respect to the future unit normal has a
     single sign there, and "future"/"past" for which sign it is (the
-    hyperboloid itself is the future-oriented model).
+    hyperboloid itself is the future-oriented model).  Two boundary rings
+    are left out.
     """
     grid = patch.grid
     x = np.asarray(x, dtype=float)
     dx_ = grid.ddx(x)
     dy_ = grid.ddy(x)
-    mask = grid.interior(margin)
+    mask = grid.interior(2)
     g11 = mdot(dx_, dx_)
     g12 = mdot(dx_, dy_)
     g22 = mdot(dy_, dy_)

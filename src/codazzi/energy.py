@@ -113,13 +113,13 @@ def gradient_pairing4(h, g: ConformalMetric, x):
     return _simpson2(g.grid, dens)
 
 
-def flow_derivative_fd(h, g: ConformalMetric, x, eps=1e-4):
+def flow_derivative_fd(h, g: ConformalMetric, x):
     """Central FD of the trace energy along the flow p -> p + t x.
 
     The pullback at parameter t uses fourth-order map-Jacobian stencils and
     the energy integral uses Simpson quadrature, matching the
-    discretization order of :func:`gradient_pairing4`.  ``h`` may be a
-    matrix field or a prebuilt interpolator.
+    discretization order of :func:`gradient_pairing4`, with step 1e-4.
+    ``h`` may be a matrix field or a prebuilt interpolator.
     """
     grid = g.grid
     x = grid.check_field(x, rank=1)
@@ -131,6 +131,7 @@ def flow_derivative_fd(h, g: ConformalMetric, x, eps=1e-4):
         hp = pullback_metric(grid, h, x, t, order=4)
         return _simpson2(grid, trace(field_A(hp, g)) * w)
 
+    eps = 1e-4
     return (energy_at(eps) - energy_at(-eps)) / (2.0 * eps)
 
 
@@ -156,10 +157,10 @@ def second_variation(h, g: ConformalMetric, x):
     return g.integrate(t1 - curvature(g) * pair)
 
 
-def codazzi_residual(a, g: ConformalMetric, margin=2):
-    """L-infinity norm of (d^nabla a)(e1, e2) over the interior."""
+def codazzi_residual(a, g: ConformalMetric):
+    """L-infinity norm of (d^nabla a)(e1, e2) off two boundary rings."""
     r = dnabla_endo(a, g)
-    mask = g.grid.interior(margin)
+    mask = g.grid.interior(2)
     return float(np.max(np.abs(r[mask])))
 
 

@@ -188,14 +188,13 @@ class ConformalMetric:
         return float(np.sum(f * self.conformal_factor * self.grid.cell_weights()))
 
 
-def poincare_disk(grid, scale=1.0):
-    """Hyperbolic metric phi = log(2 scale / (1 - x^2 - y^2)) on a sub-disk chart.
+def poincare_disk(grid):
+    """Hyperbolic metric phi = log(2 / (1 - x^2 - y^2)) on a sub-disk chart.
 
-    The chart must stay strictly inside the unit disk.  With ``scale=1``
-    the curvature is -1.
+    The chart must stay strictly inside the unit disk.  The curvature is -1.
     """
     xx, yy = grid.meshgrid()
     r2 = xx**2 + yy**2
     if np.any(r2 >= 1.0):
         raise ValueError("chart leaves the unit disk")
-    return ConformalMetric(grid, np.log(2.0 * scale / (1.0 - r2)))
+    return ConformalMetric(grid, np.log(2.0 / (1.0 - r2)))

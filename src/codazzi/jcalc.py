@@ -107,10 +107,13 @@ def b_form(b):
     return -det(b)
 
 
-def is_spd(a, tol=1e-12):
-    """True when every trailing 2x2 block is symmetric positive-definite."""
+def is_spd(a):
+    """True when every trailing 2x2 block is symmetric positive-definite.
+
+    Symmetric means |a01 - a10| <= 1e-12 (1 + max|a|).
+    """
     a = np.asarray(a, dtype=float)
-    sym = np.abs(a[..., 0, 1] - a[..., 1, 0]) <= tol * (1.0 + np.abs(a).max())
+    sym = np.abs(a[..., 0, 1] - a[..., 1, 0]) <= 1e-12 * (1.0 + np.abs(a).max())
     pos = (a[..., 0, 0] > 0) & (det(a) > 0)
     return bool(np.all(sym & pos))
 

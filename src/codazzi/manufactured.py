@@ -46,8 +46,9 @@ class ManufacturedDiffeo:
     def apply(self, points):
         return points + self.displacement(points[..., 0], points[..., 1])
 
-    def jacobian(self, x, y, step=1e-6):
-        """D psi by a tight central difference of the closed form."""
+    def jacobian(self, x, y):
+        """D psi by a tight central difference (step 1e-6) of the closed form."""
+        step = 1e-6
         out = np.zeros(np.shape(x) + (2, 2))
         for j, (dx, dy) in enumerate([(step, 0.0), (0.0, step)]):
             dp = (
@@ -61,8 +62,8 @@ class ManufacturedDiffeo:
         return out
 
 
-def pullback_of_scaled_poincare(diffeo: ManufacturedDiffeo, grid: Grid, c=1.5):
-    """Node-exact psi^*(c^2 g) for the Poincare-disk background g.
+def pullback_of_scaled_poincare(diffeo: ManufacturedDiffeo, grid: Grid):
+    """Node-exact psi^*(c^2 g), c = 1.5, for the Poincare-disk background g.
 
     The A field of the result relative to g is the pullback of c*Id, so the
     result is a manufactured non-critical target whose critical displacement
@@ -76,6 +77,7 @@ def pullback_of_scaled_poincare(diffeo: ManufacturedDiffeo, grid: Grid, c=1.5):
         raise ValueError("diffeomorphism leaves the unit disk")
     conf = (2.0 / (1.0 - r2)) ** 2
     jac = diffeo.jacobian(xx, yy)
+    c = 1.5
     return c * c * conf[..., None, None] * (np.swapaxes(jac, -1, -2) @ jac)
 
 

@@ -4,11 +4,11 @@ A displacement field X turns into the map Phi(p) = p + X(p).  Pulling a
 metric back through Phi needs off-node metric values; those come from a
 cubic-spline interpolant of the node data (bilinear interpolation is not
 smooth enough at the nodes themselves, and would wreck finite-difference
-derivative checks of anything built on the pullback).
+derivative checks of anything built on the pullback).  The interpolant,
+and so the pullback, exists on Dirichlet charts only.
 """
 
 import numpy as np
-from scipy import ndimage
 from scipy.interpolate import RectBivariateSpline
 
 from .grid import Grid
@@ -25,35 +25,27 @@ class FieldInterpolator:
     """Cubic-spline interpolant of a node field with arbitrary trailing axes.
 
     Spline coefficients are precomputed once, so repeated evaluation (as in
-    a Newton iteration) costs only the B-spline sums.
+    a Newton iteration) costs only the B-spline sums.  The grid must be a
+    Dirichlet chart.
     """
 
     def __init__(self, grid: Grid, values):
+        if grid.periodic:
+            raise ValueError("field interpolation needs a Dirichlet chart")
         values = np.asarray(values, dtype=float)
         if values.shape[:2] != (grid.ny, grid.nx):
             raise ValueError("field shape does not match grid")
         self.grid = grid
         self.comp_shape = values.shape[2:]
         flat = values.reshape(grid.ny, grid.nx, -1)
-        if grid.periodic:
-            coeffs = np.empty_like(flat)
-            for c in range(flat.shape[-1]):
-                w = ndimage.spline_filter1d(
-                    flat[..., c], order=_SPLINE_ORDER, axis=0, mode="grid-wrap"
-                )
-                coeffs[..., c] = ndimage.spline_filter1d(
-                    w, order=_SPLINE_ORDER, axis=1, mode="grid-wrap"
-                )
-            self.coeffs = coeffs
-        else:
-            # not-a-knot boundary conditions keep the accuracy uniform up
-            # to the chart edge, unlike reflective padding
-            self.splines = [
-                RectBivariateSpline(
-                    grid.y, grid.x, flat[..., c], kx=_SPLINE_ORDER, ky=_SPLINE_ORDER, s=0
-                )
-                for c in range(flat.shape[-1])
-            ]
+        # not-a-knot boundary conditions keep the accuracy uniform up to the
+        # chart edge, unlike reflective padding
+        self.splines = [
+            RectBivariateSpline(
+                grid.y, grid.x, flat[..., c], kx=_SPLINE_ORDER, ky=_SPLINE_ORDER, s=0
+            )
+            for c in range(flat.shape[-1])
+        ]
 
     def __call__(self, points):
         """Evaluate at chart points of shape (..., 2) -> (...,) + comp_shape."""
@@ -61,25 +53,10 @@ class FieldInterpolator:
         g = self.grid
         px = points[..., 0]
         py = points[..., 1]
-        if g.periodic:
-            ix = (px + 0.5 * g.lx) / g.dx
-            iy = (py + 0.5 * g.ly) / g.dy
-            coords = np.stack([iy.ravel(), ix.ravel()])
-            cols = [
-                ndimage.map_coordinates(
-                    self.coeffs[..., c], coords, order=_SPLINE_ORDER,
-                    mode="grid-wrap", prefilter=False,
-                )
-                for c in range(self.coeffs.shape[-1])
-            ]
-        else:
-            pad = 1e-9 * max(g.lx, g.ly)
-            if (
-                np.any(np.abs(px) > 0.5 * g.lx + pad)
-                or np.any(np.abs(py) > 0.5 * g.ly + pad)
-            ):
-                raise ValueError("interpolation point outside the chart")
-            cols = [s.ev(py.ravel(), px.ravel()) for s in self.splines]
+        pad = 1e-9 * max(g.lx, g.ly)
+        if np.any(np.abs(px) > 0.5 * g.lx + pad) or np.any(np.abs(py) > 0.5 * g.ly + pad):
+            raise ValueError("interpolation point outside the chart")
+        cols = [s.ev(py.ravel(), px.ravel()) for s in self.splines]
         out = np.stack(cols, axis=-1)
         return out.reshape(points.shape[:-1] + self.comp_shape)
 

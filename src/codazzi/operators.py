@@ -140,8 +140,8 @@ def curvature(g: ConformalMetric):
     return -np.exp(-2.0 * g.phi) * g.grid.laplace_flat(g.phi)
 
 
-def frame_identity_residual(a, g: ConformalMetric, margin=2):
-    """L-infinity residual of the four-term frame identity.
+def frame_identity_residual(a, g: ConformalMetric):
+    """L-infinity residual of the four-term frame identity, off two boundary rings.
 
     For every endomorphism field the combination
     ``grad Tr(a) - div a - J grad Tr(aJ) + J div(aJ)`` vanishes.  The
@@ -157,12 +157,12 @@ def frame_identity_residual(a, g: ConformalMetric, margin=2):
         - apply_J(grad(trace(a @ J), g))
         + apply_J(div_endo(a @ J, g))
     )
-    mask = g.grid.interior(margin)
+    mask = g.grid.interior(2)
     return float(np.max(np.abs(t[mask])))
 
 
-def frame_identity_crosscheck(a, g: ConformalMetric, margin=2):
-    """Frame identity residual across two discretizations.
+def frame_identity_crosscheck(a, g: ConformalMetric):
+    """Frame identity residual across two discretizations, off two boundary rings.
 
     The gradient terms use fourth-order stencils while the divergences stay
     second-order, so the residual measures genuine truncation error of the
@@ -175,7 +175,7 @@ def frame_identity_crosscheck(a, g: ConformalMetric, margin=2):
         - apply_J(grad(trace(a @ J), g, order=4))
         + apply_J(div_endo(a @ J, g))
     )
-    mask = g.grid.interior(margin)
+    mask = g.grid.interior(2)
     return float(np.max(np.abs(t[mask])))
 
 

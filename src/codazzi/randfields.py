@@ -112,14 +112,15 @@ def tracefree_codazzi_flat(grid: Grid, rng, amp=1.0, degmax=4):
     return out
 
 
-def tracefree_codazzi_conformal(g, rng, amp=0.1, degmax=3):
+def tracefree_codazzi_conformal(g, rng, amp=0.1):
     """Trace-free Codazzi endomorphism field of a conformal metric.
 
-    Built from a seeded holomorphic quadratic differential Q dz^2: the
-    endomorphism e^{-2 phi} [[u, -v], [-v, -u]] with Q = u + i v is
-    symmetric w.r.t. the metric, trace-free, and Codazzi in the continuum.
+    Built from a seeded holomorphic quadratic differential Q dz^2 of degree
+    at most 3: the endomorphism e^{-2 phi} [[u, -v], [-v, -u]] with
+    Q = u + i v is symmetric w.r.t. the metric, trace-free, and Codazzi in
+    the continuum.
     """
-    u, v = holomorphic_values(g.grid, rng, degmax=degmax, amp=amp)
+    u, v = holomorphic_values(g.grid, rng, degmax=3, amp=amp)
     w = np.exp(-2.0 * g.phi)
     out = np.empty((g.grid.ny, g.grid.nx, 2, 2))
     out[..., 0, 0] = w * u

@@ -60,6 +60,13 @@ _COLOR_STRIDE = 2 * _STENCIL_REACH + 1
 # is above this makes the next step rebuild and refactor the Jacobian.
 _REFRESH_CONTRACTION = 0.5
 
+# Accepted Newton steps per solve, and line-search halvings per step.
+_MAX_ITER = 20
+_MAX_HALVINGS = 8
+
+# Smallest continuation step before the march gives up.
+_MIN_STEP = 1.0 / 1024.0
+
 
 class SolverError(RuntimeError):
     """Newton or continuation failed to converge."""
@@ -105,9 +112,12 @@ class SolveReport:
 
 
 def _require_negative_curvature(g):
-    k = curvature(g)
-    if np.max(k) >= 0.0:
-        raise CurvatureSignError("background curvature must be negative everywhere")
+    # written so that a NaN curvature fails
+    if not np.all(curvature(g) < 0.0):
+        raise CurvatureSignError(
+            "the background metric is not negatively curved everywhere; "
+            "the critical-point equation is elliptic only for kappa < 0"
+        )
 
 
 def solver_residual(x, g: ConformalMetric, h_interp):
@@ -218,13 +228,14 @@ def _factor_step(jac, r):
     return lu, step
 
 
-def _line_search(vec, step, rnorm, g, h, idx, max_halvings):
+def _line_search(vec, step, rnorm, g, h, idx):
     """Halve ``lam`` from 1 until the residual's max-norm drops below ``rnorm``.
 
-    Returns ``(lam, r_new)``, or None if no admissible ``lam`` was found.
+    Returns ``(lam, r_new)``, or None if no admissible ``lam`` was found in
+    :data:`_MAX_HALVINGS` halvings.
     """
     lam = 1.0
-    for _ in range(max_halvings + 1):
+    for _ in range(_MAX_HALVINGS + 1):
         try:
             r_new = _residual_vec(vec + lam * step, g, h, idx)
         except FoldOverError:
@@ -241,15 +252,13 @@ def newton_solve(
     h,
     x0=None,
     tol=1e-8,
-    max_iter=20,
-    max_halvings=8,
     report=None,
 ):
     """Damped chord-Newton iteration for the corrected critical-point equation.
 
     ``h`` may be an SPD matrix field or a prebuilt :class:`FieldInterpolator`.
     Returns ``(x, report)``; raises :class:`SolverError` if the residual
-    fails to reach ``tol`` in ``max_iter`` accepted steps, or if a freshly
+    fails to reach ``tol`` in :data:`_MAX_ITER` accepted steps, or if a freshly
     factored Jacobian gives no admissible step.
     """
     grid = g.grid
@@ -277,19 +286,19 @@ def newton_solve(
     rnorm = float(np.max(np.abs(r)))
     report.residuals.append(rnorm)
     lu = None
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         if rnorm <= tol:
             return _finish(vec)
         found = None
         if lu is not None:  # chord step on the factor of an earlier iterate
             step = lu.solve(-r)
             if np.all(np.isfinite(step)):
-                found = _line_search(vec, step, rnorm, g, h, idx, max_halvings)
+                found = _line_search(vec, step, rnorm, g, h, idx)
         if found is None:  # no factor yet, or the stale one failed
             jac = _fd_jacobian(vec, g, h, idx, r)
             report.jacobians += 1
             lu, step = _factor_step(jac, r)
-            found = _line_search(vec, step, rnorm, g, h, idx, max_halvings)
+            found = _line_search(vec, step, rnorm, g, h, idx)
             if found is None:
                 raise SolverError("line search failed to reduce the residual")
         lam, r_new = found
@@ -316,13 +325,15 @@ def continuation_solve(
     h1,
     steps=10,
     tol=1e-8,
-    min_step=1.0 / 1024.0,
 ):
     """March the solution of the corrected equation from (g0, h0) to (g1, h1).
 
     Backgrounds interpolate linearly in phi, targets linearly in the matrix
     (convexity keeps them SPD).  Failed Newton steps halve the continuation
-    step; the march aborts when the step underflows ``min_step``.
+    step; the march aborts when the step underflows :data:`_MIN_STEP`.
+    The curvature -e^{-2 phi} Laplace(phi) of a blend is negative wherever
+    both ends' is, so a :class:`CurvatureSignError` from Newton comes from
+    an end metric; halving cannot help, and it is raised at once.
     """
     grid = g0.grid
     h0 = grid.check_field(h0, rank=2)
@@ -336,11 +347,10 @@ def continuation_solve(
         g_t = _blend_metric(g0, g1, t_next)
         h_t = (1.0 - t_next) * h0 + t_next * h1
         try:
-            _require_negative_curvature(g_t)
             x_new, report = newton_solve(g_t, h_t, x0=x, tol=tol, report=report)
-        except (SolverError, FoldOverError, CurvatureSignError):
+        except (SolverError, FoldOverError):
             dt *= 0.5
-            if dt < min_step:
+            if dt < _MIN_STEP:
                 raise SolverError("continuation step underflow") from None
             continue
         x = x_new

@@ -62,13 +62,14 @@ def geodesic(a, t):
     return m @ m
 
 
-def geodesic_residual(a, t, step=1e-3):
+def geodesic_residual(a, t):
     """FD residual of the geodesic equation at parameter t.
 
     Central second difference of gamma plus the commuting Christoffel
     correction of alpha = 1/2 applied to the central first difference;
-    identically zero in exact arithmetic.
+    identically zero in exact arithmetic.  The step is 1e-3.
     """
+    step = 1e-3
     gp = geodesic(a, t + step)
     g0 = geodesic(a, t)
     gm = geodesic(a, t - step)

@@ -19,7 +19,6 @@ import scipy.sparse.linalg
 
 from .grid import ConformalMetric, Grid
 from .jcalc import ID2, check_symmetric, det, inv2, spd_sqrt, trace
-from .energy import codazzi_residual
 
 __all__ = [
     "e_hat_general",
@@ -133,9 +132,6 @@ class DeformationFamily:
         b = _check_tracefree_symmetric(h0.grid.check_field(b, rank=2))
         return cls(h0, b, phi0_solve(b, h0))
 
-    def codazzi_residual(self):
-        return codazzi_residual(self.b, self.h0)
-
     def b_t(self, t):
         scale = 1.0 + t * t * self.phi0
         out = scale[..., None, None] * ID2 + t * self.b
@@ -153,17 +149,18 @@ class DeformationFamily:
         return e_hat_general(self.h0.grid, self.h_t_matrix(t), target)
 
 
-def second_derivative_lower_bound(a0, family: DeformationFamily, target, eps=3e-3):
+def second_derivative_lower_bound(a0, family: DeformationFamily, target):
     """FD second derivative of the family energy and its closed-form bound.
 
-    Returns ``(lhs_fd, rhs)``: the central second difference at t = 0 of
-    the trace energy along the family (identity-map envelope), and the
-    lower bound 2 * integral of phi0 Tr(A0) dArea[h0].  The envelope property gives
+    Returns ``(lhs_fd, rhs)``: the central second difference (step 3e-3) at
+    t = 0 of the trace energy along the family (identity-map envelope), and
+    the lower bound 2 * integral of phi0 Tr(A0) dArea[h0].  The envelope property gives
     lhs_fd >= rhs up to discretization slack, strictly positive for
     nonzero B.
     """
     grid = family.h0.grid
     a0 = grid.check_field(a0, rank=2)
+    eps = 3e-3
     ep = family.e_hat_along(target, eps)
     e0 = family.e_hat_along(target, 0.0)
     em = family.e_hat_along(target, -eps)

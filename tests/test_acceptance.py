@@ -153,7 +153,7 @@ def test_criterion_07_one_harmonic_recovery():
 
 
 def test_criterion_08_teich_variation():
-    checks = verify.suite_teich(seed=0, n1=32, n2=64)
+    checks = verify.suite_teich(seed=0)
     by_name = {c["check"]: c for c in checks}
     need = (
         "phi0_nonnegative",
@@ -168,7 +168,7 @@ def test_criterion_08_teich_variation():
 
 
 def test_criterion_09_embedding():
-    checks = verify.suite_embed(seed=0, n1=32, n2=64)
+    checks = verify.suite_embed(seed=0)
     by_name = {c["check"]: c for c in checks}
     need = (
         "identity_reproduces_hyperboloid",
@@ -198,7 +198,7 @@ def test_criterion_10_appendix():
 
 
 def test_criterion_11_diagnostics():
-    checks = verify.suite_diagnostics(seed=0, n1=32, n2=64)
+    checks = verify.suite_diagnostics(seed=0)
     by_name = {c["check"]: c for c in checks}
     need = (
         "intermediate_J_squares_to_minus_id",

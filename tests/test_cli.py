@@ -191,7 +191,7 @@ def test_verify_reports_are_deterministic(tmp_path, monkeypatch):
 @pytest.mark.parametrize(
     "command, flags",
     [
-        ("verify", {"--suite", "--seed", "--nx", "--nx2", "--g", "--tol", "--out"}),
+        ("verify", {"--suite", "--seed", "--g", "--tol", "--out"}),
         ("solve", {"--g", "--h", "--nx", "--ny", "--lx", "--ly", "--tol", "--out",
                    "--continuation-steps", "--manufactured-seed"}),
         ("embed", {"--endo", "--tol", "--out"}),
@@ -220,11 +220,12 @@ def _identity_endo_file(tmp_path):
         ("embed", "--endo", "{f}", "--h", "{f}"),
         ("verify", "--suite", "jcalc", "--endo", "{f}"),
         ("solve", "--manufactured-seed", "0", "--nx", "16", "--topology", "dirichlet"),
+        ("verify", "--suite", "jcalc", "--nx", "16"),
+        ("verify", "--suite", "jcalc", "--nx2", "64"),
     ],
 )
 def test_flags_a_subcommand_does_not_read_are_usage_errors(tmp_path, monkeypatch, argv):
-    # each ran and exited 0 when every subcommand took every flag; --h on
-    # embed must not be read as an abbreviation of --help
+    # --h on embed must not be read as an abbreviation of --help
     monkeypatch.chdir(tmp_path)
     f = _identity_endo_file(tmp_path)
     with pytest.raises(SystemExit) as exc:

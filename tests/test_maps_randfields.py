@@ -46,6 +46,12 @@ def test_interpolator_cubic_accuracy():
     assert err(32) / err(64) > 8.0  # cubic: O(h^4)
 
 
+def test_interpolator_refuses_periodic_chart():
+    grid = Grid(16, 16, 1.0, 1.0, "periodic")
+    with pytest.raises(ValueError, match="Dirichlet"):
+        FieldInterpolator(grid, np.zeros((16, 16)))
+
+
 def test_pullback_by_zero_displacement_is_identity():
     grid = Grid(24, 24, 1.0, 1.0, "dirichlet")
     g = poincare_disk(grid)

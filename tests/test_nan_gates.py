@@ -1,9 +1,9 @@
-"""Positivity gates refuse NaN input instead of passing it through."""
+"""Positivity and tolerance gates refuse NaN input instead of passing it through."""
 
 import numpy as np
 import pytest
 
-from codazzi import symspace, teich
+from codazzi import embedding, symspace, teich
 from codazzi.grid import Grid, poincare_disk
 from codazzi.jcalc import ID2, metric_action, spd_sqrt
 from codazzi.maps import FoldOverError, pullback_metric
@@ -41,4 +41,25 @@ def _pullback_of_nan_displacement():
 )
 def test_positivity_gate_refuses_nan(call, error):
     with pytest.raises(error):
+        call()
+
+
+def _equivariance_of_nan_field():
+    patch = embedding.HyperboloidPatch(Grid(33, 33, 0.8, 0.8, "dirichlet"))
+    a = np.broadcast_to(ID2, (33, 33, 2, 2)).copy()
+    x = embedding.integrate_immersion(a, patch, patch.nodes()[patch.base_index])
+    a[20, 20, 0, 0] = np.nan
+    return embedding.equivariance_residual(x, embedding.Isometry21.rotation(0.4), a, patch)
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (_equivariance_of_nan_field, "not invariant"),
+        (lambda: embedding.Isometry21(np.full((3, 3), np.nan)), "Minkowski form"),
+    ],
+    ids=["equivariance_residual", "Isometry21"],
+)
+def test_tolerance_gate_refuses_nan(call, match):
+    with pytest.raises(ValueError, match=match):
         call()

@@ -1,10 +1,17 @@
-"""Every public name of the library is used somewhere.
+"""Every public name of the library is used, and every keyword is set.
 
 A public module-level function or class of ``src/codazzi``, or a public
 method of such a class, must be referenced at least once outside its own
 definition, in ``src/``, ``tests/``, ``demos/`` or ``perfbench/``.  A
 reference is a name or an attribute in the parsed code, so docstrings,
-comments and ``__all__`` strings do not count.
+comments and ``__all__`` strings do not count.  A public method that is not
+a property counts as used only when some ``obj.method(...)`` call exists, so
+a module-level function of the same name does not hide it.
+
+A parameter with a default, of any function or method in ``src/codazzi``,
+must be passed by at least one call in the same four trees, by keyword or
+by position.  Calls are matched to definitions by name; a call with
+``*args`` or ``**kwargs`` counts as passing every parameter.
 """
 
 import ast
@@ -14,33 +21,124 @@ ROOT = Path(__file__).resolve().parents[1]
 SEARCHED = ("src", "tests", "demos", "perfbench")
 
 
-def _public_definitions():
+def _library_trees():
     for path in sorted((ROOT / "src" / "codazzi").glob("*.py")):
-        for node in ast.parse(path.read_text()).body:
+        yield path.stem, ast.parse(path.read_text())
+
+
+def _searched_trees():
+    for top in SEARCHED:
+        for path in (ROOT / top).rglob("*.py"):
+            yield ast.parse(path.read_text())
+
+
+def _is_property(node):
+    return any(isinstance(d, ast.Name) and d.id == "property" for d in node.decorator_list)
+
+
+def _public_definitions():
+    """(qualified name, name, needs an attribute call) of each public definition."""
+    for stem, tree in _library_trees():
+        for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
             if node.name.startswith("_"):
                 continue
-            yield f"{path.stem}.{node.name}", node.name
+            yield f"{stem}.{node.name}", node.name, False
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
                     if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
-                        yield f"{path.stem}.{node.name}.{item.name}", item.name
+                        full = f"{stem}.{node.name}.{item.name}"
+                        yield full, item.name, not _is_property(item)
 
 
-def _referenced_names():
-    names = set()
-    for top in SEARCHED:
-        for path in (ROOT / top).rglob("*.py"):
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Name):
-                    names.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    names.add(node.attr)
-    return names
+def _references():
+    """Names and attributes referenced anywhere, and attributes that are called."""
+    names, called = set(), set()
+    for tree in _searched_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                called.add(node.func.attr)
+    return names, called
+
+
+def _defaulted_parameters():
+    """(qualified name, function name, parameter, positional index or None).
+
+    The positional index counts call arguments, so it skips the ``self`` or
+    ``cls`` of a method; keyword-only parameters have index None.
+    """
+    def visit(node, prefix, in_class):
+        for item in ast.iter_child_nodes(node):
+            if isinstance(item, ast.ClassDef):
+                yield from visit(item, f"{prefix}.{item.name}", True)
+            elif isinstance(item, ast.FunctionDef):
+                full = f"{prefix}.{item.name}"
+                args = item.args
+                positional = args.posonlyargs + args.args
+                static = any(
+                    isinstance(d, ast.Name) and d.id == "staticmethod"
+                    for d in item.decorator_list
+                )
+                if in_class and not static:
+                    positional = positional[1:]
+                first = len(positional) - len(args.defaults)
+                for i, arg in enumerate(positional[first:], start=first):
+                    yield f"{full}({arg.arg})", item.name, arg.arg, i
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        yield f"{full}({arg.arg})", item.name, arg.arg, None
+                yield from visit(item, full, False)
+            else:
+                yield from visit(item, prefix, in_class)
+
+    for stem, tree in _library_trees():
+        yield from visit(tree, stem, False)
+
+
+def _calls():
+    """Callee name -> list of (positional argument count, keyword names)."""
+    calls = {}
+    for tree in _searched_trees():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            if isinstance(node.func, ast.Name):
+                name = node.func.id
+            elif isinstance(node.func, ast.Attribute):
+                name = node.func.attr
+            else:
+                continue
+            star = any(isinstance(a, ast.Starred) for a in node.args)
+            npos = float("inf") if star else len(node.args)
+            # a **kwargs argument is a keyword with arg None
+            keywords = {k.arg for k in node.keywords}
+            calls.setdefault(name, []).append((npos, keywords))
+    return calls
 
 
 def test_no_public_name_is_unreferenced():
-    used = _referenced_names()
-    unused = [full for full, name in _public_definitions() if name not in used]
+    names, called = _references()
+    unused = [
+        full
+        for full, name, needs_call in _public_definitions()
+        if name not in (called if needs_call else names)
+    ]
     assert not unused, f"public names nothing references: {unused}"
+
+
+def test_every_defaulted_parameter_is_passed_by_some_call():
+    calls = _calls()
+    unset = [
+        full
+        for full, name, param, index in _defaulted_parameters()
+        if not any(
+            (index is not None and npos > index) or param in keywords or None in keywords
+            for npos, keywords in calls.get(name, ())
+        )
+    ]
+    assert not unset, f"parameters with defaults that no call passes: {unset}"

@@ -66,6 +66,24 @@ def test_refuses_flat_background():
         newton_solve(flat, 2.0 * flat.matrix(), tol=1e-8)
 
 
+def test_refuses_nan_curvature():
+    # phi = -400: e^{-2 phi} overflows and the curvature is -inf * 0 = NaN
+    grid = Grid(16, 16, 0.8, 0.8, "dirichlet")
+    g = ConformalMetric(grid, np.full((16, 16), -400.0))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(CurvatureSignError):
+        newton_solve(g, poincare_disk(grid).matrix(), tol=1e-8)
+
+
+def test_continuation_raises_curvature_sign_error_without_halving(monkeypatch):
+    grid = Grid(16, 16, 0.8, 0.8, "dirichlet")
+    flat = ConformalMetric.flat(grid)
+    calls = []
+    monkeypatch.setattr(solver, "curvature", lambda g: calls.append(g) or np.zeros(g.phi.shape))
+    with pytest.raises(CurvatureSignError):
+        solver.continuation_solve(flat, flat, flat.matrix(), 2.0 * flat.matrix(), steps=4)
+    assert len(calls) == 1
+
+
 def test_trivial_pair_has_zero_solution():
     grid = Grid(16, 16, 0.8, 0.8, "dirichlet")
     g = poincare_disk(grid)
