@@ -19,10 +19,6 @@ __all__ = [
 ]
 
 
-def _flatten_nodes(arr, ncomp):
-    return [[float(v) for v in row] for row in arr.reshape(-1, ncomp)]
-
-
 def save_field(path, g: ConformalMetric, h=None, endo=None, x=None):
     """Write a field file: conformal factor plus optional matrix/vector payloads."""
     grid = g.grid
@@ -34,19 +30,18 @@ def save_field(path, g: ConformalMetric, h=None, endo=None, x=None):
             "ly": grid.ly,
             "topology": grid.topology,
         },
-        "phi": [float(v) for v in np.asarray(g.phi).ravel()],
+        "phi": g.phi.ravel().tolist(),
     }
     if h is not None:
         h = grid.check_field(h, rank=2)
-        doc["h"] = _flatten_nodes(
-            np.stack([h[..., 0, 0], h[..., 0, 1], h[..., 1, 1]], axis=-1), 3
-        )
+        tri = np.stack([h[..., 0, 0], h[..., 0, 1], h[..., 1, 1]], axis=-1)
+        doc["h"] = tri.reshape(-1, 3).tolist()
     if endo is not None:
         endo = grid.check_field(endo, rank=2)
-        doc["endo"] = _flatten_nodes(endo.reshape(grid.ny, grid.nx, 4), 4)
+        doc["endo"] = endo.reshape(-1, 4).tolist()
     if x is not None:
         x = grid.check_field(x, rank=1)
-        doc["x"] = _flatten_nodes(x, 2)
+        doc["x"] = x.reshape(-1, 2).tolist()
     write_json(path, doc)
 
 
@@ -58,12 +53,21 @@ def _node_count(header, key):
     return int(n)
 
 
+def _refuse_first_bad_node(path, key, ok, what):
+    """Raise ValueError naming the file, the key and the first node where ``ok`` fails."""
+    bad = np.argwhere(~ok)
+    if bad.size:
+        j, i = bad[0]
+        raise ValueError(f"{path}: key '{key}' is {what} at node (j, i) = ({j}, {i})")
+
+
 def load_field(path):
     """Read a field file; returns a dict with the metric and any payloads.
 
     Raises ValueError naming the file and offending key on malformed input,
-    and the first node (j, i) of a non-finite ``phi``.  A non-finite ``endo``
-    is left to :func:`codazzi.jcalc.check_symmetric` at its point of use.
+    and the first node (j, i) of a non-finite ``phi`` or of an ``h`` that is
+    not finite and positive definite.  A non-finite ``endo`` is left to
+    :func:`codazzi.jcalc.check_symmetric` at its point of use.
     """
     with open(path) as fh:
         try:
@@ -93,13 +97,15 @@ def load_field(path):
         phi = _payload("phi", 1).reshape(grid.ny, grid.nx)
     except KeyError:
         raise ValueError(f"{path}: missing required key 'phi'") from None
-    bad = np.argwhere(~np.isfinite(phi))
-    if bad.size:
-        j, i = bad[0]
-        raise ValueError(f"{path}: key 'phi' is not finite at node (j, i) = ({j}, {i})")
+    _refuse_first_bad_node(path, "phi", np.isfinite(phi), "not finite")
     out["g"] = ConformalMetric(grid, phi)
     if "h" in doc:
         tri = _payload("h", 3).reshape(grid.ny, grid.nx, 3)
+        h00, h01, h11 = tri[..., 0], tri[..., 1], tri[..., 2]
+        # Sylvester's criterion; a NaN fails both comparisons, and the
+        # finiteness test catches an infinite entry that would pass them
+        spd = np.all(np.isfinite(tri), axis=-1) & (h00 > 0.0) & (h00 * h11 - h01 * h01 > 0.0)
+        _refuse_first_bad_node(path, "h", spd, "not finite and positive definite")
         h = np.empty((grid.ny, grid.nx, 2, 2))
         h[..., 0, 0] = tri[..., 0]
         h[..., 0, 1] = tri[..., 1]
@@ -124,11 +130,12 @@ def write_mesh_csv(path, grid: Grid, x, phi_support):
     """Mesh rows "u,v,x1,x2,x3,phi_support", row-major with u fastest."""
     x = np.asarray(x, dtype=float)
     phi_support = np.asarray(phi_support, dtype=float)
-    xx, yy = grid.meshgrid()
+    # one repr per chart column (u) and per chart row (v), then whole columns
+    us = [repr(u) for u in grid.x.tolist()]
+    vs = [repr(v) for v in grid.y.tolist()]
+    uv = (f"{u},{v}" for v in vs for u in us)
+    cols = (x[..., 0], x[..., 1], x[..., 2], phi_support)
+    tail = [map(repr, c.ravel().tolist()) for c in cols]
     with open(path, "w") as fh:
         fh.write("u,v,x1,x2,x3,phi_support\n")
-        for j in range(grid.ny):
-            for i in range(grid.nx):
-                vals = (xx[j, i], yy[j, i], x[j, i, 0], x[j, i, 1],
-                        x[j, i, 2], phi_support[j, i])
-                fh.write(",".join(repr(float(v)) for v in vals) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(uv, *tail))

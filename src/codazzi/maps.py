@@ -4,12 +4,14 @@ A displacement field X turns into the map Phi(p) = p + X(p).  Pulling a
 metric back through Phi needs off-node metric values; those come from a
 cubic-spline interpolant of the node data (bilinear interpolation is not
 smooth enough at the nodes themselves, and would wreck finite-difference
-derivative checks of anything built on the pullback).  The interpolant,
-and so the pullback, exists on Dirichlet charts only.
+derivative checks of anything built on the pullback).  The interpolant
+is fitted per component and evaluated for all components at once, as one
+tensor-product B-spline with trailing coefficient axes.  It, and so the
+pullback, exists on Dirichlet charts only.
 """
 
 import numpy as np
-from scipy.interpolate import RectBivariateSpline
+from scipy.interpolate import NdBSpline, RectBivariateSpline
 
 from .grid import Grid
 from .jcalc import det
@@ -24,9 +26,11 @@ class FoldOverError(RuntimeError):
 class FieldInterpolator:
     """Cubic-spline interpolant of a node field with arbitrary trailing axes.
 
-    Spline coefficients are precomputed once, so repeated evaluation (as in
-    a Newton iteration) costs only the B-spline sums.  The grid must be a
-    Dirichlet chart.
+    Each component is fitted once, by a not-a-knot interpolating
+    ``RectBivariateSpline``; the fitted coefficients of all components are
+    stacked into one tensor-product ``NdBSpline``.  An evaluation is then a
+    single call that builds the B-spline basis at each point once and applies
+    it to every component.  The grid must be a Dirichlet chart.
     """
 
     def __init__(self, grid: Grid, values):
@@ -36,19 +40,32 @@ class FieldInterpolator:
         if values.shape[:2] != (grid.ny, grid.nx):
             raise ValueError("field shape does not match grid")
         self.grid = grid
-        self.comp_shape = values.shape[2:]
+        comp_shape = values.shape[2:]
         flat = values.reshape(grid.ny, grid.nx, -1)
         # not-a-knot boundary conditions keep the accuracy uniform up to the
-        # chart edge, unlike reflective padding
-        self.splines = [
-            RectBivariateSpline(
+        # chart edge, unlike reflective padding; the knots depend on the grid
+        # only, so every component shares them
+        coefs = []
+        for c in range(flat.shape[-1]):
+            ty, tx, coef = RectBivariateSpline(
                 grid.y, grid.x, flat[..., c], kx=_SPLINE_ORDER, ky=_SPLINE_ORDER, s=0
-            )
-            for c in range(flat.shape[-1])
-        ]
+            ).tck
+            coefs.append(coef)
+        coef = np.stack(coefs, axis=-1).reshape(
+            (len(ty) - _SPLINE_ORDER - 1, len(tx) - _SPLINE_ORDER - 1) + comp_shape
+        )
+        self._spline = NdBSpline((ty, tx), coef, _SPLINE_ORDER)
+        # fitpack clamps points outside the knot span, NdBSpline extrapolates;
+        # clipping to the chart keeps the clamping for points inside the pad
+        self._lo = np.array([grid.x[0], grid.y[0]])
+        self._hi = np.array([grid.x[-1], grid.y[-1]])
 
     def __call__(self, points):
-        """Evaluate at chart points of shape (..., 2) -> (...,) + comp_shape."""
+        """Evaluate at chart points of shape (..., 2) -> (...,) + comp_shape.
+
+        Points within a relative 1e-9 of the chart are clamped onto it;
+        points further out raise ValueError.
+        """
         points = np.asarray(points, dtype=float)
         g = self.grid
         px = points[..., 0]
@@ -56,9 +73,9 @@ class FieldInterpolator:
         pad = 1e-9 * max(g.lx, g.ly)
         if np.any(np.abs(px) > 0.5 * g.lx + pad) or np.any(np.abs(py) > 0.5 * g.ly + pad):
             raise ValueError("interpolation point outside the chart")
-        cols = [s.ev(py.ravel(), px.ravel()) for s in self.splines]
-        out = np.stack(cols, axis=-1)
-        return out.reshape(points.shape[:-1] + self.comp_shape)
+        # (x, y) -> (y, x): the spline's first axis is the grid's row axis
+        yx = np.clip(points, self._lo, self._hi)[..., ::-1]
+        return self._spline(yx)
 
 
 def map_points(grid: Grid, x, t=1.0):

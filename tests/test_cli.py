@@ -84,6 +84,25 @@ def test_solve_refuses_flat_background(tmp_path, capsys):
     assert "negatively curved" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("entries", [{0: float("nan")}, {1: 1e3}], ids=["nan", "negative-det"])
+def test_solve_refuses_non_spd_h_naming_file_key_and_node(tmp_path, capsys, entries):
+    g = poincare_disk(Grid(16, 16, 0.8, 0.8, "dirichlet"))
+    gpath = tmp_path / "g.json"
+    fileio.save_field(gpath, g)
+    hpath = tmp_path / "badh.json"
+    fileio.save_field(hpath, g, h=g.matrix())
+    doc = json.loads(hpath.read_text())
+    for entry, value in entries.items():
+        doc["h"][4 * 16 + 9][entry] = value
+    hpath.write_text(json.dumps(doc))
+    with pytest.raises(SystemExit) as exc:
+        run_cli("solve", "--g", gpath, "--h", hpath, "--out", tmp_path / "s")
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "badh.json" in err and "'h'" in err and "(4, 9)" in err
+    assert not (tmp_path / "s_report.json").exists()
+
+
 def test_solve_manufactured_reports_recovery(tmp_path):
     prefix = tmp_path / "s"
     code = run_cli(

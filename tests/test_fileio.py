@@ -88,6 +88,30 @@ def test_load_accepts_integral_float_node_count(sample):
     assert fileio.load_field(path)["grid"].nx == grid.nx
 
 
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {0: np.nan},
+        {2: np.inf},  # h00 > 0 and Det = inf > 0: only the finiteness test refuses it
+        {1: 1e3},  # Det < 0
+        {0: -1.0, 2: -1.0},  # negative definite: Det > 0 but h00 < 0
+    ],
+    ids=["nan", "inf", "negative-det", "negative-definite"],
+)
+def test_load_refuses_non_spd_h_naming_file_key_and_node(sample, changes):
+    import json
+
+    tmp, grid, g, h, *_ = sample
+    path = tmp / "f.json"
+    fileio.save_field(path, g, h=h)
+    doc = json.load(open(path))
+    for entry, value in changes.items():
+        doc["h"][3 * grid.nx + 7][entry] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=r"f\.json: key 'h' .* \(j, i\) = \(3, 7\)"):
+        fileio.load_field(path)
+
+
 def test_load_rejects_invalid_json(tmp_path):
     path = tmp_path / "junk.json"
     path.write_text("{not json")

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.interpolate import RectBivariateSpline
 
 from codazzi.grid import Grid, poincare_disk
 from codazzi.maps import FieldInterpolator, FoldOverError, map_jacobian, pullback_metric
@@ -44,6 +45,58 @@ def test_interpolator_cubic_accuracy():
         return float(np.max(np.abs(interp(pts) - ref)))
 
     assert err(32) / err(64) > 8.0  # cubic: O(h^4)
+
+
+def _fitpack_reference(grid, values, points):
+    """One RectBivariateSpline per component, each evaluated by ``.ev``."""
+    flat = values.reshape(grid.ny, grid.nx, -1)
+    px = points[..., 0].ravel()
+    py = points[..., 1].ravel()
+    cols = [
+        RectBivariateSpline(grid.y, grid.x, flat[..., c], kx=3, ky=3, s=0).ev(py, px)
+        for c in range(flat.shape[-1])
+    ]
+    return np.stack(cols, axis=-1).reshape(points.shape[:-1] + values.shape[2:])
+
+
+@pytest.mark.parametrize("comp_shape", [(), (2,), (3,), (2, 2)])
+def test_interpolator_matches_per_component_fitpack_splines(comp_shape):
+    grid = Grid(21, 13, 0.9, 0.5, "dirichlet")
+    rng = np.random.default_rng(17)
+    values = rng.standard_normal((grid.ny, grid.nx) + comp_shape)
+    x0, x1 = grid.x[0], grid.x[-1]
+    y0, y1 = grid.y[0], grid.y[-1]
+    xx, yy = grid.meshgrid()
+    nodes = np.stack([xx, yy], axis=-1).reshape(-1, 2)
+    interior = np.column_stack([rng.uniform(x0, x1, 200), rng.uniform(y0, y1, 200)])
+    s = np.linspace(0.0, 1.0, 9)
+    edges = np.concatenate(
+        [
+            np.column_stack([x0 + (x1 - x0) * s, np.full(9, y0)]),
+            np.column_stack([x0 + (x1 - x0) * s, np.full(9, y1)]),
+            np.column_stack([np.full(9, x0), y0 + (y1 - y0) * s]),
+            np.column_stack([np.full(9, x1), y0 + (y1 - y0) * s]),
+        ]
+    )
+    # inside the chart check's 1e-9 pad but beyond the outermost nodes, where
+    # fitpack clamps to the knot span
+    d = 0.5e-9 * max(grid.lx, grid.ly)
+    pad = np.array(
+        [[x0 - d, 0.0], [x1 + d, 0.1], [0.2, y0 - d], [-0.1, y1 + d],
+         [x0 - d, y0 - d], [x1 + d, y0 - d], [x0 - d, y1 + d], [x1 + d, y1 + d]]
+    )
+    points = np.concatenate([nodes, interior, edges, pad])
+    got = FieldInterpolator(grid, values)(points)
+    ref = _fitpack_reference(grid, values, points)
+    assert got.shape == ref.shape == (len(points),) + comp_shape
+    assert np.max(np.abs(got - ref)) <= 1e-13 * (1.0 + np.max(np.abs(ref)))
+
+
+def test_interpolator_refuses_points_beyond_the_pad():
+    grid = Grid(16, 16, 1.0, 1.0, "dirichlet")
+    interp = FieldInterpolator(grid, np.zeros((16, 16)))
+    with pytest.raises(ValueError, match="outside the chart"):
+        interp(np.array([[0.5 + 2e-9, 0.0]]))
 
 
 def test_interpolator_refuses_periodic_chart():
