@@ -1,8 +1,9 @@
 """Field-file, report and mesh serialization.
 
-Field files are JSON with a grid header and row-major node payloads
-(x fastest).  Reports are JSON with sorted keys so identical runs produce
-byte-identical artifacts; meshes are plain CSV for plotting tools.
+Field files are compact JSON with a grid header and row-major node payloads
+(x fastest).  Reports are indented JSON.  Both sort their keys, so identical
+runs produce byte-identical artifacts; meshes are plain CSV for plotting
+tools.
 """
 
 import json
@@ -42,7 +43,10 @@ def save_field(path, g: ConformalMetric, h=None, endo=None, x=None):
     if x is not None:
         x = grid.check_field(x, rank=1)
         doc["x"] = x.reshape(-1, 2).tolist()
-    write_json(path, doc)
+    # one compact json.dumps call runs json's C encoder; json.dump and any
+    # indent fall back to the pure-Python one
+    with open(path, "w") as fh:
+        fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def _node_count(header, key):

@@ -33,6 +33,7 @@ __all__ = [
     "metric_action",
     "metric_to_A",
     "spd_sqrt",
+    "dspd_sqrt",
     "spd_sqrt_pair",
     "inv2",
     "is_spd",
@@ -144,6 +145,16 @@ def metric_action(a, h):
     return at @ h @ a
 
 
+def _sqrt_terms(m):
+    """``(sqrt(Det m), sqrt(Tr m + 2 sqrt(Det m)))``; refuses a non-positive spectrum."""
+    d = det(m)
+    t = trace(m)
+    if not (np.all(d > 0) and np.all(t > 0)):
+        raise ValueError("spd_sqrt requires positive spectrum (Tr > 0 and Det > 0)")
+    s = np.sqrt(d)
+    return s, np.sqrt(t + 2.0 * s)
+
+
 def spd_sqrt(m):
     """Principal square root of 2x2 matrices with positive spectrum.
 
@@ -152,13 +163,30 @@ def spd_sqrt(m):
     similar to an SPD one (e.g. g-self-adjoint positive operators) works.
     """
     m = np.asarray(m, dtype=float)
-    d = det(m)
-    t = trace(m)
-    if not (np.all(d > 0) and np.all(t > 0)):
-        raise ValueError("spd_sqrt requires positive spectrum (Tr > 0 and Det > 0)")
-    s = np.sqrt(d)
-    denom = np.sqrt(t + 2.0 * s)
+    s, denom = _sqrt_terms(m)
     return (m + s[..., None, None] * ID2) / denom[..., None, None]
+
+
+def dspd_sqrt(m, dm):
+    """Derivative of :func:`spd_sqrt` at ``m`` in the direction ``dm``.
+
+    Differentiates the closed form: with s = sqrt(Det m) and
+    r = sqrt(Tr m + 2 s), ds = Tr(adj(m) dm) / (2 s) and
+    dr = (Tr dm + 2 ds) / (2 r), so the derivative of (m + s Id) / r is
+    (dm + ds Id) / r - spd_sqrt(m) dr / r.  ``m`` and ``dm`` broadcast
+    over their leading axes.
+    """
+    m = np.asarray(m, dtype=float)
+    dm = np.asarray(dm, dtype=float)
+    s, r = _sqrt_terms(m)
+    ddet = (
+        m[..., 1, 1] * dm[..., 0, 0] + m[..., 0, 0] * dm[..., 1, 1]
+        - m[..., 0, 1] * dm[..., 1, 0] - m[..., 1, 0] * dm[..., 0, 1]
+    )
+    ds = ddet / (2.0 * s)
+    dr = (trace(dm) + 2.0 * ds) / (2.0 * r)
+    root = (m + s[..., None, None] * ID2) / r[..., None, None]
+    return ((dm + ds[..., None, None] * ID2) - root * dr[..., None, None]) / r[..., None, None]
 
 
 def metric_to_A(g, h):

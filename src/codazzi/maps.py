@@ -60,12 +60,8 @@ class FieldInterpolator:
         self._lo = np.array([grid.x[0], grid.y[0]])
         self._hi = np.array([grid.x[-1], grid.y[-1]])
 
-    def __call__(self, points):
-        """Evaluate at chart points of shape (..., 2) -> (...,) + comp_shape.
-
-        Points within a relative 1e-9 of the chart are clamped onto it;
-        points further out raise ValueError.
-        """
+    def _spline_points(self, points):
+        """Chart points (..., 2) as the spline's (y, x) arguments, clamped to the chart."""
         points = np.asarray(points, dtype=float)
         g = self.grid
         px = points[..., 0]
@@ -74,8 +70,25 @@ class FieldInterpolator:
         if np.any(np.abs(px) > 0.5 * g.lx + pad) or np.any(np.abs(py) > 0.5 * g.ly + pad):
             raise ValueError("interpolation point outside the chart")
         # (x, y) -> (y, x): the spline's first axis is the grid's row axis
-        yx = np.clip(points, self._lo, self._hi)[..., ::-1]
-        return self._spline(yx)
+        return np.clip(points, self._lo, self._hi)[..., ::-1]
+
+    def __call__(self, points):
+        """Evaluate at chart points of shape (..., 2) -> (...,) + comp_shape.
+
+        Points within a relative 1e-9 of the chart are clamped onto it;
+        points further out raise ValueError.
+        """
+        return self._spline(self._spline_points(points))
+
+    def gradient(self, points):
+        """First derivatives ``(d/dx, d/dy)`` at chart points of shape (..., 2).
+
+        Each has shape (...,) + comp_shape; the points are checked and
+        clipped as in :meth:`__call__`.
+        """
+        yx = self._spline_points(points)
+        # ``nu`` counts derivatives per spline axis, and the axes are (y, x)
+        return self._spline(yx, nu=(0, 1)), self._spline(yx, nu=(1, 0))
 
 
 def map_points(grid: Grid, x, t=1.0):

@@ -7,16 +7,19 @@ a critical point of the energy with respect to the background g (see
 Manufactured solutions (pullbacks of metrics with Codazzi A through known
 small diffeomorphisms) make the solver testable to tight tolerances.
 
-The Jacobian is assembled by finite differences with the column colouring
-of Curtis, Powell and Reid (1974): the residual at a node only sees
-unknowns within a stencil reach of 2 nodes, so all unknowns of one
-component on a stride-5 sublattice are probed by a single residual
-evaluation (25 colours, 2 components).  The probed differences go
-straight into a sparse CSC matrix, which SuperLU (``splu``) factors with
-a minimum-degree ordering of A^T + A in symmetric mode (diagonal pivots
-only, about a fifth of the fill of partial pivoting at 128^2).  If that
-factor is refused as singular or gives a non-finite step, the matrix is
-refactored with partial pivoting before the solve gives up.
+The Newton Jacobian is exact: :func:`_exact_jacobian` assembles the chain
+rule of :func:`solver_residual` as a sparse matrix, L K S + stab (Griewank
+and Walther, "Evaluating Derivatives", SIAM 2008).  S holds the map-Jacobian
+stencils, K the per-node derivatives of A through the spline's first
+derivatives and the closed-form derivative of the 2x2 SPD square root
+(:func:`~codazzi.jcalc.dspd_sqrt`), L the divergence and stab the
+checkerboard suppressor; S, L and stab are built once per solve.  The
+coloured finite-difference Jacobian of Curtis, Powell and Reid (1974) is
+kept in the tests as its independent oracle.  SuperLU (``splu``) factors
+the CSC matrix with a minimum-degree ordering of A^T + A in symmetric mode
+(diagonal pivots only, about a fifth of the fill of partial pivoting at
+128^2).  If that factor is refused as singular or gives a non-finite step,
+the matrix is refactored with partial pivoting before the solve gives up.
 
 Newton builds and factors a Jacobian only at the first step, after a step
 that needed a line-search halving, and after a step whose residual
@@ -36,7 +39,8 @@ import scipy.sparse.linalg
 
 from .grid import ConformalMetric, Grid
 from .energy import codazzi_residual, energy_gradient, field_A
-from .maps import FieldInterpolator, FoldOverError, pullback_metric
+from .jcalc import dspd_sqrt, inv2
+from .maps import FieldInterpolator, FoldOverError, map_jacobian, map_points, pullback_metric
 from .operators import curvature
 
 __all__ = [
@@ -47,14 +51,6 @@ __all__ = [
     "newton_solve",
     "continuation_solve",
 ]
-
-# Stencil radius (Chebyshev, in nodes) of :func:`solver_residual`: the
-# pullback metric takes first differences of x (reach 1; on the boundary
-# ring the one-sided edge_order=2 stencil reads nodes 0-2), the spline
-# evaluation and field_A are pointwise, and div_endo and _lap5 add reach 1.
-# Columns at least 2*2+1 nodes apart in both directions never share a row.
-_STENCIL_REACH = 2
-_COLOR_STRIDE = 2 * _STENCIL_REACH + 1
 
 # An accepted step whose residual contraction ||r_new|| / ||r|| (max-norm)
 # is above this makes the next step rebuild and refactor the Jacobian.
@@ -158,46 +154,103 @@ def _residual_vec(vec, g, h_interp, idx):
     return _pack(r, idx)
 
 
-def _fd_jacobian(vec, g, h_interp, idx, base, eps=1e-6):
-    """Coloured finite-difference Jacobian of the packed residual, as CSC.
+def _edge2_stencil(n, step):
+    """The order-2 stencil of :meth:`Grid.ddx`/:meth:`Grid.ddy` on ``n`` nodes, sparse.
 
-    One residual evaluation per (colour, component) perturbs every unknown
-    of that component on the colour's stride sublattice; each changed row
-    lies within :data:`_STENCIL_REACH` of exactly one perturbed node, so it
-    is attributed to that node's column.
+    Central differences inside, the second-order one-sided stencil on the
+    two end nodes: ``np.gradient`` with ``edge_order=2``, applied to the
+    unit vectors.
+    """
+    return scipy.sparse.csr_matrix(np.gradient(np.eye(n), step, axis=0, edge_order=2))
+
+
+def _block_diag(blocks):
+    """Sparse block-diagonal matrix of a stack of equal-shape blocks."""
+    n = len(blocks)
+    return scipy.sparse.bsr_matrix((blocks, np.arange(n), np.arange(n + 1)))
+
+
+# Residual rows of :func:`energy_gradient`: (r0, r1) = -J dnabla_endo(A), and
+# with the metric weight w = e^{-2 phi} and (px, py) = d phi that is
+#   r0 = w [(d_x + px) A11 - (d_y + py) A10 - px A00 - py A01]
+#   r1 = w [(d_y + py) A00 - (d_x + px) A01 - px A10 - py A11],
+# in the node's A entries (A00, A01, A10, A11).
+_R_DX = np.array([[0.0, 0.0, 0.0, 1.0], [0.0, -1.0, 0.0, 0.0]])
+_R_DY = np.array([[0.0, 0.0, -1.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
+_R_PX = _R_DX + [[-1.0, 0.0, 0.0, 0.0], [0.0, 0.0, -1.0, 0.0]]
+_R_PY = _R_DY + [[0.0, -1.0, 0.0, 0.0], [0.0, 0.0, 0.0, -1.0]]
+
+
+def _jacobian_operators(g, idx):
+    """The state-independent sparse factors of :func:`_exact_jacobian`.
+
+    Returns ``(S, L, stab)``.  The unknowns and the residual are packed 2 per
+    interior node, A (row-major) 4 per grid node:
+
+    * ``S`` maps the unknowns to 6 values per grid node: D = d_j x^k (entry
+      2k + j), by the order-2 stencils of :func:`~codazzi.maps.map_jacobian`
+      including the one-sided rows of the boundary ring, which interior
+      unknowns feed; then the node's own x^0 and x^1;
+    * ``L`` maps A to the residual's energy gradient -J div(A J);
+    * ``stab`` is the residual's stabiliser, -dx dy :func:`_lap5`.
     """
     grid = g.grid
-    jj, ii = np.unravel_index(idx, (grid.ny, grid.nx))
-    # packed node number at each grid node, -1 off the unknowns; the
-    # padding lets every stencil window index in bounds
-    reach = _STENCIL_REACH
-    node_at = np.full((grid.ny + 2 * reach, grid.nx + 2 * reach), -1)
-    node_at[jj + reach, ii + reach] = np.arange(idx.size)
-    win = np.arange(2 * reach + 1)
-    near = node_at[jj[:, None, None] + win[:, None], ii[:, None, None] + win]
-    near = near.reshape(idx.size, -1)
-    colour = (jj % _COLOR_STRIDE) * _COLOR_STRIDE + ii % _COLOR_STRIDE
-    rows, cols, vals = [], [], []
-    for c in np.unique(colour):
-        members = np.where(colour == c)[0]
-        nb = near[members]
-        keep = nb >= 0
-        # row nodes (each in one member's neighbourhood) and their member
-        row_node = nb[keep]
-        owner = np.broadcast_to(members[:, None], nb.shape)[keep]
-        for comp in range(2):
-            pert = vec.copy()
-            pert[2 * members + comp] += eps
-            dr = (_residual_vec(pert, g, h_interp, idx) - base) / eps
-            r = (2 * row_node[:, None] + np.arange(2)).ravel()
-            rows.append(r)
-            cols.append(np.repeat(2 * owner + comp, 2))
-            vals.append(dr[r])
-    n = vec.size
-    return scipy.sparse.csc_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
+    ny, nx = grid.ny, grid.nx
+    eye = scipy.sparse.identity
+    sx = scipy.sparse.kron(eye(ny), _edge2_stencil(nx, grid.dx), "csr")
+    sy = scipy.sparse.kron(_edge2_stencil(ny, grid.dy), eye(nx), "csr")
+    to6 = np.eye(6)
+    S = (
+        scipy.sparse.kron(sx[:, idx], to6[:, [0, 2]])
+        + scipy.sparse.kron(sy[:, idx], to6[:, [1, 3]])
+        + scipy.sparse.kron(eye(ny * nx, format="csr")[:, idx], to6[:, 4:])
     )
+    px, py = (d.ravel()[:, None, None] for d in g.phi_derivs())
+    w = np.exp(-2.0 * g.phi).ravel()
+    wdiag = scipy.sparse.diags(w)
+    L = (
+        scipy.sparse.kron(wdiag @ sx, _R_DX)
+        + scipy.sparse.kron(wdiag @ sy, _R_DY)
+        + _block_diag(w[:, None, None] * (px * _R_PX + py * _R_PY))
+    )
+    rows = (2 * idx[:, None] + np.arange(2)).ravel()
+    # the unknowns fill the (ny - 2) x (nx - 2) inner grid, on which _lap5 is
+    # the 5-point Laplacian with zero Dirichlet values
+    second = [
+        scipy.sparse.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(n - 2, n - 2)) / step**2
+        for n, step in ((nx, grid.dx), (ny, grid.dy))
+    ]
+    lap = scipy.sparse.kron(eye(ny - 2), second[0]) + scipy.sparse.kron(second[1], eye(nx - 2))
+    stab = -grid.dx * grid.dy * scipy.sparse.kron(lap, eye(2))
+    return S.tocsr(), L.tocsr()[rows], stab.tocsr()
+
+
+def _exact_jacobian(vec, g, h_interp, idx, ops):
+    """Jacobian of the packed residual at ``vec`` by the chain rule, as CSC.
+
+    With ``(S, L, stab) = ops`` from :func:`_jacobian_operators` it is
+    L K S + stab, where the 4x6 block K = [K1 K2] of a node holds the
+    derivatives of A = spd_sqrt(e^{-2 phi} F^T h(p + x) F), F = I + D, with
+    respect to D (K1) and to the node's own x (K2, through the spline's
+    first derivatives at p + x).
+    """
+    S, L, stab = ops
+    x = _unpack(vec, g.grid, idx)
+    pts = map_points(g.grid, x)
+    f = map_jacobian(g.grid, x)
+    ft = np.swapaxes(f, -1, -2)
+    fth = ft @ h_interp(pts)
+    dh = np.stack(h_interp.gradient(pts), axis=-3)
+    # d(F^T h F) along the unit D[k, j] is (F^T h E_kj) + its transpose
+    unit = fth[..., None, :, :] @ np.eye(4).reshape(4, 2, 2)
+    dhp = np.concatenate(
+        [unit + np.swapaxes(unit, -1, -2), ft[..., None, :, :] @ dh @ f[..., None, :, :]],
+        axis=-3,
+    )
+    ginv = inv2(g.matrix())
+    da = dspd_sqrt((ginv @ (fth @ f))[..., None, :, :], ginv[..., None, :, :] @ dhp)
+    k = _block_diag(np.swapaxes(da.reshape(-1, 6, 4), -1, -2))
+    return (L @ (k @ S) + stab).tocsc()
 
 
 def _factor_step(jac, r):
@@ -285,6 +338,7 @@ def newton_solve(
     r = _residual_vec(vec, g, h, idx)
     rnorm = float(np.max(np.abs(r)))
     report.residuals.append(rnorm)
+    ops = _jacobian_operators(g, idx)
     lu = None
     for _ in range(_MAX_ITER):
         if rnorm <= tol:
@@ -295,7 +349,7 @@ def newton_solve(
             if np.all(np.isfinite(step)):
                 found = _line_search(vec, step, rnorm, g, h, idx)
         if found is None:  # no factor yet, or the stale one failed
-            jac = _fd_jacobian(vec, g, h, idx, r)
+            jac = _exact_jacobian(vec, g, h, idx, ops)
             report.jacobians += 1
             lu, step = _factor_step(jac, r)
             found = _line_search(vec, step, rnorm, g, h, idx)

@@ -36,6 +36,24 @@ def test_field_roundtrip_is_exact(sample):
     assert np.array_equal(doc["x"], x)
 
 
+def test_field_file_in_the_indented_layout_loads_to_identical_arrays(sample):
+    import json
+
+    tmp, grid, g, h, endo, x = sample
+    compact, indented = tmp / "compact.json", tmp / "indented.json"
+    fileio.save_field(compact, g, h=h, endo=endo, x=x)
+    # the layout field files had before they were written compactly
+    with open(indented, "w") as fh:
+        json.dump(json.load(open(compact)), fh, sort_keys=True, indent=2, separators=(",", ": "))
+        fh.write("\n")
+    assert indented.read_bytes() != compact.read_bytes()
+    new, old = fileio.load_field(compact), fileio.load_field(indented)
+    assert old["grid"] == new["grid"]
+    for key in ("h", "endo", "x"):
+        assert old[key].tobytes() == new[key].tobytes()
+    assert old["g"].phi.tobytes() == new["g"].phi.tobytes()
+
+
 def test_load_reports_missing_phi(sample, tmp_path):
     import json
 

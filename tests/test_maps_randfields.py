@@ -47,23 +47,26 @@ def test_interpolator_cubic_accuracy():
     assert err(32) / err(64) > 8.0  # cubic: O(h^4)
 
 
-def _fitpack_reference(grid, values, points):
-    """One RectBivariateSpline per component, each evaluated by ``.ev``."""
+def _fitpack_reference(grid, values, points, d_dx=0, d_dy=0):
+    """One RectBivariateSpline per component, each evaluated by ``.ev``.
+
+    ``d_dx``/``d_dy`` order chart derivatives; the spline is fitted on
+    (y, x), so fitpack's ``dx`` is the chart's d/dy.
+    """
     flat = values.reshape(grid.ny, grid.nx, -1)
     px = points[..., 0].ravel()
     py = points[..., 1].ravel()
     cols = [
-        RectBivariateSpline(grid.y, grid.x, flat[..., c], kx=3, ky=3, s=0).ev(py, px)
+        RectBivariateSpline(grid.y, grid.x, flat[..., c], kx=3, ky=3, s=0).ev(
+            py, px, dx=d_dy, dy=d_dx
+        )
         for c in range(flat.shape[-1])
     ]
     return np.stack(cols, axis=-1).reshape(points.shape[:-1] + values.shape[2:])
 
 
-@pytest.mark.parametrize("comp_shape", [(), (2,), (3,), (2, 2)])
-def test_interpolator_matches_per_component_fitpack_splines(comp_shape):
-    grid = Grid(21, 13, 0.9, 0.5, "dirichlet")
-    rng = np.random.default_rng(17)
-    values = rng.standard_normal((grid.ny, grid.nx) + comp_shape)
+def _oracle_points(grid, rng):
+    """Nodes, random interior points, edges, corners and points inside the pad."""
     x0, x1 = grid.x[0], grid.x[-1]
     y0, y1 = grid.y[0], grid.y[-1]
     xx, yy = grid.meshgrid()
@@ -85,11 +88,35 @@ def test_interpolator_matches_per_component_fitpack_splines(comp_shape):
         [[x0 - d, 0.0], [x1 + d, 0.1], [0.2, y0 - d], [-0.1, y1 + d],
          [x0 - d, y0 - d], [x1 + d, y0 - d], [x0 - d, y1 + d], [x1 + d, y1 + d]]
     )
-    points = np.concatenate([nodes, interior, edges, pad])
+    return np.concatenate([nodes, interior, edges, pad])
+
+
+@pytest.mark.parametrize("comp_shape", [(), (2,), (3,), (2, 2)])
+def test_interpolator_matches_per_component_fitpack_splines(comp_shape):
+    grid = Grid(21, 13, 0.9, 0.5, "dirichlet")
+    rng = np.random.default_rng(17)
+    values = rng.standard_normal((grid.ny, grid.nx) + comp_shape)
+    points = _oracle_points(grid, rng)
     got = FieldInterpolator(grid, values)(points)
     ref = _fitpack_reference(grid, values, points)
     assert got.shape == ref.shape == (len(points),) + comp_shape
     assert np.max(np.abs(got - ref)) <= 1e-13 * (1.0 + np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("comp_shape", [(), (2,), (2, 2)])
+def test_interpolator_gradient_matches_per_component_fitpack_derivatives(comp_shape):
+    # a non-square chart with unequal steps, so a swapped axis cannot pass
+    grid = Grid(21, 13, 0.9, 0.5, "dirichlet")
+    rng = np.random.default_rng(23)
+    values = rng.standard_normal((grid.ny, grid.nx) + comp_shape)
+    points = _oracle_points(grid, rng)
+    got_dx, got_dy = FieldInterpolator(grid, values).gradient(points)
+    for got, ref in (
+        (got_dx, _fitpack_reference(grid, values, points, d_dx=1)),
+        (got_dy, _fitpack_reference(grid, values, points, d_dy=1)),
+    ):
+        assert got.shape == ref.shape == (len(points),) + comp_shape
+        assert np.max(np.abs(got - ref)) <= 1e-13 * (1.0 + np.max(np.abs(ref)))
 
 
 def test_interpolator_refuses_points_beyond_the_pad():

@@ -91,17 +91,70 @@ def test_trivial_pair_has_zero_solution():
     assert np.max(np.abs(x)) < 1e-8
 
 
-def _packed_problem(n):
+def _packed_problem(n, state_seed=7):
     grid, g, _, h = _manufactured(n)
     idx, _ = solver._interior_index(grid)
-    vec = np.random.default_rng(7).uniform(-1e-3, 1e-3, 2 * idx.size)
+    vec = np.random.default_rng(state_seed).uniform(-1e-3, 1e-3, 2 * idx.size)
     return g, FieldInterpolator(grid, h), idx, vec
+
+
+# The coloured finite-difference Jacobian (Curtis, Powell and Reid, 1974), the
+# independent oracle of the solver's exact one.  Stencil radius (Chebyshev, in
+# nodes) of solver_residual: the pullback metric takes first differences of x
+# (reach 1; on the boundary ring the one-sided edge_order=2 stencil reads
+# nodes 0-2), the spline evaluation and field_A are pointwise, and div_endo
+# and _lap5 add reach 1.  Columns at least 2*2+1 nodes apart in both
+# directions never share a row.
+_STENCIL_REACH = 2
+_COLOR_STRIDE = 2 * _STENCIL_REACH + 1
+
+
+def _fd_jacobian(vec, g, h_interp, idx, base, eps=1e-6):
+    """Coloured finite-difference Jacobian of the packed residual, as CSC.
+
+    One residual evaluation per (colour, component) perturbs every unknown
+    of that component on the colour's stride sublattice; each changed row
+    lies within :data:`_STENCIL_REACH` of exactly one perturbed node, so it
+    is attributed to that node's column.
+    """
+    grid = g.grid
+    jj, ii = np.unravel_index(idx, (grid.ny, grid.nx))
+    # packed node number at each grid node, -1 off the unknowns; the
+    # padding lets every stencil window index in bounds
+    reach = _STENCIL_REACH
+    node_at = np.full((grid.ny + 2 * reach, grid.nx + 2 * reach), -1)
+    node_at[jj + reach, ii + reach] = np.arange(idx.size)
+    win = np.arange(2 * reach + 1)
+    near = node_at[jj[:, None, None] + win[:, None], ii[:, None, None] + win]
+    near = near.reshape(idx.size, -1)
+    colour = (jj % _COLOR_STRIDE) * _COLOR_STRIDE + ii % _COLOR_STRIDE
+    rows, cols, vals = [], [], []
+    for c in np.unique(colour):
+        members = np.where(colour == c)[0]
+        nb = near[members]
+        keep = nb >= 0
+        # row nodes (each in one member's neighbourhood) and their member
+        row_node = nb[keep]
+        owner = np.broadcast_to(members[:, None], nb.shape)[keep]
+        for comp in range(2):
+            pert = vec.copy()
+            pert[2 * members + comp] += eps
+            dr = (solver._residual_vec(pert, g, h_interp, idx) - base) / eps
+            r = (2 * row_node[:, None] + np.arange(2)).ravel()
+            rows.append(r)
+            cols.append(np.repeat(2 * owner + comp, 2))
+            vals.append(dr[r])
+    n = vec.size
+    return scipy.sparse.csc_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n, n),
+    )
 
 
 @pytest.mark.parametrize("node", [(1, 1), (2, 2), (8, 8)])
 @pytest.mark.parametrize("comp", [0, 1])
 def test_residual_stencil_reach(node, comp):
-    # the Jacobian colouring is exact only if no unknown moves a residual
+    # the oracle's colouring is exact only if no unknown moves a residual
     # row further than _STENCIL_REACH nodes away
     g, h, idx, vec = _packed_problem(16)
     grid = g.grid
@@ -112,7 +165,7 @@ def test_residual_stencil_reach(node, comp):
     changed = (solver._residual_vec(pert, g, h, idx) != base).reshape(-1, 2).any(axis=1)
     jj, ii = np.unravel_index(idx[changed], (grid.ny, grid.nx))
     dist = np.maximum(np.abs(jj - node[0]), np.abs(ii - node[1]))
-    assert dist.max() == solver._STENCIL_REACH
+    assert dist.max() == _STENCIL_REACH
 
 
 def test_coloured_jacobian_equals_column_by_column():
@@ -124,9 +177,42 @@ def test_coloured_jacobian_equals_column_by_column():
         pert = vec.copy()
         pert[col] += eps
         ref[:, col] = (solver._residual_vec(pert, g, h, idx) - base) / eps
-    jac = solver._fd_jacobian(vec, g, h, idx, base, eps=eps)
+    jac = _fd_jacobian(vec, g, h, idx, base, eps=eps)
     assert scipy.sparse.issparse(jac)
     assert np.array_equal(jac.toarray(), ref)
+
+
+def _assembled_jacobian(g, h, idx, vec):
+    return solver._exact_jacobian(vec, g, h, idx, solver._jacobian_operators(g, idx))
+
+
+@pytest.mark.parametrize("n", [12, 32])
+@pytest.mark.parametrize("state_seed", [7, 8, 9])
+def test_exact_jacobian_agrees_with_central_differences_at_second_order(n, state_seed):
+    g, h, idx, vec = _packed_problem(n, state_seed)
+    jac = _assembled_jacobian(g, h, idx, vec)
+    assert jac.format == "csc"
+    rng = np.random.default_rng(state_seed)
+    for _ in range(2):
+        d = rng.standard_normal(vec.size)
+        exact = jac @ d
+        errs = []
+        for eps in (1e-4, 1e-5):
+            plus = solver._residual_vec(vec + eps * d, g, h, idx)
+            minus = solver._residual_vec(vec - eps * d, g, h, idx)
+            errs.append(np.max(np.abs((plus - minus) / (2 * eps) - exact)))
+        # central differences converge to the exact derivative at O(eps^2):
+        # a tenfold smaller eps must cut the error at least fiftyfold
+        assert errs[0] >= 50.0 * errs[1]
+        assert errs[0] <= 1e-3 * np.max(np.abs(exact))
+
+
+@pytest.mark.parametrize("n", [12, 32])
+def test_exact_jacobian_agrees_with_the_coloured_fd_oracle(n):
+    g, h, idx, vec = _packed_problem(n)
+    fd = _fd_jacobian(vec, g, h, idx, solver._residual_vec(vec, g, h, idx)).toarray()
+    exact = _assembled_jacobian(g, h, idx, vec).toarray()
+    assert np.max(np.abs(exact - fd)) <= 1e-4 * np.max(np.abs(fd))
 
 
 def test_recovery_error_decreases_under_refinement():
@@ -150,13 +236,14 @@ def test_bad_newton_system_raises_solver_error(monkeypatch, scale, match):
     def fake_jacobian(vec, *args, **kwargs):
         return scale * scipy.sparse.identity(vec.size, format="csc")
 
-    monkeypatch.setattr(solver, "_fd_jacobian", fake_jacobian)
+    monkeypatch.setattr(solver, "_exact_jacobian", fake_jacobian)
     with pytest.raises(SolverError, match=match):
         newton_solve(g, h, tol=1e-12)
 
 
-# Recovery errors at 32^2, tol=1e-9, of full Newton (a fresh Jacobian at each
-# of its three steps); chord steps must reproduce the same solution.
+# Recovery errors at 32^2, tol=1e-9, of full Newton on the finite-difference
+# Jacobian (a fresh one at each of its three steps); chord steps on one exact
+# Jacobian must reproduce the same solution.
 _FULL_NEWTON_RECOVERY_32 = {
     0: 6.821185062005908e-05,
     1: 7.305616456115827e-05,
@@ -170,7 +257,7 @@ _FULL_NEWTON_RECOVERY_32 = {
 def test_chord_steps_reuse_the_factor_and_keep_the_solution(seed):
     grid, g, diffeo, h = _manufactured(32, seed=seed)
     x, report = newton_solve(g, h, tol=1e-9)
-    assert report.jacobians < report.iterations
+    assert report.jacobians == 1 < report.iterations
     assert report.residuals[-1] <= 1e-9
     err = float(recovery_error(diffeo, grid, x))
     assert err == pytest.approx(_FULL_NEWTON_RECOVERY_32[seed], rel=1e-6)
