@@ -35,6 +35,6 @@ err = recovery_error(diffeo, grid, x)
 print(f"L-inf recovery error vs the manufactured displacement: {err:.3e}")
 
 print("\n10-step continuation from the trivial pair:")
-xc, rep_c = continuation_solve(g, g, g.matrix(), h, steps=10, tol=1e-8)
+xc, rep_c = continuation_solve(g, h, steps=10, tol=1e-8)
 print(f"  steps completed: {len(rep_c.steps)}, final residual {rep_c.residuals[-1]:.3e}")
 print(f"  gap between direct and continuation solutions: {np.max(np.abs(x - xc)):.3e}")

@@ -163,7 +163,7 @@ def cmd_solve(args, parser):
         if args.continuation_steps > 0:
             # march from the trivial pair (target = background, solution 0)
             x, report = solver.continuation_solve(
-                g, g, g.matrix(), h, steps=args.continuation_steps, tol=args.tol
+                g, h, steps=args.continuation_steps, tol=args.tol
             )
         else:
             x, report = solver.newton_solve(g, h, tol=args.tol)

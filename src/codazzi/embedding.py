@@ -103,7 +103,7 @@ class HyperboloidPatch:
     """
 
     grid: Grid
-    metric: ConformalMetric = field(default=None, repr=False)
+    metric: ConformalMetric = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.grid.periodic:
@@ -111,8 +111,7 @@ class HyperboloidPatch:
         corner = np.hypot(self.grid.lx / 2.0, self.grid.ly / 2.0)
         if corner >= 1.0:
             raise ValueError("chart leaves the unit disk")
-        if self.metric is None:
-            object.__setattr__(self, "metric", poincare_disk(self.grid))
+        object.__setattr__(self, "metric", poincare_disk(self.grid))
 
     @property
     def base_index(self):
@@ -135,17 +134,13 @@ class HyperboloidPatch:
         return _disk_immersion_dx(xx, yy), _disk_immersion_dy(xx, yy)
 
 
-def codazzi_generator(f, patch_or_metric):
+def codazzi_generator(f, patch: HyperboloidPatch):
     """The field f Id - Hess f, Codazzi for metrics of curvature -1.
 
-    ``f`` is a scalar field on the chart; the Hessian is the covariant one
-    of the hyperbolic background.
+    ``f`` is a scalar field on the patch's chart; the Hessian is the
+    covariant one of the patch's hyperbolic metric.
     """
-    g = (
-        patch_or_metric.metric
-        if isinstance(patch_or_metric, HyperboloidPatch)
-        else patch_or_metric
-    )
+    g = patch.metric
     f = g.grid.check_field(f)
     return f[..., None, None] * ID2 - hessian_endo(f, g)
 

@@ -119,12 +119,11 @@ def flow_derivative_fd(h, g: ConformalMetric, x):
     The pullback at parameter t uses fourth-order map-Jacobian stencils and
     the energy integral uses Simpson quadrature, matching the
     discretization order of :func:`gradient_pairing4`, with step 1e-4.
-    ``h`` may be a matrix field or a prebuilt interpolator.
+    ``h`` is the SPD target matrix field.
     """
     grid = g.grid
     x = grid.check_field(x, rank=1)
-    if not isinstance(h, FieldInterpolator):
-        h = FieldInterpolator(grid, grid.check_field(h, rank=2))
+    h = FieldInterpolator(grid, grid.check_field(h, rank=2))
     w = g.conformal_factor
 
     def energy_at(t):

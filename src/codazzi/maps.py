@@ -119,14 +119,12 @@ def pullback_metric(grid: Grid, h_interp, x, t=1.0, order=2):
     """Pull an SPD matrix field back through Phi(p) = p + t X(p).
 
     ``h_interp`` is a :class:`FieldInterpolator` of the (ny, nx, 2, 2) metric
-    matrix (or the matrix itself, interpolated on the fly).  ``order`` is
+    matrix.  ``order`` is
     the order of the map-Jacobian stencils: 2 for the solver, 4 for the
     finite-difference oracle :func:`codazzi.energy.flow_derivative_fd`.
     Returns the node field (D Phi)^T h(Phi) (D Phi); raises
     :class:`FoldOverError` unless Det(D Phi) > 0 at every node (a NaN fails).
     """
-    if not isinstance(h_interp, FieldInterpolator):
-        h_interp = FieldInterpolator(grid, grid.check_field(h_interp, rank=2))
     jac = map_jacobian(grid, x, t, order)
     if not np.all(det(jac) > 0.0):
         raise FoldOverError("displacement folds the chart over")

@@ -67,10 +67,10 @@ def bump(grid: Grid):
     return ((1.0 - u**2) * (1.0 - v**2)) ** 2
 
 
-def random_displacement(grid: Grid, rng, amp=0.02, **kw):
-    """Compactly supported smooth vector field on a Dirichlet chart."""
+def random_displacement(grid: Grid, rng, **kw):
+    """Compactly supported smooth vector field on a Dirichlet chart, amplitude 0.3."""
     x = trig_vector(grid, rng, **kw)
-    return amp * bump(grid)[..., None] * x
+    return 0.3 * bump(grid)[..., None] * x
 
 
 def harmonic_scalar(grid: Grid, rng, degmax=4, amp=1.0):
@@ -84,23 +84,23 @@ def harmonic_scalar(grid: Grid, rng, degmax=4, amp=1.0):
     return amp * out
 
 
-def holomorphic_values(grid: Grid, rng, degmax=3, amp=1.0):
-    """Values of a random polynomial Q(z); returns (Re Q, Im Q)."""
+def holomorphic_values(grid: Grid, rng, amp=1.0):
+    """Values of a random cubic polynomial Q(z); returns (Re Q, Im Q)."""
     xx, yy = grid.meshgrid()
     z = xx + 1j * yy
     q = np.zeros((grid.ny, grid.nx), dtype=complex)
-    for n in range(degmax + 1):
+    for n in range(4):
         q += (rng.uniform(-1.0, 1.0) + 1j * rng.uniform(-1.0, 1.0)) * z**n
     return amp * np.real(q), amp * np.imag(q)
 
 
-def tracefree_codazzi_flat(grid: Grid, rng, amp=1.0, degmax=4):
-    """Trace-free symmetric field Hess(u) for a seeded harmonic u.
+def tracefree_codazzi_flat(grid: Grid, rng):
+    """Trace-free symmetric field Hess(u) for a seeded harmonic u of degree 4, amplitude 0.5.
 
     On a flat chart this is exactly Codazzi in the continuum; the discrete
     residual is O(h^2).
     """
-    u = harmonic_scalar(grid, rng, degmax=degmax, amp=amp)
+    u = harmonic_scalar(grid, rng, degmax=4, amp=0.5)
     uxx = grid.ddx(grid.ddx(u))
     uyy = grid.ddy(grid.ddy(u))
     uxy = grid.ddy(grid.ddx(u))
@@ -120,7 +120,7 @@ def tracefree_codazzi_conformal(g, rng, amp=0.1):
     Q = u + i v is symmetric w.r.t. the metric, trace-free, and Codazzi in
     the continuum.
     """
-    u, v = holomorphic_values(g.grid, rng, degmax=3, amp=amp)
+    u, v = holomorphic_values(g.grid, rng, amp=amp)
     w = np.exp(-2.0 * g.phi)
     out = np.empty((g.grid.ny, g.grid.nx, 2, 2))
     out[..., 0, 0] = w * u

@@ -7,18 +7,26 @@ a critical point of the energy with respect to the background g (see
 Manufactured solutions (pullbacks of metrics with Codazzi A through known
 small diffeomorphisms) make the solver testable to tight tolerances.
 
+Every solve has one background g.  :func:`continuation_solve` moves only the
+target, h_t = (1 - t) g + t h, on that g (natural-parameter continuation,
+Allgower and Georg, "Introduction to Numerical Continuation Methods", SIAM
+2003).  The per-background state (the curvature check, the interior index
+and the sparse operators S, L and stab below, which depend on g alone) is
+built once per call of :func:`newton_solve` or :func:`continuation_solve`
+and shared by every continuation step; each step still builds and factors
+a Jacobian of its own.
+
 The Newton Jacobian is exact: :func:`_exact_jacobian` assembles the chain
 rule of :func:`solver_residual` as a sparse matrix, L K S + stab (Griewank
 and Walther, "Evaluating Derivatives", SIAM 2008).  S holds the map-Jacobian
 stencils, K the per-node derivatives of A through the spline's first
 derivatives and the closed-form derivative of the 2x2 SPD square root
 (:func:`~codazzi.jcalc.dspd_sqrt`), L the divergence and stab the
-checkerboard suppressor; S, L and stab are built once per solve.  The
-coloured finite-difference Jacobian of Curtis, Powell and Reid (1974) is
-kept in the tests as its independent oracle.  SuperLU (``splu``) factors
-the CSC matrix with a minimum-degree ordering of A^T + A in symmetric mode
-(diagonal pivots only, about a fifth of the fill of partial pivoting at
-128^2).  If that factor is refused as singular or gives a non-finite step,
+checkerboard suppressor.  The coloured finite-difference Jacobian of
+Curtis, Powell and Reid (1974) is kept in the tests as its independent
+oracle.  SuperLU (``splu``) factors the CSC matrix with a minimum-degree
+ordering of A^T + A in symmetric mode (diagonal pivots only, about a fifth
+of the fill of partial pivoting at 128^2).  If that factor is refused as singular or gives a non-finite step,
 the matrix is refactored with partial pivoting before the solve gives up.
 
 Newton builds and factors a Jacobian only at the first step, after a step
@@ -134,8 +142,7 @@ def solver_residual(x, g: ConformalMetric, h_interp):
 
 
 def _interior_index(grid: Grid):
-    mask = grid.interior(1)
-    return np.where(mask.ravel())[0], mask
+    return np.where(grid.interior(1).ravel())[0]
 
 
 def _pack(x, idx):
@@ -300,59 +307,42 @@ def _line_search(vec, step, rnorm, g, h, idx):
     return None
 
 
-def newton_solve(
-    g: ConformalMetric,
-    h,
-    x0=None,
-    tol=1e-8,
-    report=None,
-):
-    """Damped chord-Newton iteration for the corrected critical-point equation.
+def _background_state(g):
+    """The per-background state of a solve: ``(idx, ops)``.
 
-    ``h`` may be an SPD matrix field or a prebuilt :class:`FieldInterpolator`.
-    Returns ``(x, report)``; raises :class:`SolverError` if the residual
-    fails to reach ``tol`` in :data:`_MAX_ITER` accepted steps, or if a freshly
-    factored Jacobian gives no admissible step.
+    Refuses a periodic chart and a background that is not negatively
+    curved, then builds the interior index and the sparse factors of
+    :func:`_jacobian_operators`.  Each public entry point builds it once.
     """
-    grid = g.grid
-    if grid.periodic:
+    if g.grid.periodic:
         raise ValueError("the solver needs a Dirichlet chart")
     _require_negative_curvature(g)
-    if not isinstance(h, FieldInterpolator):
-        h = FieldInterpolator(grid, grid.check_field(h, rank=2))
-    idx, _ = _interior_index(grid)
-    vec = (
-        np.zeros(2 * idx.size)
-        if x0 is None
-        else _pack(grid.check_field(x0, rank=1), idx)
-    )
-    if report is None:
-        report = SolveReport()
+    idx = _interior_index(g.grid)
+    return idx, _jacobian_operators(g, idx)
 
-    def _finish(v):
-        x = _unpack(v, grid, idx)
-        hp = pullback_metric(grid, h, x)
-        report.codazzi_residual = codazzi_residual(field_A(hp, g), g)
-        return x, report
 
-    r = _residual_vec(vec, g, h, idx)
+def _newton(vec, g, h_interp, idx, ops, tol, report):
+    """Damped chord-Newton iteration from the packed start ``vec``.
+
+    Returns the packed solution and records each step in ``report``.
+    """
+    r = _residual_vec(vec, g, h_interp, idx)
     rnorm = float(np.max(np.abs(r)))
     report.residuals.append(rnorm)
-    ops = _jacobian_operators(g, idx)
     lu = None
     for _ in range(_MAX_ITER):
         if rnorm <= tol:
-            return _finish(vec)
+            return vec
         found = None
         if lu is not None:  # chord step on the factor of an earlier iterate
             step = lu.solve(-r)
             if np.all(np.isfinite(step)):
-                found = _line_search(vec, step, rnorm, g, h, idx)
+                found = _line_search(vec, step, rnorm, g, h_interp, idx)
         if found is None:  # no factor yet, or the stale one failed
-            jac = _exact_jacobian(vec, g, h, idx, ops)
+            jac = _exact_jacobian(vec, g, h_interp, idx, ops)
             report.jacobians += 1
             lu, step = _factor_step(jac, r)
-            found = _line_search(vec, step, rnorm, g, h, idx)
+            found = _line_search(vec, step, rnorm, g, h_interp, idx)
             if found is None:
                 raise SolverError("line search failed to reduce the residual")
         lam, r_new = found
@@ -364,50 +354,63 @@ def newton_solve(
         report.iterations += 1
         report.residuals.append(rnorm)
     if rnorm <= tol:
-        return _finish(vec)
+        return vec
     raise SolverError(f"Newton stalled at residual {rnorm:.3e}")
 
 
-def _blend_metric(g0, g1, t):
-    return ConformalMetric(g0.grid, (1.0 - t) * g0.phi + t * g1.phi)
+def _finish(vec, g, h_interp, idx, report):
+    """The solution field of the packed ``vec``, and ``report`` with its Codazzi residual."""
+    x = _unpack(vec, g.grid, idx)
+    hp = pullback_metric(g.grid, h_interp, x)
+    report.codazzi_residual = codazzi_residual(field_A(hp, g), g)
+    return x, report
 
 
-def continuation_solve(
-    g0: ConformalMetric,
-    g1: ConformalMetric,
-    h0,
-    h1,
-    steps=10,
-    tol=1e-8,
-):
-    """March the solution of the corrected equation from (g0, h0) to (g1, h1).
+def newton_solve(g: ConformalMetric, h, tol=1e-8):
+    """Damped chord-Newton iteration for the corrected critical-point equation.
 
-    Backgrounds interpolate linearly in phi, targets linearly in the matrix
-    (convexity keeps them SPD).  Failed Newton steps halve the continuation
-    step; the march aborts when the step underflows :data:`_MIN_STEP`.
-    The curvature -e^{-2 phi} Laplace(phi) of a blend is negative wherever
-    both ends' is, so a :class:`CurvatureSignError` from Newton comes from
-    an end metric; halving cannot help, and it is raised at once.
+    ``h`` is the SPD target matrix field; the iteration starts from the zero
+    displacement.  Returns ``(x, report)``; raises :class:`SolverError` if
+    the residual fails to reach ``tol`` in :data:`_MAX_ITER` accepted steps,
+    or if a freshly factored Jacobian gives no admissible step.
     """
-    grid = g0.grid
-    h0 = grid.check_field(h0, rank=2)
-    h1 = grid.check_field(h1, rank=2)
+    idx, ops = _background_state(g)
+    h_interp = FieldInterpolator(g.grid, g.grid.check_field(h, rank=2))
     report = SolveReport()
-    x = None
+    vec = _newton(np.zeros(2 * idx.size), g, h_interp, idx, ops, tol, report)
+    return _finish(vec, g, h_interp, idx, report)
+
+
+def continuation_solve(g: ConformalMetric, h, steps=10, tol=1e-8):
+    """March the solution from the trivial target g.matrix() to ``h`` on the background g.
+
+    The target moves linearly in the matrix, h_t = (1 - t) g + t h
+    (convexity keeps it SPD), and each step starts Newton from the last
+    accepted solution.  The per-background state is built once and shared
+    by every step.  A failed Newton step halves the continuation step; the
+    march aborts when the step underflows :data:`_MIN_STEP`.
+    """
+    grid = g.grid
+    h = grid.check_field(h, rank=2)
+    idx, ops = _background_state(g)
+    g_mat = g.matrix()
+    report = SolveReport()
+    vec = np.zeros(2 * idx.size)
     t = 0.0
     dt = 1.0 / steps
-    while t < 1.0 - 1e-12:
-        t_next = min(1.0, t + dt)
-        g_t = _blend_metric(g0, g1, t_next)
-        h_t = (1.0 - t_next) * h0 + t_next * h1
+    while t < 1.0:
+        # ten steps of 0.1 sum to 1 - 1.1e-16; the last step lands on 1 itself
+        t_next = 1.0 if t + dt > 1.0 - 1e-12 else t + dt
+        h_t = FieldInterpolator(grid, (1.0 - t_next) * g_mat + t_next * h)
         try:
-            x_new, report = newton_solve(g_t, h_t, x0=x, tol=tol, report=report)
+            vec_new = _newton(vec, g, h_t, idx, ops, tol, report)
         except (SolverError, FoldOverError):
             dt *= 0.5
             if dt < _MIN_STEP:
                 raise SolverError("continuation step underflow") from None
             continue
-        x = x_new
+        vec = vec_new
         t = t_next
         report.steps.append(t)
-    return x, report
+    # the march ends on an accepted step, so h_t is the target h itself
+    return _finish(vec, g, h_t, idx, report)

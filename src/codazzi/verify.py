@@ -245,7 +245,7 @@ def suite_fields(seed=0):
     def flat_codazzi(n):
         grid = Grid(n, n, 1.6, 1.6, "dirichlet")
         flat = ConformalMetric.flat(grid)
-        af = tracefree_codazzi_flat(grid, rng_for(seed + 404), amp=0.5, degmax=4)
+        af = tracefree_codazzi_flat(grid, rng_for(seed + 404))
         r = dnabla_endo(af, flat)
         return float(np.max(np.abs(r[grid.interior(3)])))
 
@@ -311,7 +311,7 @@ def suite_energy(seed=0):
     )
 
     # FD second derivative at the critical point h = c^2 g vs the form.
-    x = random_displacement(grid, rng_for(seed + 31), amp=0.3, kmax=1)
+    x = random_displacement(grid, rng_for(seed + 31), kmax=1)
     hi = FieldInterpolator(grid, h_conf)
     eps = 1e-3
 
@@ -323,7 +323,7 @@ def suite_energy(seed=0):
     checks.append(_equal("second_variation_fd_relative", abs(fd2 - sv) / abs(sv), 0.0, 1e-2))
     sv_min = min(
         second_variation(
-            h_conf, g, random_displacement(grid, rng_for(seed + 41 + k), amp=0.3, kmax=2)
+            h_conf, g, random_displacement(grid, rng_for(seed + 41 + k), kmax=2)
         )
         for k in range(3)
     )

@@ -13,16 +13,16 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import codazzi
 from codazzi import fileio, solver, verify
-from codazzi.energy import curvature_identity_residual, second_variation, trace_energy
+from codazzi.energy import second_variation
 from codazzi.grid import Grid, poincare_disk
 from codazzi.jcalc import ID2
 from codazzi.manufactured import ManufacturedDiffeo, pullback_of_scaled_poincare, recovery_error
-from codazzi.maps import FieldInterpolator, pullback_metric
-from codazzi.operators import brioschi_curvature, curvature
-from codazzi.randfields import random_displacement, rng_for, tracefree_codazzi_conformal
+from codazzi.operators import curvature
+from codazzi.randfields import random_displacement, rng_for
 
 
 def _disk(n, l=0.8):
@@ -68,33 +68,33 @@ def test_criterion_02_frame_identity_refinement():
                    f"{min(ratios):.2f}, {elapsed:.2f}s")
 
 
-def test_criterion_03_energy_gradient():
+@pytest.fixture(scope="module")
+def energy_suite():
+    """One ``verify.suite_energy(seed=0)`` run, as records by name, and its wall time."""
     t0 = time.perf_counter()
     checks = _checks(verify.suite_energy(seed=0))
+    return checks, time.perf_counter() - t0
+
+
+def test_criterion_03_energy_gradient(energy_suite):
+    checks, elapsed = energy_suite
     worst = checks["gradient_fd_relative"]["lhs"]
     zero = checks["gradient_zero_at_conformal"]["lhs"]
-    elapsed = time.perf_counter() - t0
     ok = worst <= 1e-3 and zero <= 1e-10 and elapsed < 30.0
     _report(3, ok, f"gradient FD vs weak pairing: worst rel {worst:.2e} over "
                    f"5 seeds, conformal zero {zero:.2e}, {elapsed:.2f}s")
 
 
-def test_criterion_04_second_variation():
+def test_criterion_04_second_variation(energy_suite):
+    # the FD second derivative is verify's; verify tests positivity along
+    # only 3 directions, this criterion along 20
+    checks, _ = energy_suite
+    rel = checks["second_variation_fd_relative"]["lhs"]
     g = _disk(64)
     assert np.max(curvature(g)) < 0.0
     h = 2.25 * g.matrix()
-    x = random_displacement(g.grid, rng_for(31), amp=0.3, kmax=1)
-    hi = FieldInterpolator(g.grid, h)
-    eps = 1e-3
-
-    def e_at(t):
-        return trace_energy(pullback_metric(g.grid, hi, x, t=t), g)
-
-    fd2 = (e_at(eps) - 2.0 * e_at(0.0) + e_at(-eps)) / eps**2
-    sv = second_variation(h, g, x)
-    rel = abs(fd2 - sv) / abs(sv)
     values = [
-        second_variation(h, g, random_displacement(g.grid, rng_for(41 + k), amp=0.3, kmax=2))
+        second_variation(h, g, random_displacement(g.grid, rng_for(41 + k), kmax=2))
         for k in range(20)
     ]
     ok = rel <= 1e-2 and min(values) > 0.0
@@ -102,29 +102,23 @@ def test_criterion_04_second_variation():
                    f"directions {min(values):.3e} (all > 0)")
 
 
-def test_criterion_05_curvature_identity():
-    def resid(n):
-        g = _disk(n)
-        a = np.broadcast_to(1.4 * ID2, (n, n, 2, 2)).copy()
-        a = a + tracefree_codazzi_conformal(g, rng_for(51), amp=0.25)
-        return curvature_identity_residual(a, g, margin=max(3, n // 8))
-
-    order = float(np.log2(resid(32) / resid(64)))
-    grid = Grid(64, 64, 2.0, 2.0, "dirichlet")
-    dif = ManufacturedDiffeo.seeded(grid, 11, amp=0.01)
-    xx, yy = grid.meshgrid()
-    jac = dif.jacobian(xx, yy)
-    kflat = brioschi_curvature(grid, np.swapaxes(jac, -1, -2) @ jac)
-    flat_resid = float(np.max(np.abs(kflat[grid.interior(3)])))
-    ok = order >= 1.8 and flat_resid <= 1e-3
+def test_criterion_05_curvature_identity(energy_suite):
+    # curvature_identity passes at a 32^2 -> 64^2 residual ratio of 3.5,
+    # order log2(3.5) = 1.81; flat_pullback_curvature at 1e-3
+    checks, _ = energy_suite
+    ident = checks["curvature_identity"]
+    flat = checks["flat_pullback_curvature"]
+    # a pair at the round-off floor passes with no order; it must not pass here
+    order = float("nan") if ident["order"] is None else ident["order"]
+    ok = ident["pass"] and order >= 1.8 and flat["pass"]
     _report(5, ok, f"curvature identity order {order:.2f}, flat-pullback "
-                   f"kappa[h] residual {flat_resid:.2e}")
+                   f"kappa[h] residual {flat['lhs']:.2e}")
 
 
-def test_criterion_06_modified_inequality():
+def test_criterion_06_modified_inequality(energy_suite):
     # the check's value is the smallest lhs - rhs + slack over the 50 seeds,
     # with slack 1e-8 + 1e-2 |rhs|; a seed fails when its term is negative
-    checks = _checks(verify.suite_energy(seed=0))
+    checks, _ = energy_suite
     worst_margin = checks["modified_inequality_50_seeds"]["lhs"]
     ok = worst_margin >= 0.0
     _report(6, ok, f"modified inequality on 50 seeds: "
@@ -141,7 +135,7 @@ def test_criterion_07_one_harmonic_recovery():
     rec = float(recovery_error(diffeo, grid, x))
     contraction = rep.residuals[-1] / rep.residuals[-2]
     try:
-        solver.continuation_solve(g, g, g.matrix(), h, steps=10, tol=1e-8)
+        solver.continuation_solve(g, h, steps=10, tol=1e-8)
         continuation_ok = True
     except solver.SolverError:
         continuation_ok = False

@@ -128,7 +128,7 @@ def test_frame_identity_crosscheck_converges():
 def test_dnabla_vanishes_on_flat_codazzi_generators():
     grid = Grid(48, 48, 1.6, 1.6, "dirichlet")
     flat = ConformalMetric.flat(grid)
-    a = tracefree_codazzi_flat(grid, rng_for(9), amp=0.5, degmax=4)
+    a = tracefree_codazzi_flat(grid, rng_for(9))
     r = dnabla_endo(a, flat)
     # polynomial generators: the stencil is exact, residual at round-off
     assert np.max(np.abs(r[grid.interior(3)])) < 1e-10

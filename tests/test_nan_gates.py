@@ -6,7 +6,7 @@ import pytest
 from codazzi import embedding, symspace, teich
 from codazzi.grid import Grid, poincare_disk
 from codazzi.jcalc import ID2, metric_action, spd_sqrt
-from codazzi.maps import FoldOverError, pullback_metric
+from codazzi.maps import FieldInterpolator, FoldOverError, pullback_metric
 from codazzi.randfields import rng_for, tracefree_codazzi_conformal
 
 NAN_SPD = np.array([[np.nan, 0.0], [0.0, 1.0]])
@@ -22,7 +22,7 @@ def _pullback_of_nan_displacement():
     grid = Grid(16, 16, 0.8, 0.8, "dirichlet")
     x = np.zeros((16, 16, 2))
     x[8, 8, 0] = np.nan
-    return pullback_metric(grid, poincare_disk(grid).matrix(), x)
+    return pullback_metric(grid, FieldInterpolator(grid, poincare_disk(grid).matrix()), x)
 
 
 @pytest.mark.parametrize(

@@ -80,8 +80,26 @@ def test_continuation_raises_curvature_sign_error_without_halving(monkeypatch):
     calls = []
     monkeypatch.setattr(solver, "curvature", lambda g: calls.append(g) or np.zeros(g.phi.shape))
     with pytest.raises(CurvatureSignError):
-        solver.continuation_solve(flat, flat, flat.matrix(), 2.0 * flat.matrix(), steps=4)
+        solver.continuation_solve(flat, 2.0 * flat.matrix(), steps=4)
     assert len(calls) == 1
+
+
+def test_continuation_ends_at_the_direct_solution(monkeypatch):
+    _, g, _, h = _manufactured(32, seed=0)
+    x, _ = newton_solve(g, h, tol=1e-9)
+    real_operators = solver._jacobian_operators
+    builds = []
+
+    def operators(*args):
+        builds.append(args)
+        return real_operators(*args)
+
+    monkeypatch.setattr(solver, "_jacobian_operators", operators)
+    xc, report = solver.continuation_solve(g, h, steps=10, tol=1e-8)
+    assert report.steps[-1] == 1.0
+    assert np.max(np.abs(xc - x)) <= 1e-8
+    # one background: its operators are built once for all ten steps
+    assert len(report.steps) == 10 and len(builds) == 1
 
 
 def test_trivial_pair_has_zero_solution():
@@ -93,7 +111,7 @@ def test_trivial_pair_has_zero_solution():
 
 def _packed_problem(n, state_seed=7):
     grid, g, _, h = _manufactured(n)
-    idx, _ = solver._interior_index(grid)
+    idx = solver._interior_index(grid)
     vec = np.random.default_rng(state_seed).uniform(-1e-3, 1e-3, 2 * idx.size)
     return g, FieldInterpolator(grid, h), idx, vec
 
