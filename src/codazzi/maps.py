@@ -5,13 +5,14 @@ metric back through Phi needs off-node metric values; those come from a
 cubic-spline interpolant of the node data (bilinear interpolation is not
 smooth enough at the nodes themselves, and would wreck finite-difference
 derivative checks of anything built on the pullback).  The interpolant
-is fitted per component and evaluated for all components at once, as one
-tensor-product B-spline with trailing coefficient axes.  It, and so the
+is fitted for all components at once, one axis at a time, and evaluated
+for all components at once, as one tensor-product B-spline with trailing
+coefficient axes.  It, and so the
 pullback, exists on Dirichlet charts only.
 """
 
 import numpy as np
-from scipy.interpolate import NdBSpline, RectBivariateSpline
+from scipy.interpolate import NdBSpline, make_interp_spline
 
 from .grid import Grid
 from .jcalc import det
@@ -26,11 +27,12 @@ class FoldOverError(RuntimeError):
 class FieldInterpolator:
     """Cubic-spline interpolant of a node field with arbitrary trailing axes.
 
-    Each component is fitted once, by a not-a-knot interpolating
-    ``RectBivariateSpline``; the fitted coefficients of all components are
-    stacked into one tensor-product ``NdBSpline``.  An evaluation is then a
-    single call that builds the B-spline basis at each point once and applies
-    it to every component.  The grid must be a Dirichlet chart.
+    The tensor-product interpolant is fitted by two batched not-a-knot
+    ``make_interp_spline`` solves, along x and then along y, each for every
+    component at once; the coefficients form one tensor-product
+    ``NdBSpline``.  An evaluation is then a single call that builds the
+    B-spline basis at each point once and applies it to every component.
+    The grid must be a Dirichlet chart.
     """
 
     def __init__(self, grid: Grid, values):
@@ -40,21 +42,18 @@ class FieldInterpolator:
         if values.shape[:2] != (grid.ny, grid.nx):
             raise ValueError("field shape does not match grid")
         self.grid = grid
-        comp_shape = values.shape[2:]
-        flat = values.reshape(grid.ny, grid.nx, -1)
         # not-a-knot boundary conditions keep the accuracy uniform up to the
         # chart edge, unlike reflective padding; the knots depend on the grid
-        # only, so every component shares them
-        coefs = []
-        for c in range(flat.shape[-1]):
-            ty, tx, coef = RectBivariateSpline(
-                grid.y, grid.x, flat[..., c], kx=_SPLINE_ORDER, ky=_SPLINE_ORDER, s=0
-            ).tck
-            coefs.append(coef)
-        coef = np.stack(coefs, axis=-1).reshape(
-            (len(ty) - _SPLINE_ORDER - 1, len(tx) - _SPLINE_ORDER - 1) + comp_shape
+        # only, so every component shares them.  A NaN is carried into the
+        # coefficients, as fitpack does, for the callers' gates to refuse.
+        along_x = make_interp_spline(
+            grid.x, values, k=_SPLINE_ORDER, axis=1, check_finite=False
         )
-        self._spline = NdBSpline((ty, tx), coef, _SPLINE_ORDER)
+        # a BSpline's coefficients put the fitted axis first: (x, y, ...)
+        along_y = make_interp_spline(
+            grid.y, along_x.c, k=_SPLINE_ORDER, axis=1, check_finite=False
+        )
+        self._spline = NdBSpline((along_y.t, along_x.t), along_y.c, _SPLINE_ORDER)
         # fitpack clamps points outside the knot span, NdBSpline extrapolates;
         # clipping to the chart keeps the clamping for points inside the pad
         self._lo = np.array([grid.x[0], grid.y[0]])
