@@ -5,10 +5,9 @@ metric back through Phi needs off-node metric values; those come from a
 cubic-spline interpolant of the node data (bilinear interpolation is not
 smooth enough at the nodes themselves, and would wreck finite-difference
 derivative checks of anything built on the pullback).  The interpolant
-is fitted for all components at once, one axis at a time, and evaluated
-for all components at once, as one tensor-product B-spline with trailing
-coefficient axes.  It, and so the
-pullback, exists on Dirichlet charts only.
+is fitted one axis at a time and evaluated as one tensor-product B-spline
+with trailing coefficient axes, for all components at once.  It, and so
+the pullback, exists on Dirichlet charts only.
 """
 
 import numpy as np
@@ -118,9 +117,9 @@ def pullback_metric(grid: Grid, h_interp, x, t=1.0, order=2):
     """Pull an SPD matrix field back through Phi(p) = p + t X(p).
 
     ``h_interp`` is a :class:`FieldInterpolator` of the (ny, nx, 2, 2) metric
-    matrix.  ``order`` is
-    the order of the map-Jacobian stencils: 2 for the solver, 4 for the
-    finite-difference oracle :func:`codazzi.energy.flow_derivative_fd`.
+    matrix.  ``order`` is the order of the map-Jacobian stencils: 2 for the
+    solver, 4 for the finite-difference oracle
+    :func:`codazzi.energy.flow_derivative_fd`.
     Returns the node field (D Phi)^T h(Phi) (D Phi); raises
     :class:`FoldOverError` unless Det(D Phi) > 0 at every node (a NaN fails).
     """

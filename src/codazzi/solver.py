@@ -7,14 +7,11 @@ a critical point of the energy with respect to the background g (see
 Manufactured solutions (pullbacks of metrics with Codazzi A through known
 small diffeomorphisms) make the solver testable to tight tolerances.
 
-Every solve has one background g.  :func:`continuation_solve` moves only the
-target, h_t = (1 - t) g + t h, on that g (natural-parameter continuation,
-Allgower and Georg, "Introduction to Numerical Continuation Methods", SIAM
-2003).  The per-background state (the curvature check, the interior index
-and the sparse operators S, L and stab below, which depend on g alone) is
-built once per call of :func:`newton_solve` or :func:`continuation_solve`
-and shared by every continuation step; each step still builds and factors
-a Jacobian of its own.
+Every solve has one background g; :func:`continuation_solve` moves only the
+target, h_t = (1 - t) g + t h (natural-parameter continuation, Allgower and
+Georg, SIAM 2003).  The curvature check, the interior index and the
+operators S, L and stab below depend on g alone, so each public call builds
+them once and all its continuation steps share them.
 
 The Newton Jacobian is exact: :func:`_exact_jacobian` assembles the chain
 rule of :func:`solver_residual` as a sparse matrix, L K S + stab (Griewank
@@ -26,8 +23,9 @@ checkerboard suppressor.  The coloured finite-difference Jacobian of
 Curtis, Powell and Reid (1974) is kept in the tests as its independent
 oracle.  SuperLU (``splu``) factors the CSC matrix with a minimum-degree
 ordering of A^T + A in symmetric mode (diagonal pivots only, about a fifth
-of the fill of partial pivoting at 128^2).  If that factor is refused as singular or gives a non-finite step,
-the matrix is refactored with partial pivoting before the solve gives up.
+of the fill of partial pivoting at 128^2).  If that factor is refused as
+singular or gives a non-finite step, the matrix is refactored with partial
+pivoting before the solve gives up.
 
 Newton builds and factors a Jacobian only at the first step, after a step
 that needed a line-search halving, and after a step whose residual
@@ -308,12 +306,7 @@ def _line_search(vec, step, rnorm, g, h, idx):
 
 
 def _background_state(g):
-    """The per-background state of a solve: ``(idx, ops)``.
-
-    Refuses a periodic chart and a background that is not negatively
-    curved, then builds the interior index and the sparse factors of
-    :func:`_jacobian_operators`.  Each public entry point builds it once.
-    """
+    """``(idx, ops)`` of the background g, which must be a negatively curved Dirichlet chart."""
     if g.grid.periodic:
         raise ValueError("the solver needs a Dirichlet chart")
     _require_negative_curvature(g)
@@ -386,9 +379,10 @@ def continuation_solve(g: ConformalMetric, h, steps=10, tol=1e-8):
 
     The target moves linearly in the matrix, h_t = (1 - t) g + t h
     (convexity keeps it SPD), and each step starts Newton from the last
-    accepted solution.  The per-background state is built once and shared
-    by every step.  A failed Newton step halves the continuation step; the
-    march aborts when the step underflows :data:`_MIN_STEP`.
+    accepted solution on the same background state, so a background that is
+    not negatively curved raises :class:`CurvatureSignError` before the
+    march.  A failed Newton step halves the continuation step; the march
+    aborts when the step underflows :data:`_MIN_STEP`.
     """
     grid = g.grid
     h = grid.check_field(h, rank=2)
@@ -403,13 +397,12 @@ def continuation_solve(g: ConformalMetric, h, steps=10, tol=1e-8):
         t_next = 1.0 if t + dt > 1.0 - 1e-12 else t + dt
         h_t = FieldInterpolator(grid, (1.0 - t_next) * g_mat + t_next * h)
         try:
-            vec_new = _newton(vec, g, h_t, idx, ops, tol, report)
+            vec = _newton(vec, g, h_t, idx, ops, tol, report)
         except (SolverError, FoldOverError):
             dt *= 0.5
             if dt < _MIN_STEP:
                 raise SolverError("continuation step underflow") from None
             continue
-        vec = vec_new
         t = t_next
         report.steps.append(t)
     # the march ends on an accepted step, so h_t is the target h itself
