@@ -14,14 +14,18 @@ abbreviation of a flag, is a usage error:
 
 Exit-status contract: 0 when every requested check passes, 1 when a check
 or a mathematical precondition fails (wrong curvature sign, non-Codazzi
-input, failed suite), 2 for usage and I/O errors (unknown flags, missing or
-malformed files).  All outputs are written through deterministic
+input, failed suite, an ``embed`` file whose ``phi`` is not the Poincare
+sub-disk metric of its grid), 2 for usage and I/O errors (unknown flags,
+missing or malformed files, a ``solve --h`` file on another grid than the
+background's).  All outputs are written through deterministic
 serializers, so two runs with the same configuration produce byte-identical
 artifacts.
 """
 
 import argparse
 import sys
+
+import numpy as np
 
 from . import embedding, fileio, solver, verify
 from .energy import codazzi_residual
@@ -155,8 +159,11 @@ def cmd_solve(args, parser):
         if "h" not in doc:
             print(f"error: {args.h}: missing required key 'h'", file=sys.stderr)
             return 2
-        if doc["grid"].nx != g.grid.nx or doc["grid"].ny != g.grid.ny:
-            print("error: --h grid does not match the background grid", file=sys.stderr)
+        if doc["grid"] != g.grid:
+            print(
+                f"error: {args.h}: grid {doc['grid']} does not match the background grid {g.grid}",
+                file=sys.stderr,
+            )
             return 2
         h = doc["h"]
     try:
@@ -197,6 +204,18 @@ def cmd_embed(args, parser):
         print(f"error: {args.endo}: refusing 'endo': {exc}", file=sys.stderr)
         return 1
     patch = embedding.HyperboloidPatch(grid)
+    # the field is integrated on the chart's Poincare metric, so the file's
+    # phi must be that metric's
+    disk = patch.metric.phi
+    off = np.argwhere(np.abs(doc["g"].phi - disk) > 1e-12 * (1.0 + np.abs(disk)))
+    if off.size:
+        j, i = off[0]
+        print(
+            f"error: {args.endo}: key 'phi' is not the Poincare sub-disk metric of its grid "
+            f"at node (j, i) = ({j}, {i})",
+            file=sys.stderr,
+        )
+        return 1
     resid = codazzi_residual(a, patch.metric)
     if not (resid <= args.tol):
         print(

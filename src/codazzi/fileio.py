@@ -76,7 +76,7 @@ def load_field(path):
     with open(path) as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ValueError(f"{path}: not valid JSON ({exc})") from None
     try:
         gd = doc["grid"]
@@ -90,11 +90,13 @@ def load_field(path):
     nnode = grid.nx * grid.ny
 
     def _payload(key, ncomp):
-        raw = np.asarray(doc[key], dtype=float)
+        what = f"{path}: key '{key}' must hold {nnode} nodes of {ncomp} reals"
+        try:
+            raw = np.asarray(doc[key], dtype=float)
+        except (TypeError, ValueError):  # ragged rows, strings, objects
+            raise ValueError(what) from None
         if raw.shape != (nnode, ncomp) and not (ncomp == 1 and raw.shape == (nnode,)):
-            raise ValueError(
-                f"{path}: key '{key}' must hold {nnode} nodes of {ncomp} reals"
-            )
+            raise ValueError(what)
         return raw
 
     try:

@@ -19,13 +19,18 @@ and Walther, "Evaluating Derivatives", SIAM 2008).  S holds the map-Jacobian
 stencils, K the per-node derivatives of A through the spline's first
 derivatives and the closed-form derivative of the 2x2 SPD square root
 (:func:`~codazzi.jcalc.dspd_sqrt`), L the divergence and stab the
-checkerboard suppressor.  The coloured finite-difference Jacobian of
-Curtis, Powell and Reid (1974) is kept in the tests as its independent
-oracle.  SuperLU (``splu``) factors the CSC matrix with a minimum-degree
-ordering of A^T + A in symmetric mode (diagonal pivots only, about a fifth
-of the fill of partial pivoting at 128^2).  If that factor is refused as
-singular or gives a non-finite step, the matrix is refactored with partial
-pivoting before the solve gives up.
+checkerboard suppressor.  S, L and stab are written straight into CSR
+arrays from index arrays (the 1-D stencil rows, the node numbering and the
+node weights), one constructor call each, instead of being composed from
+Kronecker products and sparse sums (Davis, "Direct Methods for Sparse
+Linear Systems", SIAM 2006, ch. 2); the Kronecker form stays in the tests
+as their oracle.  The coloured finite-difference Jacobian of Curtis,
+Powell and Reid (1974) is kept in the tests as the independent oracle of
+the assembled Jacobian.  SuperLU (``splu``) factors the CSC matrix with a
+minimum-degree ordering of A^T + A in symmetric mode (diagonal pivots only,
+about a fifth of the fill of partial pivoting at 128^2).  If that factor is
+refused as singular or gives a non-finite step, the matrix is refactored
+with partial pivoting before the solve gives up.
 
 Newton builds and factors a Jacobian only at the first step, after a step
 that needed a line-search halving, and after a step whose residual
@@ -159,16 +164,6 @@ def _residual_vec(vec, g, h_interp, idx):
     return _pack(r, idx)
 
 
-def _edge2_stencil(n, step):
-    """The order-2 stencil of :meth:`Grid.ddx`/:meth:`Grid.ddy` on ``n`` nodes, sparse.
-
-    Central differences inside, the second-order one-sided stencil on the
-    two end nodes: ``np.gradient`` with ``edge_order=2``, applied to the
-    unit vectors.
-    """
-    return scipy.sparse.csr_matrix(np.gradient(np.eye(n), step, axis=0, edge_order=2))
-
-
 def _block_diag(blocks):
     """Sparse block-diagonal matrix of a stack of equal-shape blocks."""
     n = len(blocks)
@@ -186,48 +181,105 @@ _R_PX = _R_DX + [[-1.0, 0.0, 0.0, 0.0], [0.0, 0.0, -1.0, 0.0]]
 _R_PY = _R_DY + [[0.0, -1.0, 0.0, 0.0], [0.0, 0.0, 0.0, -1.0]]
 
 
+def _edge2_taps(n, step):
+    """The order-2 stencil of :meth:`Grid.ddx`/:meth:`Grid.ddy` on ``n`` nodes, by rows.
+
+    Returns ``(cols, vals)``, each of shape ``(n, 3)``: the nodes that each
+    row reads, in ascending order, and their weights, zero in an unused
+    slot.  The weights are ``np.gradient``'s with ``edge_order=2``: central
+    differences inside, the second-order one-sided stencils on the two end
+    nodes.
+    """
+    cols = np.arange(n)[:, None] + np.array([-1, 1, 1])
+    vals = np.zeros((n, 3))
+    vals[:, 0] = -1.0 / (2.0 * step)
+    vals[:, 1] = 1.0 / (2.0 * step)
+    cols[0], vals[0] = (0, 1, 2), (-1.5 / step, 2.0 / step, -0.5 / step)
+    cols[-1], vals[-1] = (n - 3, n - 2, n - 1), (0.5 / step, -2.0 / step, 1.5 / step)
+    return cols, vals
+
+
+def _csr(cols, vals, shape):
+    """CSR matrix of ``shape`` whose row k holds ``vals`` at ``cols``, both reshaped to rows.
+
+    Each row lists its columns in ascending order.  Zero values are left
+    out, as scipy's sparse sums and products leave them out.
+    """
+    width = vals.size // shape[0]
+    pos = np.flatnonzero(vals.ravel() != 0.0)
+    data, indices = vals.ravel().take(pos), cols.ravel().take(pos)
+    pos //= width  # the row of each entry kept
+    indptr = np.zeros(shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(pos, minlength=shape[0]), out=indptr[1:])
+    return scipy.sparse.csr_matrix((data, indices, indptr), shape=shape)
+
+
 def _jacobian_operators(g, idx):
     """The state-independent sparse factors of :func:`_exact_jacobian`.
 
-    Returns ``(S, L, stab)``.  The unknowns and the residual are packed 2 per
-    interior node, A (row-major) 4 per grid node:
+    Returns ``(S, L, stab)`` as CSR matrices, each written in one call from
+    index arrays.  The unknowns and the residual are packed 2 per interior
+    node, A (row-major) 4 per grid node:
 
     * ``S`` maps the unknowns to 6 values per grid node: D = d_j x^k (entry
       2k + j), by the order-2 stencils of :func:`~codazzi.maps.map_jacobian`
       including the one-sided rows of the boundary ring, which interior
       unknowns feed; then the node's own x^0 and x^1;
-    * ``L`` maps A to the residual's energy gradient -J div(A J);
-    * ``stab`` is the residual's stabiliser, -dx dy :func:`_lap5`.
+    * ``L`` maps A to the residual's energy gradient -J div(A J); its rows
+      read A at the node and its four neighbours;
+    * ``stab`` is the residual's stabiliser, -dx dy :func:`_lap5`, the
+      5-point Laplacian on the unknowns with zero Dirichlet values.
+
+    Their stored values are those of the Kronecker-product form (kept in the
+    tests as the oracle of this one), entry for entry.
     """
     grid = g.grid
     ny, nx = grid.ny, grid.nx
-    eye = scipy.sparse.identity
-    sx = scipy.sparse.kron(eye(ny), _edge2_stencil(nx, grid.dx), "csr")
-    sy = scipy.sparse.kron(_edge2_stencil(ny, grid.dy), eye(nx), "csr")
-    to6 = np.eye(6)
-    S = (
-        scipy.sparse.kron(sx[:, idx], to6[:, [0, 2]])
-        + scipy.sparse.kron(sy[:, idx], to6[:, [1, 3]])
-        + scipy.sparse.kron(eye(ny * nx, format="csr")[:, idx], to6[:, 4:])
+    nu = idx.size
+    # packed number of the unknown at each grid node, -1 off the unknowns
+    node = np.full((ny, nx), -1)
+    node.flat[idx] = np.arange(nu)
+    cx, wx = _edge2_taps(nx, grid.dx)
+    cy, wy = _edge2_taps(ny, grid.dy)
+
+    # the unknowns that d_x, d_y and the node itself read at each grid node;
+    # a tap off the unknowns gets weight zero and is left out
+    taps = np.stack(
+        [node[:, cx], np.swapaxes(node[cy], 1, 2), np.repeat(node[..., None], 3, axis=-1)],
+        axis=2,
     )
-    px, py = (d.ravel()[:, None, None] for d in g.phi_derivs())
-    w = np.exp(-2.0 * g.phi).ravel()
-    wdiag = scipy.sparse.diags(w)
-    L = (
-        scipy.sparse.kron(wdiag @ sx, _R_DX)
-        + scipy.sparse.kron(wdiag @ sy, _R_DY)
-        + _block_diag(w[:, None, None] * (px * _R_PX + py * _R_PY))
-    )
-    rows = (2 * idx[:, None] + np.arange(2)).ravel()
-    # the unknowns fill the (ny - 2) x (nx - 2) inner grid, on which _lap5 is
-    # the 5-point Laplacian with zero Dirichlet values
-    second = [
-        scipy.sparse.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(n - 2, n - 2)) / step**2
-        for n, step in ((nx, grid.dx), (ny, grid.dy))
-    ]
-    lap = scipy.sparse.kron(eye(ny - 2), second[0]) + scipy.sparse.kron(second[1], eye(nx - 2))
-    stab = -grid.dx * grid.dy * scipy.sparse.kron(lap, eye(2))
-    return S.tocsr(), L.tocsr()[rows], stab.tocsr()
+    weights = np.stack(np.broadcast_arrays(wx, wy[:, None], np.array([1.0, 0.0, 0.0])), axis=2)
+    weights = np.where(taps >= 0, weights, 0.0)
+    # S rows of a node: d_x x^0, d_y x^0, d_x x^1, d_y x^1, x^0, x^1
+    kind = [0, 1, 0, 1, 2, 2]
+    comp = np.array([0, 0, 1, 1, 0, 1])[:, None]
+    # take, unlike indexing an inner axis with a list, returns C-ordered arrays
+    cols = 2 * taps.take(kind, axis=2)
+    cols += comp
+    S = _csr(cols, weights.take(kind, axis=2), (6 * ny * nx, 2 * nu))
+
+    # L row e of an interior node reads A at the nodes below, left, itself,
+    # right and above, in that (ascending) column order: at a neighbour the
+    # one nonzero of row e of _R_DY or _R_DX times the central stencil
+    # weight, at the node itself row e of its own 2x4 block
+    offsets = np.array([-nx, -1, 0, 1, nx])
+    pattern = np.stack([_R_DY, _R_DX, np.ones((2, 4)), _R_DX, _R_DY], axis=1)
+    e, s, k = np.nonzero(pattern)
+    central = np.array([wy[1, 0], wx[1, 0], 0.0, wx[1, 1], wy[1, 1]])[s] * pattern[e, s, k]
+    w = np.exp(-2.0 * g.phi).ravel()[idx, None]
+    px, py = (d.ravel()[idx, None, None] for d in g.phi_derivs())
+    lvals = w * central
+    # in each row the node's own four entries follow the one below and the one left
+    lvals.reshape(nu, 2, 8)[:, :, 2:6] = w[..., None] * (px * _R_PX + py * _R_PY)
+    L = _csr(4 * idx[:, None] + (4 * offsets[s] + k), lvals, (2 * nu, 4 * ny * nx))
+
+    # the stabiliser's row of x^c reads x^c at the same five nodes
+    nb = node.ravel()[idx[:, None] + offsets]
+    ex, ey = 1.0 / grid.dx**2, 1.0 / grid.dy**2
+    lap = -grid.dx * grid.dy * np.array([ey, ex, -2.0 * (ex + ey), ex, ey])
+    lap = np.repeat(np.where(nb >= 0, lap, 0.0)[:, None], 2, axis=1)
+    stab = _csr(2 * nb[:, None] + np.arange(2)[:, None], lap, (2 * nu, 2 * nu))
+    return S, L, stab
 
 
 def _exact_jacobian(vec, g, h_interp, idx, ops):

@@ -262,3 +262,30 @@ def test_embed_refuses_non_integral_header_naming_file_and_key(tmp_path, capsys)
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "f.json" in err and "'nx'" in err
+
+
+@pytest.mark.parametrize("shift, code", [(1e-13, 0), (1e-9, 1)], ids=["round-off", "other-metric"])
+def test_embed_refuses_a_phi_other_than_the_charts_disk_metric(tmp_path, capsys, shift, code):
+    # embed integrates on the Poincare sub-disk metric of the file's grid
+    grid = Grid(17, 17, 0.8, 0.8, "dirichlet")
+    patch = embedding.HyperboloidPatch(grid)
+    phi = patch.metric.phi.copy()
+    phi[3, 12] += shift * (1.0 + abs(phi[3, 12]))
+    path = tmp_path / "otherphi.json"
+    fileio.save_field(path, ConformalMetric(grid, phi), endo=np.broadcast_to(ID2, (17, 17, 2, 2)))
+    prefix = tmp_path / "e"
+    assert run_cli("embed", "--endo", path, "--out", prefix) == code
+    assert (tmp_path / "e_mesh.csv").exists() == (code == 0)
+    if code:
+        err = capsys.readouterr().err
+        assert "otherphi.json" in err and "'phi'" in err and "(3, 12)" in err
+
+
+def test_solve_refuses_an_h_file_on_another_chart_with_the_same_node_counts(tmp_path, capsys):
+    other = poincare_disk(Grid(16, 16, 0.6, 0.8, "dirichlet"))
+    hpath = tmp_path / "h.json"
+    fileio.save_field(hpath, other, h=other.matrix())
+    assert run_cli("solve", "--h", hpath, "--nx", "16", "--out", tmp_path / "s") == 2
+    err = capsys.readouterr().err
+    assert "h.json" in err and "lx=0.6" in err and "lx=0.8" in err
+    assert not (tmp_path / "s_report.json").exists()

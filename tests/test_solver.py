@@ -204,6 +204,85 @@ def _assembled_jacobian(g, h, idx, vec):
     return solver._exact_jacobian(vec, g, h, idx, solver._jacobian_operators(g, idx))
 
 
+def _edge2_stencil(n, step):
+    """The order-2 stencil of :meth:`Grid.ddx`/:meth:`Grid.ddy` on ``n`` nodes, sparse.
+
+    ``np.gradient`` with ``edge_order=2``, applied to the unit vectors.
+    """
+    return scipy.sparse.csr_matrix(np.gradient(np.eye(n), step, axis=0, edge_order=2))
+
+
+def _kron_jacobian_operators(g, idx):
+    """``(S, L, stab)`` of :func:`solver._jacobian_operators`, composed from Kronecker products.
+
+    The oracle of the index-array build: 1-D stencils lifted to the grid by
+    ``kron`` with identities, restricted to the unknowns' columns and the
+    residual's rows, and summed.
+    """
+    grid = g.grid
+    ny, nx = grid.ny, grid.nx
+    eye = scipy.sparse.identity
+    sx = scipy.sparse.kron(eye(ny), _edge2_stencil(nx, grid.dx), "csr")
+    sy = scipy.sparse.kron(_edge2_stencil(ny, grid.dy), eye(nx), "csr")
+    to6 = np.eye(6)
+    S = (
+        scipy.sparse.kron(sx[:, idx], to6[:, [0, 2]])
+        + scipy.sparse.kron(sy[:, idx], to6[:, [1, 3]])
+        + scipy.sparse.kron(eye(ny * nx, format="csr")[:, idx], to6[:, 4:])
+    )
+    px, py = (d.ravel()[:, None, None] for d in g.phi_derivs())
+    w = np.exp(-2.0 * g.phi).ravel()
+    wdiag = scipy.sparse.diags(w)
+    L = (
+        scipy.sparse.kron(wdiag @ sx, solver._R_DX)
+        + scipy.sparse.kron(wdiag @ sy, solver._R_DY)
+        + solver._block_diag(w[:, None, None] * (px * solver._R_PX + py * solver._R_PY))
+    )
+    rows = (2 * idx[:, None] + np.arange(2)).ravel()
+    # the unknowns fill the (ny - 2) x (nx - 2) inner grid, on which _lap5 is
+    # the 5-point Laplacian with zero Dirichlet values
+    second = [
+        scipy.sparse.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(n - 2, n - 2)) / step**2
+        for n, step in ((nx, grid.dx), (ny, grid.dy))
+    ]
+    lap = scipy.sparse.kron(eye(ny - 2), second[0]) + scipy.sparse.kron(second[1], eye(nx - 2))
+    stab = -grid.dx * grid.dy * scipy.sparse.kron(lap, eye(2))
+    return S.tocsr(), L.tocsr()[rows], stab.tocsr()
+
+
+# 12^2 and 32^2 squares; a non-square chart, on which a swapped nx/ny or
+# dx/dy would show; and an odd one, on whose centre lines phi_x and phi_y
+# vanish exactly, so that both builds must leave those zero entries out
+_OPERATOR_GRIDS = [
+    Grid(12, 12, 0.8, 0.8, "dirichlet"),
+    Grid(32, 32, 0.8, 0.8, "dirichlet"),
+    Grid(20, 14, 0.8, 0.6, "dirichlet"),
+    Grid(13, 13, 0.8, 0.8, "dirichlet"),
+]
+
+
+@pytest.mark.parametrize("grid", _OPERATOR_GRIDS, ids=lambda gr: f"{gr.nx}x{gr.ny}")
+def test_index_built_operators_equal_the_kron_oracle_bit_for_bit(grid):
+    g = poincare_disk(grid)
+    idx = solver._interior_index(grid)
+    new = solver._jacobian_operators(g, idx)
+    oracle = _kron_jacobian_operators(g, idx)
+    for name, a, b in zip(("S", "L", "stab"), new, oracle):
+        assert a.format == "csr" and a.shape == b.shape, name
+        assert a.toarray().tobytes() == b.toarray().tobytes(), name
+        # the oracle's stab also stores the zeros of kron with an identity
+        # block; the index build stores none
+        assert a.nnz == b.count_nonzero(), name
+    # and so the assembled Jacobian, stored entry for entry
+    diffeo = ManufacturedDiffeo.seeded(grid, 3)
+    h = FieldInterpolator(grid, pullback_of_scaled_poincare(diffeo, grid))
+    vec = np.random.default_rng(7).uniform(-1e-3, 1e-3, 2 * idx.size)
+    jac_new = solver._exact_jacobian(vec, g, h, idx, new)
+    jac_oracle = solver._exact_jacobian(vec, g, h, idx, oracle)
+    for part in ("indptr", "indices", "data"):
+        assert getattr(jac_new, part).tobytes() == getattr(jac_oracle, part).tobytes(), part
+
+
 @pytest.mark.parametrize("n", [12, 32])
 @pytest.mark.parametrize("state_seed", [7, 8, 9])
 def test_exact_jacobian_agrees_with_central_differences_at_second_order(n, state_seed):
