@@ -12,6 +12,10 @@ construction (:mod:`codazzi.embedding`), the symmetric-space chart model
 (:mod:`codazzi.diagnostics`).  Seeded verification suites live in
 :mod:`codazzi.verify` and are also reachable from the command line via
 ``codazzi verify``.
+
+Importing any module of the package loads numpy only: scipy is imported
+inside the functions that call it (the spline fit, the sparse matrices and
+solves, the Simpson quadrature), so ``codazzi embed`` never loads it.
 """
 
 from .energy import (

@@ -16,8 +16,9 @@ Exit-status contract: 0 when every requested check passes, 1 when a check
 or a mathematical precondition fails (wrong curvature sign, non-Codazzi
 input, failed suite, an ``embed`` file whose ``phi`` is not the Poincare
 sub-disk metric of its grid), 2 for usage and I/O errors (unknown flags,
-missing or malformed files, a ``solve --h`` file on another grid than the
-background's).  All outputs are written through deterministic
+missing or malformed files, a ``solve --h`` file on another grid or with
+another ``phi`` than the background's, an ``embed`` file whose chart cannot
+carry a hyperboloid patch).  All outputs are written through deterministic
 serializers, so two runs with the same configuration produce byte-identical
 artifacts.
 """
@@ -105,6 +106,20 @@ def _load_or_usage(path):
         raise SystemExit(2) from None
 
 
+def _phi_refusal(path, phi, expected, what):
+    """The refusal message if ``phi`` differs from ``expected`` at some node, else None.
+
+    A node differs when the gap exceeds 1e-12 (1 + |expected|), so the
+    round-off of a file written from the same metric passes.  The message
+    names the file, the key and the first such node.
+    """
+    off = np.argwhere(np.abs(phi - expected) > 1e-12 * (1.0 + np.abs(expected)))
+    if not off.size:
+        return None
+    j, i = off[0]
+    return f"error: {path}: key 'phi' is not {what} at node (j, i) = ({j}, {i})"
+
+
 def cmd_verify(args, parser):
     names = verify.SUITE_NAMES if args.suite == "all" else (args.suite,)
     # optional input field: validated, and checked when it carries an endo
@@ -165,6 +180,10 @@ def cmd_solve(args, parser):
                 file=sys.stderr,
             )
             return 2
+        refusal = _phi_refusal(args.h, doc["g"].phi, g.phi, "the background's")
+        if refusal:
+            print(refusal, file=sys.stderr)
+            return 2
         h = doc["h"]
     try:
         if args.continuation_steps > 0:
@@ -203,18 +222,18 @@ def cmd_embed(args, parser):
     except ValueError as exc:
         print(f"error: {args.endo}: refusing 'endo': {exc}", file=sys.stderr)
         return 1
-    patch = embedding.HyperboloidPatch(grid)
+    try:
+        patch = embedding.HyperboloidPatch(grid)
+    except ValueError as exc:
+        print(f"error: {args.endo}: grid {grid}: {exc}", file=sys.stderr)
+        return 2
     # the field is integrated on the chart's Poincare metric, so the file's
     # phi must be that metric's
-    disk = patch.metric.phi
-    off = np.argwhere(np.abs(doc["g"].phi - disk) > 1e-12 * (1.0 + np.abs(disk)))
-    if off.size:
-        j, i = off[0]
-        print(
-            f"error: {args.endo}: key 'phi' is not the Poincare sub-disk metric of its grid "
-            f"at node (j, i) = ({j}, {i})",
-            file=sys.stderr,
-        )
+    refusal = _phi_refusal(
+        args.endo, doc["g"].phi, patch.metric.phi, "the Poincare sub-disk metric of its grid"
+    )
+    if refusal:
+        print(refusal, file=sys.stderr)
         return 1
     resid = codazzi_residual(a, patch.metric)
     if not (resid <= args.tol):

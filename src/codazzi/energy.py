@@ -9,7 +9,6 @@ live here.
 """
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .grid import ConformalMetric
 from .jcalc import J, check_symmetric, det, inv2, sigma, spd_sqrt_pair, trace
@@ -93,6 +92,8 @@ def gradient_pairing(h, g: ConformalMetric, x):
 
 def _simpson2(grid, dens):
     """Composite Simpson quadrature over the chart, both axes."""
+    from scipy.integrate import simpson
+
     return float(simpson(simpson(dens, dx=grid.dx, axis=1), dx=grid.dy))
 
 

@@ -11,7 +11,6 @@ the pullback, exists on Dirichlet charts only.
 """
 
 import numpy as np
-from scipy.interpolate import NdBSpline, make_interp_spline
 
 from .grid import Grid
 from .jcalc import det
@@ -35,6 +34,8 @@ class FieldInterpolator:
     """
 
     def __init__(self, grid: Grid, values):
+        from scipy.interpolate import NdBSpline, make_interp_spline
+
         if grid.periodic:
             raise ValueError("field interpolation needs a Dirichlet chart")
         values = np.asarray(values, dtype=float)

@@ -45,8 +45,6 @@ fresh Jacobian at the same iterate; only a fresh factor's failure is a
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .grid import ConformalMetric, Grid
 from .energy import codazzi_residual, energy_gradient, field_A
@@ -166,6 +164,8 @@ def _residual_vec(vec, g, h_interp, idx):
 
 def _block_diag(blocks):
     """Sparse block-diagonal matrix of a stack of equal-shape blocks."""
+    import scipy.sparse
+
     n = len(blocks)
     return scipy.sparse.bsr_matrix((blocks, np.arange(n), np.arange(n + 1)))
 
@@ -205,6 +205,8 @@ def _csr(cols, vals, shape):
     Each row lists its columns in ascending order.  Zero values are left
     out, as scipy's sparse sums and products leave them out.
     """
+    import scipy.sparse
+
     width = vals.size // shape[0]
     pos = np.flatnonzero(vals.ravel() != 0.0)
     data, indices = vals.ravel().take(pos), cols.ravel().take(pos)
@@ -317,6 +319,8 @@ def _factor_step(jac, r):
     is tried first; if SuperLU refuses it or its step is not finite, the
     matrix is refactored with partial pivoting.
     """
+    import scipy.sparse.linalg
+
     # splu is called through the module, so perfbench's probe on it times it
     try:
         lu = scipy.sparse.linalg.splu(

@@ -14,8 +14,6 @@ finite-difference second derivative dominates the closed-form lower bound.
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .grid import ConformalMetric, Grid
 from .jcalc import ID2, check_symmetric, det, inv2, spd_sqrt, trace
@@ -59,6 +57,9 @@ def phi0_solve(b, h: ConformalMetric):
     maximum principle forces phi0 >= 0; the discrete operator is an
     M-matrix and inherits the sign.  Returns the full node field.
     """
+    import scipy.sparse
+    import scipy.sparse.linalg
+
     grid = h.grid
     if grid.periodic:
         raise ValueError("phi0_solve needs a Dirichlet chart")

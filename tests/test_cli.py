@@ -289,3 +289,47 @@ def test_solve_refuses_an_h_file_on_another_chart_with_the_same_node_counts(tmp_
     err = capsys.readouterr().err
     assert "h.json" in err and "lx=0.6" in err and "lx=0.8" in err
     assert not (tmp_path / "s_report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "shift, node, code",
+    [(None, (0, 0), 2), (1e-13, None, 0), (1e-9, (3, 12), 2)],
+    ids=["flat-phi", "round-off", "other-metric"],
+)
+def test_solve_refuses_an_h_file_whose_phi_is_not_the_backgrounds(
+    tmp_path, capsys, shift, node, code
+):
+    # the target 2.25 g is read against the background's metric, so the
+    # file must carry that metric's phi: the flat phi = 0, or one node moved
+    g = poincare_disk(Grid(16, 16, 0.8, 0.8, "dirichlet"))
+    phi = np.zeros_like(g.phi) if shift is None else g.phi.copy()
+    if shift is not None:
+        phi[3, 12] += shift * (1.0 + abs(phi[3, 12]))
+    hpath = tmp_path / "otherphi.json"
+    fileio.save_field(hpath, ConformalMetric(g.grid, phi), h=2.25 * g.matrix())
+    assert run_cli("solve", "--h", hpath, "--nx", "16", "--out", tmp_path / "s") == code
+    assert (tmp_path / "s_report.json").exists() == (code == 0)
+    if code:
+        err = capsys.readouterr().err
+        assert "otherphi.json" in err and "'phi'" in err and f"({node[0]}, {node[1]})" in err
+
+
+@pytest.mark.parametrize(
+    "grid, reason",
+    [
+        (Grid(16, 16, 0.8, 0.8, "periodic"), "Dirichlet chart"),
+        (Grid(16, 16, 1.6, 1.6, "dirichlet"), "leaves the unit disk"),
+    ],
+    ids=["periodic", "outside-the-disk"],
+)
+def test_embed_refuses_a_chart_without_a_hyperboloid_patch_naming_the_file(
+    tmp_path, capsys, grid, reason
+):
+    path = tmp_path / "nopatch.json"
+    fileio.save_field(
+        path, ConformalMetric.flat(grid), endo=np.broadcast_to(ID2, (16, 16, 2, 2))
+    )
+    assert run_cli("embed", "--endo", path, "--out", tmp_path / "e") == 2
+    err = capsys.readouterr().err
+    assert "nopatch.json" in err and reason in err and f"lx={grid.lx}" in err
+    assert not (tmp_path / "e_mesh.csv").exists()
