@@ -120,6 +120,18 @@ def _phi_refusal(path, phi, expected, what):
     return f"error: {path}: key 'phi' is not {what} at node (j, i) = ({j}, {i})"
 
 
+def _endo_refusal(path, endo):
+    """The refusal message if ``endo`` is not finite and symmetric, else None.
+
+    The message names the file, the key and the first bad node.
+    """
+    try:
+        check_symmetric(endo)
+    except ValueError as exc:
+        return f"error: {path}: refusing 'endo': {exc}"
+    return None
+
+
 def cmd_verify(args, parser):
     names = verify.SUITE_NAMES if args.suite == "all" else (args.suite,)
     # optional input field: validated, and checked when it carries an endo
@@ -127,6 +139,10 @@ def cmd_verify(args, parser):
     if args.g is not None:
         doc = _load_or_usage(args.g)
         if "endo" in doc:
+            refusal = _endo_refusal(args.g, doc["endo"])
+            if refusal:
+                print(refusal, file=sys.stderr)
+                return 1
             resid = codazzi_residual(doc["endo"], doc["g"])
             report_extra.append(
                 {
@@ -217,11 +233,11 @@ def cmd_embed(args, parser):
         print(f"error: {args.endo}: missing required key 'endo'", file=sys.stderr)
         return 2
     grid = doc["grid"]
-    try:
-        a = check_symmetric(doc["endo"])
-    except ValueError as exc:
-        print(f"error: {args.endo}: refusing 'endo': {exc}", file=sys.stderr)
+    refusal = _endo_refusal(args.endo, doc["endo"])
+    if refusal:
+        print(refusal, file=sys.stderr)
         return 1
+    a = doc["endo"]
     try:
         patch = embedding.HyperboloidPatch(grid)
     except ValueError as exc:

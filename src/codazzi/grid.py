@@ -21,14 +21,24 @@ First derivatives come in two orders, from one pair of methods
   On Dirichlet charts it holds from the third ring inward; the second ring
   takes central differences and the boundary ring ``np.gradient``'s
   first-order one-sided value.
+
+A grid and a metric are immutable, so each computes its derived geometry
+(node coordinates, meshgrid, quadrature weights, conformal factor, metric
+matrix) once, on first use, and returns it read-only.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 PERIODIC = "periodic"
 DIRICHLET = "dirichlet"
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -65,21 +75,28 @@ class Grid:
     def dy(self):
         return self.ly / self.ny if self.periodic else self.ly / (self.ny - 1)
 
-    @property
+    @cached_property
     def x(self):
         if self.periodic:
-            return -0.5 * self.lx + self.dx * np.arange(self.nx)
-        return np.linspace(-0.5 * self.lx, 0.5 * self.lx, self.nx)
+            return _read_only(-0.5 * self.lx + self.dx * np.arange(self.nx))
+        return _read_only(np.linspace(-0.5 * self.lx, 0.5 * self.lx, self.nx))
 
-    @property
+    @cached_property
     def y(self):
         if self.periodic:
-            return -0.5 * self.ly + self.dy * np.arange(self.ny)
-        return np.linspace(-0.5 * self.ly, 0.5 * self.ly, self.ny)
+            return _read_only(-0.5 * self.ly + self.dy * np.arange(self.ny))
+        return _read_only(np.linspace(-0.5 * self.ly, 0.5 * self.ly, self.ny))
+
+    @cached_property
+    def _mesh(self):
+        return tuple(_read_only(c) for c in np.meshgrid(self.x, self.y, copy=False))
 
     def meshgrid(self):
-        """Coordinate arrays (X, Y), each of shape (ny, nx)."""
-        return np.meshgrid(self.x, self.y)
+        """Coordinate arrays (X, Y), each of shape (ny, nx).
+
+        They are read-only broadcast views of :attr:`x` and :attr:`y`.
+        """
+        return self._mesh
 
     # -- differentiation -------------------------------------------------
 
@@ -120,15 +137,19 @@ class Grid:
 
     # -- quadrature and masks --------------------------------------------
 
-    def cell_weights(self):
-        """Per-node quadrature weight (dx*dy, trapezoidal on Dirichlet)."""
+    @cached_property
+    def _cell_weights(self):
         w = np.full((self.ny, self.nx), self.dx * self.dy)
         if not self.periodic:
             w[0, :] *= 0.5
             w[-1, :] *= 0.5
             w[:, 0] *= 0.5
             w[:, -1] *= 0.5
-        return w
+        return _read_only(w)
+
+    def cell_weights(self):
+        """Per-node quadrature weight (dx*dy, trapezoidal on Dirichlet), read-only."""
+        return self._cell_weights
 
     def interior(self, margin=2):
         """Boolean mask excluding ``margin`` boundary rings (all-true if periodic)."""
@@ -150,32 +171,45 @@ class Grid:
 
 @dataclass(frozen=True)
 class ConformalMetric:
-    """Metric e^{2 phi} (dx^2 + dy^2) on a grid, phi a scalar field."""
+    """Metric e^{2 phi} (dx^2 + dy^2) on a grid, phi a scalar field.
+
+    ``phi`` is stored as a read-only copy, so a later write to the array
+    passed in leaves the metric unchanged.
+    """
 
     grid: Grid
     phi: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "phi", self.grid.check_field(self.phi))
+        phi = self.grid.check_field(np.array(self.phi, dtype=float))
+        object.__setattr__(self, "phi", _read_only(phi))
 
     @classmethod
     def flat(cls, grid):
         return cls(grid, np.zeros((grid.ny, grid.nx)))
 
-    @property
+    @cached_property
     def conformal_factor(self):
         """e^{2 phi}, the area element relative to the flat chart."""
-        return np.exp(2.0 * self.phi)
+        return _read_only(np.exp(2.0 * self.phi))
 
-    def matrix(self):
-        """Metric tensor as an SPD field of shape (ny, nx, 2, 2)."""
+    @cached_property
+    def _matrix(self):
         out = np.zeros((self.grid.ny, self.grid.nx, 2, 2))
         out[..., 0, 0] = self.conformal_factor
         out[..., 1, 1] = self.conformal_factor
-        return out
+        return _read_only(out)
+
+    def matrix(self):
+        """Metric tensor as a read-only SPD field of shape (ny, nx, 2, 2)."""
+        return self._matrix
 
     def phi_derivs(self):
-        """(phi_x, phi_y) central-difference derivatives."""
+        """(phi_x, phi_y) central-difference derivatives.
+
+        Not cached: on a 256^2 chart they are 1 MB, held for the metric's
+        life, and the large-array paths take them once per metric.
+        """
         return self.grid.ddx(self.phi), self.grid.ddy(self.phi)
 
     def area(self):

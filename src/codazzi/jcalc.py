@@ -80,11 +80,13 @@ def sigma(a):
     """(1,0)-seminorm sqrt(Tr(a)^2/2 + Tr(Ja)^2/2).
 
     Coincides with the Frobenius norm of ``jlin_part(a)`` and vanishes
-    exactly on J-antilinear matrices.
+    exactly on J-antilinear matrices.  Tr(Ja) is read off the entries as
+    a01 - a10: a product with J only moves entries and flips signs, so
+    this equals the trace of the matrix product on finite input.
     """
     a = np.asarray(a, dtype=float)
     tr = trace(a)
-    trj = trace(J @ a)
+    trj = a[..., 0, 1] - a[..., 1, 0]
     return np.sqrt(0.5 * tr**2 + 0.5 * trj**2)
 
 
@@ -123,12 +125,20 @@ def check_symmetric(a):
     """``a`` as a float array; ValueError unless it is finite and symmetric.
 
     Symmetric means |a01 - a10| <= 1e-10 (1 + max|a|) in every trailing
-    2x2 block.  The test is written so that a NaN anywhere fails it.
+    2x2 block.  The test is written so that a NaN anywhere fails it.  On an
+    endomorphism field, shape (ny, nx, 2, 2), the message names the first
+    failing node (j, i); max|a| is then taken over the finite blocks.
     """
     a = np.asarray(a, dtype=float)
     defect = np.max(np.abs(a[..., 0, 1] - a[..., 1, 0]))
     if not (np.all(np.isfinite(a)) and defect <= 1e-10 * (1.0 + np.abs(a).max())):
-        raise ValueError("non-symmetric or non-finite field")
+        if a.ndim != 4:
+            raise ValueError("non-symmetric or non-finite field")
+        finite = np.all(np.isfinite(a), axis=(-2, -1))
+        bound = 1e-10 * (1.0 + np.abs(a[finite]).max(initial=0.0))
+        bad = ~(finite & (np.abs(a[..., 0, 1] - a[..., 1, 0]) <= bound))
+        j, i = np.argwhere(bad)[0]
+        raise ValueError(f"non-symmetric or non-finite field at node (j, i) = ({j}, {i})")
     return a
 
 

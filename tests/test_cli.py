@@ -156,6 +156,31 @@ def test_embed_refuses_non_finite_endo(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["verify", "embed"])
+@pytest.mark.parametrize(
+    "entry, value", [((0, 0), np.nan), ((1, 0), np.inf), ((0, 1), 0.3)],
+    ids=["nan", "inf", "non-symmetric"],
+)
+def test_bad_endo_is_refused_naming_file_key_and_node(tmp_path, capsys, command, entry, value):
+    grid = Grid(17, 17, 0.8, 0.8, "dirichlet")
+    patch = embedding.HyperboloidPatch(grid)
+    a = np.broadcast_to(ID2, (17, 17, 2, 2)).copy()
+    a[(6, 13) + entry] = value
+    a[(9, 2) + entry] = value
+    path = tmp_path / "badendo.json"
+    fileio.save_field(path, patch.metric, endo=a)
+    argv = {
+        "verify": ("verify", "--suite", "jcalc", "--g", path, "--out", tmp_path / "r.json"),
+        "embed": ("embed", "--endo", path, "--out", tmp_path / "e"),
+    }[command]
+    assert run_cli(*argv) == 1
+    captured = capsys.readouterr()
+    assert "badendo.json" in captured.err and "'endo'" in captured.err
+    assert "(j, i) = (6, 13)" in captured.err
+    assert "input_codazzi_residual" not in captured.out
+    assert not (tmp_path / "r.json").exists() and not (tmp_path / "e_mesh.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "embed"])
 def test_non_finite_phi_is_refused_naming_file_key_and_node(tmp_path, capsys, command):
     grid = Grid(17, 17, 0.8, 0.8, "dirichlet")
     patch = embedding.HyperboloidPatch(grid)

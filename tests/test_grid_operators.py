@@ -1,8 +1,12 @@
 """Grids, conformal metrics and covariant operators on discretized charts."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from codazzi import cli
 from codazzi.energy import nabla_vec_endo
 from codazzi.grid import ConformalMetric, Grid, poincare_disk
 from codazzi.jcalc import J
@@ -277,3 +281,100 @@ def test_closed_form_operators_match_christoffel_contraction(topology):
     for name, ref in _references(g, a, x, f).items():
         rel = np.max(np.abs(got[name] - ref)) / np.max(np.abs(ref))
         assert rel <= 1e-13, f"{name}: relative gap {rel:.2e}"
+
+
+# -- derived geometry: computed once, read-only ----------------------------
+
+
+def _cache_metric(topology):
+    grid = Grid(16, 12, 1.3, 0.7, topology)
+    if topology == "periodic":
+        return ConformalMetric(grid, trig_scalar(grid, rng_for(7), amp=0.3))
+    return poincare_disk(grid)
+
+
+def _cached(g):
+    """Every derived array of ``g`` and its grid, by name."""
+    grid = g.grid
+    xx, yy = grid.meshgrid()
+    return {
+        "x": grid.x, "y": grid.y, "meshgrid X": xx, "meshgrid Y": yy,
+        "cell_weights": grid.cell_weights(), "phi": g.phi,
+        "conformal_factor": g.conformal_factor, "matrix": g.matrix(),
+    }
+
+
+def _fresh(g):
+    """The same arrays computed from scratch, outside the caches."""
+    grid = g.grid
+    if grid.periodic:
+        x = -0.5 * grid.lx + grid.dx * np.arange(grid.nx)
+        y = -0.5 * grid.ly + grid.dy * np.arange(grid.ny)
+        ex, ey = np.ones(grid.nx), np.ones(grid.ny)
+    else:
+        x = np.linspace(-0.5 * grid.lx, 0.5 * grid.lx, grid.nx)
+        y = np.linspace(-0.5 * grid.ly, 0.5 * grid.ly, grid.ny)
+        ex = np.r_[0.5, np.ones(grid.nx - 2), 0.5]
+        ey = np.r_[0.5, np.ones(grid.ny - 2), 0.5]
+    xx, yy = np.meshgrid(grid.x, grid.y)
+    phi = np.array(g.phi)
+    factor = np.exp(2.0 * phi)
+    return {
+        "x": x, "y": y, "meshgrid X": xx, "meshgrid Y": yy,
+        # the trapezoid halvings are powers of two, so the product is exact
+        "cell_weights": grid.dx * grid.dy * np.outer(ey, ex), "phi": phi,
+        "conformal_factor": factor, "matrix": factor[..., None, None] * np.eye(2),
+    }
+
+
+@pytest.mark.parametrize("topology", ["periodic", "dirichlet"])
+def test_repeat_calls_return_the_same_cached_arrays(topology):
+    g = _cache_metric(topology)
+    first, again = _cached(g), _cached(g)
+    for name, value in first.items():
+        assert again[name] is value, name
+    # the meshgrid is two broadcast views of the node coordinates
+    xx, yy = g.grid.meshgrid()
+    assert np.shares_memory(xx, g.grid.x) and np.shares_memory(yy, g.grid.y)
+
+
+@pytest.mark.parametrize("topology", ["periodic", "dirichlet"])
+def test_cached_arrays_are_read_only(topology):
+    for name, value in _cached(_cache_metric(topology)).items():
+        with pytest.raises(ValueError, match="read-only"):
+            value[(0,) * value.ndim] = 1.0
+        assert not value.flags.writeable, name
+
+
+@pytest.mark.parametrize("topology", ["periodic", "dirichlet"])
+def test_cached_arrays_equal_a_fresh_computation_bit_for_bit(topology):
+    g = _cache_metric(topology)
+    got = _cached(g)
+    for name, ref in _fresh(g).items():
+        assert got[name].shape == ref.shape, name
+        assert got[name].tobytes() == ref.tobytes(), name
+
+
+def test_metric_keeps_phi_when_the_callers_array_changes():
+    grid = Grid(16, 16)
+    phi = trig_scalar(grid, rng_for(8), amp=0.3)
+    kept = phi.copy()
+    g = ConformalMetric(grid, phi)
+    phi += 1.0
+    assert g.phi.tobytes() == kept.tobytes()
+    assert g.conformal_factor.tobytes() == np.exp(2.0 * kept).tobytes()
+
+
+def test_no_metric_outlives_a_verify_op(tmp_path, monkeypatch):
+    refs = []
+    post_init = ConformalMetric.__post_init__
+
+    def recorded(self):
+        post_init(self)
+        refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(ConformalMetric, "__post_init__", recorded)
+    argv = ["verify", "--suite", "fields", "--out", str(tmp_path / "r.json")]
+    assert cli.main(argv) == 0
+    gc.collect()
+    assert refs and all(ref() is None for ref in refs)

@@ -43,6 +43,32 @@ def test_sigma_vanishes_exactly_on_j_antilinear(batch):
     assert np.max(sigma(anti)) < 1e-13
 
 
+def _sigma_by_matmul(a):
+    return np.sqrt(0.5 * trace(a) ** 2 + 0.5 * trace(J @ a) ** 2)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sigma_equals_the_matmul_route_bit_for_bit(seed):
+    rng = rng_for(seed)
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1e-300, 1e-300, 1e300, -1e300])
+    a = rng.standard_normal((4000, 2, 2)) * 10.0 ** rng.integers(-8, 9, (4000, 2, 2))
+    pick = rng.random(a.shape) < 0.4
+    a[pick] = rng.choice(special, pick.sum())
+    with np.errstate(over="ignore"):  # 1e300 squared
+        assert sigma(a).tobytes() == _sigma_by_matmul(a).tobytes()
+
+
+def test_sigma_is_non_finite_wherever_the_input_is():
+    rng = rng_for(3)
+    a = rng.standard_normal((3000, 2, 2))
+    pick = rng.random(a.shape) < 0.05
+    a[pick] = rng.choice([np.nan, np.inf, -np.inf], pick.sum())
+    bad = ~np.all(np.isfinite(a), axis=(-2, -1))
+    with np.errstate(invalid="ignore"):  # inf - inf
+        assert bad.any() and not np.any(np.isfinite(sigma(a)[bad]))
+    assert sigma(a[~bad]).tobytes() == _sigma_by_matmul(a[~bad]).tobytes()
+
+
 def test_sigma_of_identity():
     assert sigma(np.eye(2)) == pytest.approx(np.sqrt(2.0), abs=1e-15)
 

@@ -5,8 +5,9 @@ method of such a class, must be referenced at least once outside its own
 definition, in ``src/``, ``tests/``, ``demos/`` or ``perfbench/``.  A
 reference is a name or an attribute in the parsed code, so docstrings,
 comments and ``__all__`` strings do not count.  A public method that is not
-a property counts as used only when some ``obj.method(...)`` call exists, so
-a module-level function of the same name does not hide it.
+a property or cached property counts as used only when some
+``obj.method(...)`` call exists, so a module-level function of the same name
+does not hide it.
 
 A parameter with a default, of any function or method in ``src/codazzi``,
 must be passed by at least one call in the same four trees, by keyword or
@@ -33,7 +34,12 @@ def _searched_trees():
 
 
 def _is_property(node):
-    return any(isinstance(d, ast.Name) and d.id == "property" for d in node.decorator_list)
+    """True for a ``property`` or ``cached_property``: read as an attribute, never called."""
+    return any(
+        (isinstance(d, ast.Name) and d.id in ("property", "cached_property"))
+        or (isinstance(d, ast.Attribute) and d.attr == "cached_property")
+        for d in node.decorator_list
+    )
 
 
 def _public_definitions():
