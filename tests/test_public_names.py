@@ -36,8 +36,7 @@ def _searched_trees():
 def _is_property(node):
     """True for a ``property`` or ``cached_property``: read as an attribute, never called."""
     return any(
-        (isinstance(d, ast.Name) and d.id in ("property", "cached_property"))
-        or (isinstance(d, ast.Attribute) and d.attr == "cached_property")
+        isinstance(d, ast.Name) and d.id in ("property", "cached_property")
         for d in node.decorator_list
     )
 
