@@ -15,7 +15,8 @@ abbreviation of a flag, is a usage error:
 Exit-status contract: 0 when every requested check passes, 1 when a check
 or a mathematical precondition fails (wrong curvature sign, non-Codazzi
 input, failed suite, an ``embed`` file whose ``phi`` is not the Poincare
-sub-disk metric of its grid), 2 for usage and I/O errors (unknown flags,
+sub-disk metric of its grid), 2 for usage and I/O errors (unknown flags, a
+``--tol`` that is not finite and positive, a negative ``--continuation-steps``,
 missing or malformed files, a ``solve --h`` file on another grid or with
 another ``phi`` than the background's, an ``embed`` file whose chart cannot
 carry a hyperboloid patch).  All outputs are written through deterministic
@@ -180,6 +181,8 @@ def cmd_verify(args, parser):
 def cmd_solve(args, parser):
     if args.h is None and args.manufactured_seed is None:
         parser.error("solve requires --h (or --manufactured-seed)")
+    if args.continuation_steps < 0:
+        parser.error("argument --continuation-steps: must be 0 or more")
     g = _background(args)
     diffeo = None
     if args.manufactured_seed is not None:
@@ -285,6 +288,9 @@ def cmd_embed(args, parser):
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # every subcommand has --tol; the test is written so that NaN fails it
+    if not 0.0 < args.tol < np.inf:
+        parser.error(f"argument --tol: must be finite and positive, got {args.tol}")
     try:
         return args.run(args, parser)
     except (ValueError, OSError) as exc:

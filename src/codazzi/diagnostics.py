@@ -101,10 +101,8 @@ def map_energy(gS: ConformalMetric, hN):
     factors cancel, so the value depends only on the source conformal class
     (exactly, even discretely).
     """
-    grid = gS.grid
-    hN = grid.check_field(hN, rank=2)
-    dens = trace(inv2(gS.matrix()) @ hN) * gS.conformal_factor
-    return float(np.sum(dens * grid.cell_weights()))
+    hN = gS.grid.check_field(hN, rank=2)
+    return gS.integrate(trace(inv2(gS.matrix()) @ hN))
 
 
 def energy_identity_check(a, g: ConformalMetric):

@@ -17,7 +17,7 @@ import numpy as np
 from .grid import ConformalMetric, Grid, poincare_disk
 from .jcalc import ID2, check_symmetric, det
 from .maps import FieldInterpolator
-from .operators import hessian_endo
+from .operators import grad, hessian_endo
 from .energy import codazzi_residual
 
 __all__ = [
@@ -66,24 +66,21 @@ def _disk_immersion(x, y):
     return out
 
 
-def _disk_immersion_dx(x, y):
+def _disk_immersion_frame(x, y):
+    """Derivatives (iota_x, iota_y) of :func:`_disk_immersion`."""
     r2 = np.asarray(x) ** 2 + np.asarray(y) ** 2
     s = 1.0 - r2
-    out = np.empty(np.shape(x) + (3,))
-    out[..., 0] = 2.0 / s + 4.0 * x * x / s**2
-    out[..., 1] = 4.0 * x * y / s**2
-    out[..., 2] = 4.0 * x / s**2
-    return out
-
-
-def _disk_immersion_dy(x, y):
-    r2 = np.asarray(x) ** 2 + np.asarray(y) ** 2
-    s = 1.0 - r2
-    out = np.empty(np.shape(x) + (3,))
-    out[..., 0] = 4.0 * x * y / s**2
-    out[..., 1] = 2.0 / s + 4.0 * y * y / s**2
-    out[..., 2] = 4.0 * y / s**2
-    return out
+    s2 = s**2
+    mixed = 4.0 * x * y / s2
+    dx = np.empty(np.shape(x) + (3,))
+    dx[..., 0] = 2.0 / s + 4.0 * x * x / s2
+    dx[..., 1] = mixed
+    dx[..., 2] = 4.0 * x / s2
+    dy = np.empty_like(dx)
+    dy[..., 0] = mixed
+    dy[..., 1] = 2.0 / s + 4.0 * y * y / s2
+    dy[..., 2] = 4.0 * y / s2
+    return dx, dy
 
 
 def _hyperboloid_project(p):
@@ -130,8 +127,7 @@ class HyperboloidPatch:
 
     def node_frame(self):
         """Node values of (iota_x, iota_y), each (ny, nx, 3)."""
-        xx, yy = self.grid.meshgrid()
-        return _disk_immersion_dx(xx, yy), _disk_immersion_dy(xx, yy)
+        return _disk_immersion_frame(*self.grid.meshgrid())
 
 
 def codazzi_generator(f, patch: HyperboloidPatch):
@@ -157,7 +153,7 @@ def _segments_x(a, patch: HyperboloidPatch):
     amid = 0.5 * (a[:, :-1] + a[:, 1:])
     xm = 0.5 * (grid.x[:-1] + grid.x[1:])
     xx, yy = np.meshgrid(xm, grid.y)
-    dio_y = _disk_immersion_dy(xx, yy)
+    _, dio_y = _disk_immersion_frame(xx, yy)
     return (
         amid[..., 0, 0, None] * (iot[:, 1:] - iot[:, :-1])
         + amid[..., 1, 0, None] * dio_y * grid.dx
@@ -171,7 +167,7 @@ def _segments_y(a, patch: HyperboloidPatch):
     amid = 0.5 * (a[:-1] + a[1:])
     ym = 0.5 * (grid.y[:-1] + grid.y[1:])
     xx, yy = np.meshgrid(grid.x, ym)
-    dio_x = _disk_immersion_dx(xx, yy)
+    dio_x, _ = _disk_immersion_frame(xx, yy)
     return (
         amid[..., 1, 1, None] * (iot[1:] - iot[:-1])
         + amid[..., 0, 1, None] * dio_x * grid.dy
@@ -280,15 +276,9 @@ def support_pair(f, patch: HyperboloidPatch, codazzi_tol=0.05):
     a = 0.5 * codazzi_generator(f, patch)
     j0, i0 = patch.base_index
     x0, y0 = patch.base_point
-    w0 = np.exp(-2.0 * g.phi[j0, i0])
-    gfx = w0 * g.grid.ddx(f)[j0, i0]
-    gfy = w0 * g.grid.ddy(f)[j0, i0]
-    iota0 = _disk_immersion(x0, y0)
-    udiff = (
-        gfx * _disk_immersion_dx(x0, y0)
-        + gfy * _disk_immersion_dy(x0, y0)
-        - f[j0, i0] * iota0
-    )
+    gfx, gfy = grad(f, g)[j0, i0]
+    dio_x, dio_y = _disk_immersion_frame(x0, y0)
+    udiff = gfx * dio_x + gfy * dio_y - f[j0, i0] * _disk_immersion(x0, y0)
     xplus = integrate_immersion(a, patch, 0.5 * udiff, sign=-1, codazzi_tol=codazzi_tol)
     xminus = integrate_immersion(a, patch, -0.5 * udiff, sign=1, codazzi_tol=codazzi_tol)
     return (
@@ -381,8 +371,7 @@ def _path_integral(a_interp, patch: HyperboloidPatch, p0, p1):
     dstep = (p1 - p0) / _PATH_STEPS
     amid = a_interp(mids)
     vec = np.einsum("nkj,j->nk", amid, dstep)
-    dio_x = _disk_immersion_dx(mids[:, 0], mids[:, 1])
-    dio_y = _disk_immersion_dy(mids[:, 0], mids[:, 1])
+    dio_x, dio_y = _disk_immersion_frame(mids[:, 0], mids[:, 1])
     return np.sum(vec[:, 0, None] * dio_x + vec[:, 1, None] * dio_y, axis=0)
 
 

@@ -27,8 +27,9 @@ from .operators import (
 __all__ = [
     "field_A",
     "energy",
+    "trace_energy",
+    "trace_energy_over",
     "energy_gradient",
-    "gradient_pairing",
     "gradient_pairing4",
     "flow_derivative_fd",
     "second_variation",
@@ -55,14 +56,28 @@ def energy(h, g: ConformalMetric):
     return g.integrate(sigma(field_A(h, g)))
 
 
+def trace_energy_over(grid, base, target):
+    """Integral of Tr(A) against the area of an SPD base metric field.
+
+    A is the base-self-adjoint positive field with target = base(A., A.).
+    The deformation families of :mod:`codazzi.teich` evaluate it over
+    bases that are not conformal; :func:`trace_energy` is the integral over
+    a conformal base.
+    """
+    base = grid.check_field(base, rank=2)
+    target = grid.check_field(target, rank=2)
+    dens = trace(spd_sqrt_pair(base, target)) * np.sqrt(det(base))
+    return float(np.sum(dens * grid.cell_weights()))
+
+
 def trace_energy(h, g: ConformalMetric):
-    """Integral of Tr(A) over the chart.
+    """Integral of Tr(A) over the chart: :func:`trace_energy_over` on the base g.
 
     On symmetric positive fields this equals sqrt(2) times :func:`energy`;
     it is the normalization whose L2 gradient is exactly -J div(A J), and
     the one used by the finite-difference gradient checks.
     """
-    return g.integrate(trace(field_A(h, g)))
+    return trace_energy_over(g.grid, g.matrix(), h)
 
 
 def energy_gradient(h, g: ConformalMetric):
@@ -78,18 +93,6 @@ def energy_gradient(h, g: ConformalMetric):
     return -apply_J(dnabla_endo(a, g))
 
 
-def gradient_pairing(h, g: ConformalMetric, x):
-    """Integral of <-J div(A J), x>_g, the weak form of the gradient.
-
-    Matches the central finite difference of :func:`trace_energy` along
-    the flow p -> p + t x(p).
-    """
-    x = g.grid.check_field(x, rank=1)
-    ge = energy_gradient(h, g)
-    dot = g.conformal_factor * np.einsum("...k,...k->...", ge, x)
-    return g.integrate(dot)
-
-
 def _simpson2(grid, dens):
     """Composite Simpson quadrature over the chart, both axes."""
     from scipy.integrate import simpson
@@ -98,13 +101,13 @@ def _simpson2(grid, dens):
 
 
 def gradient_pairing4(h, g: ConformalMetric, x):
-    """The weak gradient pairing with fourth-order stencils and Simpson quadrature.
+    """Integral of <-J div(A J), x>_g, the weak form of the gradient.
 
-    Same continuum quantity as :func:`gradient_pairing`; the higher-order
-    discretization keeps the truncation error of the pairing below the
-    1e-3 relative scale at moderate resolutions, which the plain
-    second-order route cannot guarantee.  Companion of
-    :func:`flow_derivative_fd`.
+    Fourth-order stencils and Simpson quadrature keep the truncation error
+    of the pairing below the 1e-3 relative scale at moderate resolutions,
+    which a second-order route cannot guarantee.  Matches
+    :func:`flow_derivative_fd`, the central finite difference of
+    :func:`trace_energy` along the flow p -> p + t x(p).
     """
     x = g.grid.check_field(x, rank=1)
     a = field_A(h, g)

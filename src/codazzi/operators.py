@@ -27,7 +27,6 @@ __all__ = [
     "dnabla_endo",
     "curvature",
     "frame_identity_residual",
-    "frame_identity_crosscheck",
     "hessian_endo",
     "general_christoffels",
     "brioschi_curvature",
@@ -140,39 +139,22 @@ def curvature(g: ConformalMetric):
     return -np.exp(-2.0 * g.phi) * g.grid.laplace_flat(g.phi)
 
 
-def frame_identity_residual(a, g: ConformalMetric):
+def frame_identity_residual(a, g: ConformalMetric, order):
     """L-infinity residual of the four-term frame identity, off two boundary rings.
 
     For every endomorphism field the combination
     ``grad Tr(a) - div a - J grad Tr(aJ) + J div(aJ)`` vanishes.  The
-    central-difference discretization satisfies the identity algebraically,
-    so this residual is machine zero on any field; see
-    :func:`frame_identity_crosscheck` for a variant with genuine
-    truncation error.
+    divergences are second-order and ``order`` is that of the gradient
+    stencils.  At order 2 the central-difference discretization satisfies
+    the identity algebraically, so the residual is machine zero on any
+    field; at order 4 it measures genuine truncation error of the continuum
+    identity and decays as O(h^2) under refinement.
     """
     a = g.grid.check_field(a, rank=2)
     t = (
-        grad(trace(a), g)
+        grad(trace(a), g, order)
         - div_endo(a, g)
-        - apply_J(grad(trace(a @ J), g))
-        + apply_J(div_endo(a @ J, g))
-    )
-    mask = g.grid.interior(2)
-    return float(np.max(np.abs(t[mask])))
-
-
-def frame_identity_crosscheck(a, g: ConformalMetric):
-    """Frame identity residual across two discretizations, off two boundary rings.
-
-    The gradient terms use fourth-order stencils while the divergences stay
-    second-order, so the residual measures genuine truncation error of the
-    continuum identity and decays as O(h^2) under refinement.
-    """
-    a = g.grid.check_field(a, rank=2)
-    t = (
-        grad(trace(a), g, order=4)
-        - div_endo(a, g)
-        - apply_J(grad(trace(a @ J), g, order=4))
+        - apply_J(grad(trace(a @ J), g, order))
         + apply_J(div_endo(a @ J, g))
     )
     mask = g.grid.interior(2)

@@ -1,7 +1,7 @@
 """Variation of the trace energy along quadratic deformation families.
 
-The trace energy (:func:`codazzi.energy.trace_energy`) integrates Tr(A)
-against the area of the base metric.  Along the family
+The trace energy (:func:`codazzi.energy.trace_energy_over`) integrates
+Tr(A) against the area of the base metric.  Along the family
 B_t = (1 + t^2 phi0) Id + t B, with B trace-free symmetric Codazzi and phi0
 the solution of (Laplace_h - 2) phi0 = Det(B), the first and second
 t-derivatives have closed forms whose finite-difference verification is
@@ -15,11 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import ConformalMetric, Grid
-from .jcalc import ID2, check_symmetric, det, inv2, spd_sqrt, trace
+from .energy import trace_energy_over
+from .grid import ConformalMetric
+from .jcalc import ID2, check_symmetric, det, inv2, trace
 
 __all__ = [
-    "e_hat_general",
     "phi0_solve",
     "e_hat_first_derivative",
     "first_derivative_general",
@@ -27,20 +27,6 @@ __all__ = [
     "second_derivative_lower_bound",
     "critical_sum_check",
 ]
-
-
-def e_hat_general(grid: Grid, base, target):
-    """Trace energy of ``target`` over an arbitrary SPD base metric field.
-
-    Needed along deformation families whose intermediate metrics are not
-    conformal; reduces to :func:`codazzi.energy.trace_energy` when ``base``
-    is e^{2 phi} Id.
-    """
-    base = grid.check_field(base, rank=2)
-    target = grid.check_field(target, rank=2)
-    a = spd_sqrt(inv2(base) @ target)
-    dens = trace(a) * np.sqrt(det(base))
-    return float(np.sum(dens * grid.cell_weights()))
 
 
 def _check_tracefree_symmetric(b):
@@ -142,12 +128,11 @@ class DeformationFamily:
 
     def h_t_matrix(self, t):
         bt = self.b_t(t)
-        h0m = self.h0.conformal_factor[..., None, None] * ID2
-        return np.swapaxes(bt, -1, -2) @ h0m @ bt
+        return np.swapaxes(bt, -1, -2) @ self.h0.matrix() @ bt
 
     def e_hat_along(self, target, t):
         """Trace energy of a fixed target metric over the deformed base."""
-        return e_hat_general(self.h0.grid, self.h_t_matrix(t), target)
+        return trace_energy_over(self.h0.grid, self.h_t_matrix(t), target)
 
 
 def second_derivative_lower_bound(a0, family: DeformationFamily, target):

@@ -48,7 +48,6 @@ from .operators import (
     div_endo_oracle,
     div_vec,
     div_vec_oracle,
-    frame_identity_crosscheck,
     frame_identity_residual,
 )
 from .randfields import (
@@ -210,7 +209,7 @@ def suite_fields(seed=0):
     checks.append(
         _equal(
             "frame_identity_native",
-            frame_identity_residual(a1, g1),
+            frame_identity_residual(a1, g1, 2),
             0.0,
             1e-12,
         )
@@ -218,8 +217,8 @@ def suite_fields(seed=0):
     checks.append(
         _converging(
             "frame_identity_crosscheck",
-            frame_identity_crosscheck(a1, g1),
-            frame_identity_crosscheck(a2, g2),
+            frame_identity_residual(a1, g1, 4),
+            frame_identity_residual(a2, g2, 4),
         )
     )
 

@@ -277,6 +277,29 @@ def test_flags_a_subcommand_does_not_read_are_usage_errors(tmp_path, monkeypatch
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("solve", "--manufactured-seed", "0", "--nx", "16", "--continuation-steps", "-3"),
+        ("solve", "--manufactured-seed", "0", "--nx", "16", "--tol", "nan"),
+        ("solve", "--manufactured-seed", "0", "--nx", "16", "--tol", "-1"),
+        ("solve", "--manufactured-seed", "0", "--nx", "16", "--tol", "0"),
+        ("solve", "--manufactured-seed", "0", "--nx", "16", "--tol", "inf"),
+        ("verify", "--suite", "jcalc", "--tol", "nan"),
+        ("embed", "--endo", "{f}", "--tol", "nan"),
+        ("embed", "--endo", "{f}", "--tol", "-0.05"),
+    ],
+)
+def test_out_of_range_flag_values_are_usage_errors(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    f = _identity_endo_file(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*(a.format(f=f) for a in argv))
+    assert exc.value.code == 2
+    assert f"argument {argv[-2]}: must be" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*_report.json"))
+
+
 def test_embed_refuses_non_integral_header_naming_file_and_key(tmp_path, capsys):
     path = _identity_endo_file(tmp_path)
     doc = json.loads(path.read_text())

@@ -12,7 +12,6 @@ from codazzi.energy import (
     energy_gradient,
     field_A,
     flow_derivative_fd,
-    gradient_pairing,
     gradient_pairing4,
     modified_inequality_check,
     second_variation,
@@ -67,16 +66,6 @@ def test_gradient_is_exactly_minus_J_div_AJ(topology):
     h = metric_action(trig_spd(g.grid, rng_for(5), amp=0.15), g.matrix())
     expected = -apply_J(div_endo(field_A(h, g) @ J, g))
     assert np.array_equal(energy_gradient(h, g), expected)
-
-
-def test_gradient_pairings_agree(disk64):
-    g = disk64
-    h = metric_action(trig_spd(g.grid, rng_for(4), amp=0.12, kmax=1), g.matrix())
-    x = bump(g.grid)[..., None] ** 2 * energy_gradient(h, g)
-    x = 0.3 * x / np.max(np.abs(x))
-    p2 = gradient_pairing(h, g, x)
-    p4 = gradient_pairing4(h, g, x)
-    assert p4 == pytest.approx(p2, rel=5e-3)
 
 
 def test_flow_derivative_matches_weak_gradient(disk64):

@@ -13,6 +13,11 @@ A parameter with a default, of any function or method in ``src/codazzi``,
 must be passed by at least one call in the same four trees, by keyword or
 by position.  Calls are matched to definitions by name; a call with
 ``*args`` or ``**kwargs`` counts as passing every parameter.
+
+Every entry of a module's ``__all__`` names a module-level definition or
+import, and every public name that another module of ``src/codazzi``
+imports from it, or reads as an attribute of it after ``from . import``,
+is listed there.
 """
 
 import ast
@@ -147,3 +152,63 @@ def test_every_defaulted_parameter_is_passed_by_some_call():
         )
     ]
     assert not unset, f"parameters with defaults that no call passes: {unset}"
+
+
+def _module_level_names(tree):
+    """Names bound at the top level of a module: definitions, assignments, imports."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((a.asname or a.name).split(".")[0] for a in node.names)
+    return names
+
+
+def _declared_all(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return None
+
+
+def _imported_from_siblings(stem, tree, modules):
+    """(module, name) of each public name ``stem`` takes from another library module."""
+    aliases = {}
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.ImportFrom) and node.level == 1):
+            continue
+        for alias in node.names:
+            if node.module is None and alias.name in modules:
+                aliases[alias.asname or alias.name] = alias.name
+            elif node.module in modules and not alias.name.startswith("_"):
+                yield node.module, alias.name
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in aliases
+            and not node.attr.startswith("_")
+        ):
+            yield aliases[node.value.id], node.attr
+
+
+def test_every_all_entry_exists_and_every_imported_name_is_listed():
+    trees = dict(_library_trees())
+    problems = []
+    for stem, tree in trees.items():
+        listed = _declared_all(tree)
+        if listed is not None:
+            problems += [f"{stem}.{n} listed, not defined" for n in
+                         sorted(listed - _module_level_names(tree))]
+    for stem, tree in trees.items():
+        for module, name in set(_imported_from_siblings(stem, tree, trees)):
+            listed = _declared_all(trees[module])
+            if listed is not None and name not in listed:
+                problems.append(f"{module}.{name} imported by {stem}, not in __all__")
+    assert not problems, problems

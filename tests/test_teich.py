@@ -8,8 +8,8 @@ import scipy.sparse.linalg
 from codazzi import teich
 from codazzi.energy import trace_energy
 from codazzi.grid import ConformalMetric, Grid, poincare_disk
-from codazzi.jcalc import ID2, det
-from codazzi.randfields import rng_for, tracefree_codazzi_conformal
+from codazzi.jcalc import ID2, det, metric_action
+from codazzi.randfields import rng_for, tracefree_codazzi_conformal, trig_spd
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +95,20 @@ def test_e_hat_conformal_value(family):
     assert trace_energy(c * c * h0.matrix(), h0) == pytest.approx(
         2.0 * c * h0.area(), abs=1e-10
     )
+
+
+@pytest.mark.parametrize("n", [32, 64])
+@pytest.mark.parametrize("conformal", [True, False])
+def test_family_at_t_zero_is_the_trace_energy_bit_for_bit(n, conformal):
+    # B_0 = Id, so the deformed base equals h0.matrix() entry for entry and
+    # both routes run the same general-base integral
+    h0 = poincare_disk(Grid(n, n, 0.8, 0.8, "dirichlet"))
+    fam = teich.DeformationFamily.build(tracefree_codazzi_conformal(h0, rng_for(3), amp=0.25), h0)
+    if conformal:
+        target = 1.96 * h0.matrix()
+    else:
+        target = metric_action(trig_spd(h0.grid, rng_for(8), amp=0.15), h0.matrix())
+    assert fam.e_hat_along(target, 0.0) == trace_energy(target, h0)
 
 
 def test_first_derivative_matches_fd(family):
