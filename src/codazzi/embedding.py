@@ -11,10 +11,11 @@ convexity are all verified numerically.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .grid import ConformalMetric, Grid, poincare_disk
+from .grid import ConformalMetric, Grid, _read_only, poincare_disk
 from .jcalc import ID2, check_symmetric, det
 from .maps import FieldInterpolator
 from .operators import grad, hessian_endo
@@ -120,10 +121,13 @@ class HyperboloidPatch:
         j0, i0 = self.base_index
         return float(self.grid.x[i0]), float(self.grid.y[j0])
 
+    @cached_property
+    def _nodes(self):
+        return _read_only(_disk_immersion(*self.grid.meshgrid()))
+
     def nodes(self):
-        """Node values of iota, shape (ny, nx, 3)."""
-        xx, yy = self.grid.meshgrid()
-        return _disk_immersion(xx, yy)
+        """Node values of iota, shape (ny, nx, 3), read-only."""
+        return self._nodes
 
     def node_frame(self):
         """Node values of (iota_x, iota_y), each (ny, nx, 3)."""

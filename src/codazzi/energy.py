@@ -167,10 +167,13 @@ def codazzi_residual(a, g: ConformalMetric):
     return float(np.max(np.abs(r[mask])))
 
 
-def _q_field(a, g: ConformalMetric):
-    """Scalar q = div(A^{-1} J div(A J)), the double-divergence block."""
+def _q_field(a, a_inv, g: ConformalMetric):
+    """Scalar q = div(A^{-1} J div(A J)), the double-divergence block.
+
+    ``a_inv`` is inv2(a), passed in by callers that also need it.
+    """
     inner = div_endo(a @ J, g)
-    w = np.einsum("...kj,...j->...k", inv2(a) @ J, inner)
+    w = np.einsum("...kj,...j->...k", a_inv @ J, inner)
     return div_vec(w, g)
 
 
@@ -186,7 +189,7 @@ def curvature_identity_residual(a, g: ConformalMetric, margin=3):
     a = check_symmetric(g.grid.check_field(a, rank=2))
     h = np.swapaxes(a, -1, -2) @ g.matrix() @ a
     kh = brioschi_curvature(g.grid, h)
-    resid = det(a) * kh - curvature(g) - _q_field(a, g)
+    resid = det(a) * kh - curvature(g) - _q_field(a, inv2(a), g)
     mask = g.grid.interior(margin)
     return float(np.max(np.abs(resid[mask])))
 
@@ -200,7 +203,7 @@ def correction_G(h, g: ConformalMetric):
     and the two must agree to O(h^2).
     """
     a = field_A(h, g)
-    return -grad(_q_field(a, g), g)
+    return -grad(_q_field(a, inv2(a), g), g)
 
 
 def correction_G_oracle(h, g: ConformalMetric):
@@ -216,12 +219,15 @@ def modified_inequality_check(h, g: ConformalMetric):
     Returns (lhs, rhs) with lhs = int <grad E - G, A^{-1} grad E> and
     rhs = int <grad E, A^{-1} grad E>; the claim is lhs >= rhs, i.e. the
     correction pairs non-negatively against A^{-1} grad E (its pairing
-    equals int q^2 dArea up to a boundary term).
+    equals int q^2 dArea up to a boundary term).  grad E and G are
+    :func:`energy_gradient` and :func:`correction_G` written out on one A
+    and one inverse of it.
     """
     a = field_A(h, g)
-    ge = energy_gradient(h, g)
-    y = np.einsum("...kj,...j->...k", inv2(a), ge)
-    gcorr = correction_G(h, g)
+    a_inv = inv2(a)
+    ge = -apply_J(dnabla_endo(a, g))
+    y = np.einsum("...kj,...j->...k", a_inv, ge)
+    gcorr = -grad(_q_field(a, a_inv, g), g)
     w = g.conformal_factor
     rhs = g.integrate(w * np.einsum("...k,...k->...", ge, y))
     lhs = g.integrate(w * np.einsum("...k,...k->...", ge - gcorr, y))

@@ -20,33 +20,54 @@ __all__ = [
 ]
 
 
+# Payload rows per json.dumps call in save_field: bounds the memory of the
+# lists and strings being encoded, whatever the grid size.
+_ROWS_PER_CHUNK = 4096
+
+
+def _dumps(obj):
+    # compact json.dumps runs json's C encoder; json.dump and any indent fall
+    # back to the pure-Python one
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
 def save_field(path, g: ConformalMetric, h=None, endo=None, x=None):
-    """Write a field file: conformal factor plus optional matrix/vector payloads."""
+    """Write a field file: conformal factor plus optional matrix/vector payloads.
+
+    The file is the compact, key-sorted JSON document of the grid header and
+    the payloads; each payload is written in chunks of rows, so no string
+    or list of the whole document is ever built.
+    """
     grid = g.grid
-    doc = {
-        "grid": {
-            "nx": grid.nx,
-            "ny": grid.ny,
-            "lx": grid.lx,
-            "ly": grid.ly,
-            "topology": grid.topology,
-        },
-        "phi": g.phi.ravel().tolist(),
+    header = {
+        "nx": grid.nx,
+        "ny": grid.ny,
+        "lx": grid.lx,
+        "ly": grid.ly,
+        "topology": grid.topology,
     }
+    payloads = {"phi": g.phi.reshape(-1)}
     if h is not None:
         h = grid.check_field(h, rank=2)
         tri = np.stack([h[..., 0, 0], h[..., 0, 1], h[..., 1, 1]], axis=-1)
-        doc["h"] = tri.reshape(-1, 3).tolist()
+        payloads["h"] = tri.reshape(-1, 3)
     if endo is not None:
-        endo = grid.check_field(endo, rank=2)
-        doc["endo"] = endo.reshape(-1, 4).tolist()
+        payloads["endo"] = grid.check_field(endo, rank=2).reshape(-1, 4)
     if x is not None:
-        x = grid.check_field(x, rank=1)
-        doc["x"] = x.reshape(-1, 2).tolist()
-    # one compact json.dumps call runs json's C encoder; json.dump and any
-    # indent fall back to the pure-Python one
+        payloads["x"] = grid.check_field(x, rank=1).reshape(-1, 2)
     with open(path, "w") as fh:
-        fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+        for k, key in enumerate(sorted(["grid", *payloads])):
+            fh.write(("{" if k == 0 else ",") + _dumps(key) + ":")
+            if key == "grid":
+                fh.write(_dumps(header))
+                continue
+            rows = payloads[key]
+            for start in range(0, len(rows), _ROWS_PER_CHUNK):
+                chunk = _dumps(rows[start:start + _ROWS_PER_CHUNK].tolist())
+                # the chunk's own brackets open and close the whole list
+                fh.write(("[" if start == 0 else ",") + chunk[1:-1])
+            fh.write("]")
+        fh.write("}\n")
 
 
 def _node_count(header, key):
@@ -133,9 +154,16 @@ def write_json(path, doc):
 
 
 def write_mesh_csv(path, grid: Grid, x, phi_support):
-    """Mesh rows "u,v,x1,x2,x3,phi_support", row-major with u fastest."""
+    """Mesh rows "u,v,x1,x2,x3,phi_support", row-major with u fastest.
+
+    Raises ValueError unless ``x`` is (ny, nx, 3) and ``phi_support`` is
+    (ny, nx) on ``grid``.
+    """
     x = np.asarray(x, dtype=float)
     phi_support = np.asarray(phi_support, dtype=float)
+    if x.shape != (grid.ny, grid.nx, 3) or phi_support.shape != (grid.ny, grid.nx):
+        raise ValueError(f"mesh x {x.shape} and phi_support {phi_support.shape} do not "
+                         f"match grid ({grid.ny}, {grid.nx})")
     # one repr per chart column (u) and per chart row (v), then whole columns
     us = [repr(u) for u in grid.x.tolist()]
     vs = [repr(v) for v in grid.y.tolist()]

@@ -23,8 +23,9 @@ First derivatives come in two orders, from one pair of methods
   first-order one-sided value.
 
 A grid and a metric are immutable, so each computes its derived geometry
-(node coordinates, meshgrid, quadrature weights, conformal factor, metric
-matrix) once, on first use, and returns it read-only.
+(node coordinates, meshgrid, quadrature weights, conformal factor and its
+inverse, metric matrix, derivatives of phi) once, on first use, and returns
+it read-only.
 """
 
 from dataclasses import dataclass, field
@@ -204,13 +205,22 @@ class ConformalMetric:
         """Metric tensor as a read-only SPD field of shape (ny, nx, 2, 2)."""
         return self._matrix
 
-    def phi_derivs(self):
-        """(phi_x, phi_y) central-difference derivatives.
+    @cached_property
+    def inverse_factor(self):
+        """e^{-2 phi}, read-only.
 
-        Not cached: on a 256^2 chart they are 1 MB, held for the metric's
-        life, and the large-array paths take them once per metric.
+        Taken as exp(-2 phi), which is not 1 / :attr:`conformal_factor`
+        bit for bit.
         """
-        return self.grid.ddx(self.phi), self.grid.ddy(self.phi)
+        return _read_only(np.exp(-2.0 * self.phi))
+
+    @cached_property
+    def _phi_derivs(self):
+        return _read_only(self.grid.ddx(self.phi)), _read_only(self.grid.ddy(self.phi))
+
+    def phi_derivs(self):
+        """(phi_x, phi_y) central-difference derivatives, read-only."""
+        return self._phi_derivs
 
     def area(self):
         """Total area of the chart in the metric."""

@@ -47,7 +47,7 @@ def grad(f, g: ConformalMetric, order=2):
     """Metric gradient of a scalar field: e^{-2 phi} (f_x, f_y)."""
     f = g.grid.check_field(f)
     out = np.empty((g.grid.ny, g.grid.nx, 2))
-    w = np.exp(-2.0 * g.phi)
+    w = g.inverse_factor
     out[..., 0] = w * g.grid.ddx(f, order)
     out[..., 1] = w * g.grid.ddy(f, order)
     return out
@@ -82,7 +82,7 @@ def _div_columns(c0, c1, g: ConformalMetric, order=2):
     out = g.grid.ddx(c0, order) + g.grid.ddy(c1, order)
     out[..., 0] += px * skew + py * sym
     out[..., 1] += px * sym - py * skew
-    return np.exp(-2.0 * g.phi)[..., None] * out
+    return g.inverse_factor[..., None] * out
 
 
 def div_endo(a, g: ConformalMetric, order=2):
@@ -120,7 +120,7 @@ def div_endo_oracle(a, g: ConformalMetric):
     aj = a @ J
     ny_ = _cov_deriv_vecfield(g, aj[..., :, 1])[..., 0, :]  # nabla_x (aJ dy)
     nx_ = _cov_deriv_vecfield(g, aj[..., :, 0])[..., 1, :]  # nabla_y (aJ dx)
-    return -np.exp(-2.0 * g.phi)[..., None] * (ny_ - nx_)
+    return -g.inverse_factor[..., None] * (ny_ - nx_)
 
 
 def dnabla_endo(a, g: ConformalMetric):
@@ -136,7 +136,7 @@ def dnabla_endo(a, g: ConformalMetric):
 
 def curvature(g: ConformalMetric):
     """Scalar curvature -e^{-2 phi} Laplace(phi) of the conformal metric."""
-    return -np.exp(-2.0 * g.phi) * g.grid.laplace_flat(g.phi)
+    return -g.inverse_factor * g.grid.laplace_flat(g.phi)
 
 
 def frame_identity_residual(a, g: ConformalMetric, order):
@@ -183,7 +183,7 @@ def hessian_endo(f, g: ConformalMetric):
     hess[..., 0, 1] = grid.ddy(fx) - mixed
     hess[..., 1, 0] = grid.ddx(fy) - mixed
     hess[..., 1, 1] = grid.ddy(fy) - 2.0 * py * fy + dot
-    return np.exp(-2.0 * g.phi)[..., None, None] * hess
+    return g.inverse_factor[..., None, None] * hess
 
 
 def general_christoffels(grid, h):

@@ -17,36 +17,51 @@ def rng_for(seed):
     return np.random.Generator(np.random.Philox(int(seed)))
 
 
-def trig_scalar(grid: Grid, rng, nmodes=4, kmax=2, amp=1.0):
-    """Random finite trigonometric sum, periodic over the chart."""
-    xx, yy = grid.meshgrid()
-    out = np.zeros((grid.ny, grid.nx))
-    for _ in range(nmodes):
-        kx = rng.integers(-kmax, kmax + 1)
-        ky = rng.integers(-kmax, kmax + 1)
-        phase = rng.uniform(0.0, 2.0 * np.pi)
-        c = rng.uniform(-1.0, 1.0)
-        out += c * np.cos(2.0 * np.pi * (kx * xx / grid.lx + ky * yy / grid.ly) + phase)
+def _trig_sums(grid: Grid, rng, ncomp, nmodes=4, kmax=2, amp=1.0):
+    """``ncomp`` random finite trigonometric sums, shape (ncomp, ny, nx).
+
+    Each component draws its modes' (kx, ky, phase, c) from ``rng`` in turn,
+    so component k is the k-th of ``ncomp`` one-component calls.  The cosines
+    of all modes are taken in one array pass; each component adds its modes
+    in the order they were drawn.
+    """
+    draws = np.array([
+        (rng.integers(-kmax, kmax + 1), rng.integers(-kmax, kmax + 1),
+         rng.uniform(0.0, 2.0 * np.pi), rng.uniform(-1.0, 1.0))
+        for _ in range(ncomp * nmodes)
+    ])
+    kx, ky, phase, c = (d[:, None, None] for d in draws.T)
+    # c cos(2 pi (kx x / lx + ky y / ly) + phase), in place on one array
+    terms = (kx * grid.x / grid.lx) + (ky * grid.y[:, None] / grid.ly)
+    terms *= 2.0 * np.pi
+    terms += phase
+    np.cos(terms, out=terms)
+    terms *= c
+    terms = terms.reshape(ncomp, nmodes, grid.ny, grid.nx)
+    out = np.zeros((ncomp, grid.ny, grid.nx))
+    for m in range(nmodes):
+        out += terms[:, m]
     return amp * out / nmodes
 
 
+def trig_scalar(grid: Grid, rng, **kw):
+    """Random finite trigonometric sum, periodic over the chart; keywords of :func:`_trig_sums`."""
+    return _trig_sums(grid, rng, 1, **kw)[0]
+
+
 def trig_vector(grid: Grid, rng, **kw):
-    return np.stack([trig_scalar(grid, rng, **kw) for _ in range(2)], axis=-1)
+    return np.stack(tuple(_trig_sums(grid, rng, 2, **kw)), axis=-1)
 
 
 def trig_endo(grid: Grid, rng, **kw):
-    comps = [trig_scalar(grid, rng, **kw) for _ in range(4)]
     out = np.empty((grid.ny, grid.nx, 2, 2))
-    out[..., 0, 0], out[..., 0, 1] = comps[0], comps[1]
-    out[..., 1, 0], out[..., 1, 1] = comps[2], comps[3]
+    out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = _trig_sums(grid, rng, 4, **kw)
     return out
 
 
 def trig_spd(grid: Grid, rng, amp=0.2, **kw):
     """SPD matrix field Id + symmetric trigonometric perturbation."""
-    a = trig_scalar(grid, rng, amp=amp, **kw)
-    b = trig_scalar(grid, rng, amp=amp, **kw)
-    c = trig_scalar(grid, rng, amp=amp, **kw)
+    a, b, c = _trig_sums(grid, rng, 3, amp=amp, **kw)
     out = np.empty((grid.ny, grid.nx, 2, 2))
     out[..., 0, 0] = 1.0 + a
     out[..., 1, 1] = 1.0 + b
@@ -121,7 +136,7 @@ def tracefree_codazzi_conformal(g, rng, amp=0.1):
     the continuum.
     """
     u, v = holomorphic_values(g.grid, rng, amp=amp)
-    w = np.exp(-2.0 * g.phi)
+    w = g.inverse_factor
     out = np.empty((g.grid.ny, g.grid.nx, 2, 2))
     out[..., 0, 0] = w * u
     out[..., 1, 1] = -w * u

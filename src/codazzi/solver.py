@@ -268,7 +268,7 @@ def _jacobian_operators(g, idx):
     pattern = np.stack([_R_DY, _R_DX, np.ones((2, 4)), _R_DX, _R_DY], axis=1)
     e, s, k = np.nonzero(pattern)
     central = np.array([wy[1, 0], wx[1, 0], 0.0, wx[1, 1], wy[1, 1]])[s] * pattern[e, s, k]
-    w = np.exp(-2.0 * g.phi).ravel()[idx, None]
+    w = g.inverse_factor.ravel()[idx, None]
     px, py = (d.ravel()[idx, None, None] for d in g.phi_derivs())
     lvals = w * central
     # in each row the node's own four entries follow the one below and the one left

@@ -125,33 +125,41 @@ def suite_jcalc(seed=0):
     rng = rng_for(seed)
     a = rng.standard_normal((100_000, 2, 2))
     checks = []
+    # each 100,000-matrix intermediate is dropped once its check is recorded
+    sig = sigma(a)
 
     fro = np.sqrt(np.sum(jlin_part(a) ** 2, axis=(-2, -1)))
     checks.append(
-        _equal("sigma_frobenius_oracle", np.max(np.abs(sigma(a) - fro)), 0.0, 1e-12)
+        _equal("sigma_frobenius_oracle", np.max(np.abs(sig - fro)), 0.0, 1e-12)
     )
+    del fro
 
     th = rng.uniform(0.0, 2.0 * np.pi, size=a.shape[0])
+    cos, sin = np.cos(th), np.sin(th)
     rot = np.empty_like(a)
-    rot[:, 0, 0] = np.cos(th)
-    rot[:, 0, 1] = -np.sin(th)
-    rot[:, 1, 0] = np.sin(th)
-    rot[:, 1, 1] = np.cos(th)
+    rot[:, 0, 0] = cos
+    rot[:, 0, 1] = -sin
+    rot[:, 1, 0] = sin
+    rot[:, 1, 1] = cos
+    del th, cos, sin
     rot_err = max(
-        np.max(np.abs(sigma(rot @ a) - sigma(a))),
-        np.max(np.abs(sigma(a @ rot) - sigma(a))),
+        np.max(np.abs(sigma(rot @ a) - sig)),
+        np.max(np.abs(sigma(a @ rot) - sig)),
     )
     checks.append(_equal("sigma_rotation_invariance", rot_err, 0.0, 1e-12))
+    del rot, sig
 
     anti = a - np.swapaxes(a, -1, -2) + trace(a @ J)[..., None, None] * J
     checks.append(
         _equal("antisymmetric_part_relation", np.max(np.abs(anti)), 0.0, 1e-14)
     )
+    del anti
 
     inv_ok = np.abs(det(a)) > 0.1
     b = a[inv_ok]
     adj = J @ np.swapaxes(b, -1, -2) @ J + det(b)[..., None, None] * inv2(b)
     checks.append(_equal("adjugate_relation", np.max(np.abs(adj)), 0.0, 1e-13))
+    del inv_ok, b, adj
 
     m = rng.standard_normal((20_000, 2, 2))
     spd = np.swapaxes(m, -1, -2) @ m + 0.1 * ID2

@@ -26,6 +26,15 @@ def test_patch_nodes_lie_on_hyperboloid():
     assert np.min(iota[..., 2]) > 0.0
 
 
+def test_patch_nodes_are_cached_read_only_and_equal_a_fresh_computation():
+    p = embedding.HyperboloidPatch(Grid(24, 17, 0.8, 0.6, "dirichlet"))
+    nodes = p.nodes()
+    assert p.nodes() is nodes
+    assert not nodes.flags.writeable
+    fresh = embedding._disk_immersion(*np.meshgrid(p.grid.x, p.grid.y))
+    assert nodes.shape == fresh.shape and nodes.tobytes() == fresh.tobytes()
+
+
 def test_identity_field_reproduces_hyperboloid():
     p = _patch(33)
     iota = p.nodes()

@@ -18,7 +18,7 @@ from codazzi.energy import (
     trace_energy,
 )
 from codazzi.grid import Grid, poincare_disk
-from codazzi.jcalc import ID2, J, metric_action
+from codazzi.jcalc import ID2, J, inv2, metric_action
 from codazzi.operators import apply_J, div_endo
 from codazzi.randfields import (
     bump,
@@ -126,6 +126,22 @@ def test_modified_inequality_on_seeded_configs():
         h = metric_action(a, g.matrix())
         lhs, rhs = modified_inequality_check(h, g)
         assert lhs >= rhs - (1e-8 + 1e-2 * abs(rhs))
+
+
+def test_modified_inequality_equals_the_public_gradient_and_correction():
+    g = poincare_disk(Grid(32, 32, 0.8, 0.8, "dirichlet"))
+    cut = bump(g.grid)
+    for k in range(3):
+        e = trig_endo(g.grid, rng_for(500 + k), amp=0.2)
+        e = 0.5 * (e + np.swapaxes(e, -1, -2))
+        a = np.broadcast_to(ID2, e.shape).copy() + cut[..., None, None] * e
+        h = metric_action(a, g.matrix())
+        ge = energy_gradient(h, g)
+        y = np.einsum("...kj,...j->...k", inv2(field_A(h, g)), ge)
+        w = g.conformal_factor
+        rhs = g.integrate(w * np.einsum("...k,...k->...", ge, y))
+        lhs = g.integrate(w * np.einsum("...k,...k->...", ge - correction_G(h, g), y))
+        assert modified_inequality_check(h, g) == (lhs, rhs)
 
 
 def test_curvature_identity_rejects_nonsymmetric(disk64):

@@ -1,10 +1,12 @@
 """Field-file round trips and deterministic serialization."""
 
+import json
+
 import numpy as np
 import pytest
 
 from codazzi import fileio
-from codazzi.grid import Grid, poincare_disk
+from codazzi.grid import ConformalMetric, Grid, poincare_disk
 from codazzi.jcalc import metric_action
 from codazzi.randfields import rng_for, trig_endo, trig_spd, trig_vector
 
@@ -158,3 +160,65 @@ def test_mesh_csv_shape_and_header(sample):
     assert data.shape == (grid.nx * grid.ny, 6)
     # row-major with u fastest: the first nx rows share the lowest v
     assert np.all(data[: grid.nx, 1] == data[0, 1])
+
+
+def _one_call_document(g, h, endo, x):
+    """The field file as one json.dumps of the whole document: save_field's oracle."""
+    grid = g.grid
+    doc = {
+        "grid": {
+            "nx": grid.nx, "ny": grid.ny, "lx": grid.lx, "ly": grid.ly,
+            "topology": grid.topology,
+        },
+        "phi": g.phi.ravel().tolist(),
+    }
+    if h is not None:
+        tri = np.stack([h[..., 0, 0], h[..., 0, 1], h[..., 1, 1]], axis=-1)
+        doc["h"] = tri.reshape(-1, 3).tolist()
+    if endo is not None:
+        doc["endo"] = endo.reshape(-1, 4).tolist()
+    if x is not None:
+        doc["x"] = x.reshape(-1, 2).tolist()
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+_SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 5e-324, -2.5e-310, np.finfo(float).tiny]
+
+
+# 120 nodes fill part of one chunk of rows, 4096 exactly one, 4550 one and a part
+@pytest.mark.parametrize(
+    "grid",
+    [
+        Grid(12, 10, 0.8, 0.6, "dirichlet"),
+        Grid(64, 64, 1.0, 1.0, "periodic"),
+        Grid(70, 65, 0.7, 0.9, "dirichlet"),
+    ],
+    ids=["120-nodes", "4096-nodes", "4550-nodes"],
+)
+@pytest.mark.parametrize(
+    "keys", [(), ("h",), ("endo",), ("x",), ("h", "endo", "x")], ids="+".join
+)
+def test_save_field_writes_the_one_call_document_byte_for_byte(tmp_path, grid, keys):
+    rng = np.random.default_rng(grid.nx + len(keys))
+
+    def field(*comp):
+        f = rng.standard_normal((grid.ny, grid.nx) + comp)
+        f.reshape(-1)[rng.choice(f.size, len(_SPECIAL), replace=False)] = _SPECIAL
+        return f
+
+    g = ConformalMetric(grid, field())
+    payloads = {"h": field(2, 2), "endo": field(2, 2), "x": field(2)}
+    payloads = {k: (v if k in keys else None) for k, v in payloads.items()}
+    path = tmp_path / "f.json"
+    fileio.save_field(path, g, **payloads)
+    assert path.read_text() == _one_call_document(g, **payloads)
+
+
+def test_mesh_csv_refuses_shapes_that_do_not_match_the_grid(sample):
+    tmp, *_ = sample
+    grid = Grid(12, 9)
+    path = tmp / "m.csv"
+    with pytest.raises(ValueError, match=r"\(5, 9, 3\).*\(9, 12\)"):
+        fileio.write_mesh_csv(path, grid, np.zeros((5, 9, 3)), np.zeros((9, 12)))
+    with pytest.raises(ValueError, match=r"\(9, 12, 3\).*\(12, 9\)"):
+        fileio.write_mesh_csv(path, grid, np.zeros((9, 12, 3)), np.zeros((12, 9)))

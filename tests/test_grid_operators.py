@@ -296,10 +296,12 @@ def _cached(g):
     """Every derived array of ``g`` and its grid, by name."""
     grid = g.grid
     xx, yy = grid.meshgrid()
+    px, py = g.phi_derivs()
     return {
         "x": grid.x, "y": grid.y, "meshgrid X": xx, "meshgrid Y": yy,
         "cell_weights": grid.cell_weights(), "phi": g.phi,
         "conformal_factor": g.conformal_factor, "matrix": g.matrix(),
+        "inverse_factor": g.inverse_factor, "phi_x": px, "phi_y": py,
     }
 
 
@@ -318,11 +320,19 @@ def _fresh(g):
     xx, yy = np.meshgrid(grid.x, grid.y)
     phi = np.array(g.phi)
     factor = np.exp(2.0 * phi)
+    if grid.periodic:
+        px = (np.roll(phi, -1, 1) - np.roll(phi, 1, 1)) / (2 * grid.dx)
+        py = (np.roll(phi, -1, 0) - np.roll(phi, 1, 0)) / (2 * grid.dy)
+    else:
+        px = np.gradient(phi, grid.dx, axis=1, edge_order=2)
+        py = np.gradient(phi, grid.dy, axis=0, edge_order=2)
     return {
         "x": x, "y": y, "meshgrid X": xx, "meshgrid Y": yy,
         # the trapezoid halvings are powers of two, so the product is exact
         "cell_weights": grid.dx * grid.dy * np.outer(ey, ex), "phi": phi,
         "conformal_factor": factor, "matrix": factor[..., None, None] * np.eye(2),
+        # exp(-2 phi) is not 1 / conformal_factor bit for bit
+        "inverse_factor": np.exp(-2.0 * phi), "phi_x": px, "phi_y": py,
     }
 
 

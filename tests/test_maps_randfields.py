@@ -14,8 +14,10 @@ from codazzi.randfields import (
     rng_for,
     tracefree_codazzi_conformal,
     tracefree_codazzi_flat,
+    trig_endo,
     trig_scalar,
     trig_spd,
+    trig_vector,
 )
 
 
@@ -158,6 +160,70 @@ def test_map_jacobian_of_linear_displacement():
     jac = map_jacobian(grid, x, t=1.0)
     ref = np.array([[1.1, 0.2], [-0.3, 1.0]])
     assert np.max(np.abs(jac - ref)) < 1e-10
+
+
+def _loop_trig_scalar(grid, rng, nmodes=4, kmax=2, amp=1.0):
+    """One sum, one mode at a time on the meshgrid: the generators' oracle."""
+    xx, yy = grid.meshgrid()
+    out = np.zeros((grid.ny, grid.nx))
+    for _ in range(nmodes):
+        kx = rng.integers(-kmax, kmax + 1)
+        ky = rng.integers(-kmax, kmax + 1)
+        phase = rng.uniform(0.0, 2.0 * np.pi)
+        c = rng.uniform(-1.0, 1.0)
+        out += c * np.cos(2.0 * np.pi * (kx * xx / grid.lx + ky * yy / grid.ly) + phase)
+    return amp * out / nmodes
+
+
+def _loop_trig_vector(grid, rng, **kw):
+    return np.stack([_loop_trig_scalar(grid, rng, **kw) for _ in range(2)], axis=-1)
+
+
+def _loop_trig_endo(grid, rng, **kw):
+    comps = [_loop_trig_scalar(grid, rng, **kw) for _ in range(4)]
+    return np.stack(comps, axis=-1).reshape(grid.ny, grid.nx, 2, 2)
+
+
+def _loop_trig_spd(grid, rng, amp=0.2, **kw):
+    a, b, c = (_loop_trig_scalar(grid, rng, amp=amp, **kw) for _ in range(3))
+    return np.stack([1.0 + a, c, c, 1.0 + b], axis=-1).reshape(grid.ny, grid.nx, 2, 2)
+
+
+# every amp and kmax that a caller in the library, tests, demos or benchmark passes
+_GENERATOR_CASES = [
+    (trig_scalar, _loop_trig_scalar, {"amp": 0.3}),
+    (trig_scalar, _loop_trig_scalar, {"amp": 0.4}),
+    (trig_scalar, _loop_trig_scalar, {"amp": 1.0}),
+    (trig_scalar, _loop_trig_scalar, {"amp": 0.05, "kmax": 2}),
+    (trig_vector, _loop_trig_vector, {"amp": 1.0}),
+    (trig_vector, _loop_trig_vector, {"amp": 0.2}),
+    (trig_vector, _loop_trig_vector, {"kmax": 1}),
+    (trig_vector, _loop_trig_vector, {"kmax": 2}),
+    (trig_endo, _loop_trig_endo, {"amp": 1.0}),
+    (trig_endo, _loop_trig_endo, {"amp": 0.2}),
+    (trig_endo, _loop_trig_endo, {"amp": 0.3}),
+    (trig_spd, _loop_trig_spd, {"amp": 0.2}),
+    (trig_spd, _loop_trig_spd, {"amp": 0.15}),
+    (trig_spd, _loop_trig_spd, {"amp": 0.12, "kmax": 1}),
+]
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        Grid(32, 32, 1.0, 1.0, "periodic"),
+        Grid(24, 16, 1.3, 0.7, "periodic"),
+        Grid(20, 12, 0.8, 0.5, "dirichlet"),
+    ],
+    ids=["periodic-square", "periodic-oblong", "dirichlet-oblong"],
+)
+def test_generators_equal_the_per_mode_loop_bit_for_bit(grid):
+    for new, loop, kw in _GENERATOR_CASES:
+        for seed in range(30):
+            got = new(grid, rng_for(seed), **kw)
+            ref = loop(grid, rng_for(seed), **kw)
+            assert got.shape == ref.shape and got.flags.c_contiguous
+            assert got.tobytes() == ref.tobytes(), (new.__name__, kw, seed)
 
 
 def test_trig_spd_output_is_spd():
