@@ -31,7 +31,7 @@ import numpy as np
 
 from . import embedding, fileio, solver, verify
 from .energy import codazzi_residual
-from .grid import DIRICHLET, Grid, poincare_disk
+from .grid import DIRICHLET, Grid, first_node, poincare_disk
 from .jcalc import check_symmetric
 from .manufactured import ManufacturedDiffeo, pullback_of_scaled_poincare, recovery_error
 
@@ -114,11 +114,10 @@ def _phi_refusal(path, phi, expected, what):
     round-off of a file written from the same metric passes.  The message
     names the file, the key and the first such node.
     """
-    off = np.argwhere(np.abs(phi - expected) > 1e-12 * (1.0 + np.abs(expected)))
-    if not off.size:
+    node = first_node(np.abs(phi - expected) > 1e-12 * (1.0 + np.abs(expected)))
+    if node is None:
         return None
-    j, i = off[0]
-    return f"error: {path}: key 'phi' is not {what} at node (j, i) = ({j}, {i})"
+    return f"error: {path}: key 'phi' is not {what} at node (j, i) = {node}"
 
 
 def _endo_refusal(path, endo):

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .grid import ConformalMetric, Grid
-from .jcalc import J, check_symmetric, det, inv2, trace
+from .jcalc import J, check_spd, det, inv2, trace
 from .operators import general_christoffels
 
 __all__ = [
@@ -31,20 +31,13 @@ __all__ = [
 ]
 
 
-def _check_positive_symmetric(a):
-    a = check_symmetric(a)
-    if not (np.all(det(a) > 0.0) and np.all(trace(a) > 0.0)):
-        raise ValueError("field must be positive-definite")
-    return a
-
-
 def intermediate_J(a):
     """Complex structure of the intermediate metric: Det(A)^{-1/2} J A.
 
     Squares to -Id at every node; compatible with h = g(A., .) for any
     conformal background g, which therefore is not an argument.
     """
-    a = _check_positive_symmetric(a)
+    a = check_spd(a)
     return J / np.sqrt(det(a))[..., None, None] @ a
 
 
@@ -54,7 +47,7 @@ def _phi_field(a):
 
 def alpha_field(a, grid: Grid):
     """The 1-form alpha = -d log(Det A) / 2, components per node."""
-    a = _check_positive_symmetric(grid.check_field(a, rank=2))
+    a = check_spd(grid.check_field(a, rank=2))
     phi = _phi_field(a)
     return np.stack([-0.5 * grid.ddx(phi), -0.5 * grid.ddy(phi)], axis=-1)
 
@@ -77,7 +70,7 @@ def alpha_harmonic_residual(a, g: ConformalMetric):
     control for non-Codazzi input.
     """
     grid = g.grid
-    a = _check_positive_symmetric(grid.check_field(a, rank=2))
+    a = check_spd(grid.check_field(a, rank=2))
     h = g.matrix() @ a
     hinv = inv2(h)
     dphi = np.stack(g.phi_derivs(), axis=-1)
@@ -114,7 +107,7 @@ def energy_identity_check(a, g: ConformalMetric):
     pointwise in exact arithmetic.
     """
     grid = g.grid
-    a = _check_positive_symmetric(grid.check_field(a, rank=2))
+    a = check_spd(grid.check_field(a, rank=2))
     gm = g.matrix()
     h = gm @ a
     hinv = inv2(h)

@@ -203,7 +203,12 @@ def correction_G(h, g: ConformalMetric):
     and the two must agree to O(h^2).
     """
     a = field_A(h, g)
-    return -grad(_q_field(a, inv2(a), g), g)
+    return _correction(a, inv2(a), g)
+
+
+def _correction(a, a_inv, g):
+    """G = -grad q(A) from A and its inverse."""
+    return -grad(_q_field(a, a_inv, g), g)
 
 
 def correction_G_oracle(h, g: ConformalMetric):
@@ -227,7 +232,7 @@ def modified_inequality_check(h, g: ConformalMetric):
     a_inv = inv2(a)
     ge = -apply_J(dnabla_endo(a, g))
     y = np.einsum("...kj,...j->...k", a_inv, ge)
-    gcorr = -grad(_q_field(a, a_inv, g), g)
+    gcorr = _correction(a, a_inv, g)
     w = g.conformal_factor
     rhs = g.integrate(w * np.einsum("...k,...k->...", ge, y))
     lhs = g.integrate(w * np.einsum("...k,...k->...", ge - gcorr, y))

@@ -10,7 +10,8 @@ import json
 
 import numpy as np
 
-from .grid import ConformalMetric, Grid
+from .grid import ConformalMetric, Grid, first_node
+from .jcalc import check_spd
 
 __all__ = [
     "save_field",
@@ -78,20 +79,12 @@ def _node_count(header, key):
     return int(n)
 
 
-def _refuse_first_bad_node(path, key, ok, what):
-    """Raise ValueError naming the file, the key and the first node where ``ok`` fails."""
-    bad = np.argwhere(~ok)
-    if bad.size:
-        j, i = bad[0]
-        raise ValueError(f"{path}: key '{key}' is {what} at node (j, i) = ({j}, {i})")
-
-
 def load_field(path):
     """Read a field file; returns a dict with the metric and any payloads.
 
     Raises ValueError naming the file and offending key on malformed input,
-    and the first node (j, i) of a non-finite ``phi`` or of an ``h`` that is
-    not finite and positive definite.  A non-finite ``endo`` is left to
+    and the first node (j, i) of a non-finite ``phi`` or of an ``h`` that
+    :func:`codazzi.jcalc.check_spd` refuses.  A non-finite ``endo`` is left to
     :func:`codazzi.jcalc.check_symmetric` at its point of use.
     """
     with open(path) as fh:
@@ -124,21 +117,17 @@ def load_field(path):
         phi = _payload("phi", 1).reshape(grid.ny, grid.nx)
     except KeyError:
         raise ValueError(f"{path}: missing required key 'phi'") from None
-    _refuse_first_bad_node(path, "phi", np.isfinite(phi), "not finite")
+    node = first_node(~np.isfinite(phi))
+    if node is not None:
+        raise ValueError(f"{path}: key 'phi' is not finite at node (j, i) = {node}")
     out["g"] = ConformalMetric(grid, phi)
     if "h" in doc:
-        tri = _payload("h", 3).reshape(grid.ny, grid.nx, 3)
-        h00, h01, h11 = tri[..., 0], tri[..., 1], tri[..., 2]
-        # Sylvester's criterion; a NaN fails both comparisons, and the
-        # finiteness test catches an infinite entry that would pass them
-        spd = np.all(np.isfinite(tri), axis=-1) & (h00 > 0.0) & (h00 * h11 - h01 * h01 > 0.0)
-        _refuse_first_bad_node(path, "h", spd, "not finite and positive definite")
-        h = np.empty((grid.ny, grid.nx, 2, 2))
-        h[..., 0, 0] = tri[..., 0]
-        h[..., 0, 1] = tri[..., 1]
-        h[..., 1, 0] = tri[..., 1]
-        h[..., 1, 1] = tri[..., 2]
-        out["h"] = h
+        # rows (h00, h01, h11) spread to [[h00, h01], [h01, h11]]
+        h = _payload("h", 3)[:, [0, 1, 1, 2]].reshape(grid.ny, grid.nx, 2, 2)
+        try:
+            out["h"] = check_spd(h)
+        except ValueError as exc:
+            raise ValueError(f"{path}: key 'h' holds a {exc}") from None
     if "endo" in doc:
         out["endo"] = _payload("endo", 4).reshape(grid.ny, grid.nx, 2, 2)
     if "x" in doc:

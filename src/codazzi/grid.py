@@ -42,6 +42,12 @@ def _read_only(a):
     return a
 
 
+def first_node(mask):
+    """First True node (j, i) of a (ny, nx) mask in row-major order, as plain ints, or None."""
+    k = int(np.argmax(mask))
+    return divmod(k, mask.shape[1]) if mask.flat[k] else None
+
+
 @dataclass(frozen=True)
 class Grid:
     """Rectangular chart: node counts, extents and topology."""

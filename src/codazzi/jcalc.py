@@ -2,9 +2,9 @@
 
 All functions accept numpy arrays of shape ``(..., 2, 2)`` and operate on
 the trailing two axes, so that the same routines serve single matrices and
-whole endomorphism fields.  Matrices are plain ``float`` arrays; symmetric
-positive-definite ("SPD") arguments are validated where the mathematics
-requires it.
+whole endomorphism fields.  Matrices are plain ``float`` arrays; wherever
+the mathematics requires a symmetric positive-definite ("SPD") argument,
+:func:`check_spd` validates it.
 
 Conventions
 -----------
@@ -17,6 +17,8 @@ Conventions
 """
 
 import numpy as np
+
+from .grid import first_node
 
 J = np.array([[0.0, -1.0], [1.0, 0.0]])
 ID2 = np.eye(2)
@@ -36,8 +38,8 @@ __all__ = [
     "dspd_sqrt",
     "spd_sqrt_pair",
     "inv2",
-    "is_spd",
     "check_symmetric",
+    "check_spd",
 ]
 
 
@@ -96,12 +98,9 @@ def dsigma(a, b):
     At such a point sigma(a) = Tr(a)/sqrt(2), so the derivative in
     direction ``b`` is Tr(b)/sqrt(2); a central-difference oracle on
     :func:`sigma` confirms the normalization.  The general (non-symmetric)
-    branch is not implemented; inputs failing the symmetry/positivity
-    requirement are rejected.
+    branch is not implemented; :func:`check_spd` refuses any other ``a``.
     """
-    a = np.asarray(a, dtype=float)
-    if not is_spd(a):
-        raise ValueError("dsigma requires a symmetric positive-definite base point")
+    check_spd(a)
     return trace(np.asarray(b, dtype=float)) / np.sqrt(2.0)
 
 
@@ -110,36 +109,49 @@ def b_form(b):
     return -det(b)
 
 
-def is_spd(a):
-    """True when every trailing 2x2 block is symmetric positive-definite.
+def _positive(t, d):
+    """Per-node mask of Tr > 0 and Det > 0 from the trace and determinant; NaN fails."""
+    return (t > 0.0) & (d > 0.0)
 
-    Symmetric means |a01 - a10| <= 1e-12 (1 + max|a|).
-    """
+
+def _check(a, spd):
+    """:func:`check_symmetric`, and with ``spd`` :func:`check_spd`.  The bound
+    1e-10 (1 + max|a|) is inf or NaN exactly when some entry is, so finiteness
+    needs no pass of its own; only a refused field is scanned node by node."""
     a = np.asarray(a, dtype=float)
-    sym = np.abs(a[..., 0, 1] - a[..., 1, 0]) <= 1e-12 * (1.0 + np.abs(a).max())
-    pos = (a[..., 0, 0] > 0) & (det(a) > 0)
-    return bool(np.all(sym & pos))
+    asym = np.abs(a[..., 0, 1] - a[..., 1, 0])
+    bound = 1e-10 * (1.0 + np.abs(a).max())
+    if asym.max() <= bound < np.inf:
+        if not spd or _positive(trace(a), det(a)).all():
+            return a
+    what = "non-symmetric, non-finite or non-positive" if spd else "non-symmetric or non-finite"
+    if a.ndim != 4:
+        raise ValueError(f"{what} field")
+    finite = np.all(np.isfinite(a), axis=(-2, -1))
+    good = finite & (asym <= 1e-10 * (1.0 + np.abs(a[finite]).max(initial=0.0)))
+    if spd:
+        good &= _positive(trace(a), det(a))
+    raise ValueError(f"{what} field at node (j, i) = {first_node(~good)}")
 
 
 def check_symmetric(a):
     """``a`` as a float array; ValueError unless it is finite and symmetric.
 
     Symmetric means |a01 - a10| <= 1e-10 (1 + max|a|) in every trailing
-    2x2 block.  The test is written so that a NaN anywhere fails it.  On an
-    endomorphism field, shape (ny, nx, 2, 2), the message names the first
-    failing node (j, i); max|a| is then taken over the finite blocks.
+    2x2 block, and a NaN anywhere fails the test.  On an endomorphism
+    field, shape (ny, nx, 2, 2), the message names the first failing node
+    (j, i) in row-major order; max|a| is then taken over the finite blocks.
     """
-    a = np.asarray(a, dtype=float)
-    defect = np.max(np.abs(a[..., 0, 1] - a[..., 1, 0]))
-    if not (np.all(np.isfinite(a)) and defect <= 1e-10 * (1.0 + np.abs(a).max())):
-        if a.ndim != 4:
-            raise ValueError("non-symmetric or non-finite field")
-        finite = np.all(np.isfinite(a), axis=(-2, -1))
-        bound = 1e-10 * (1.0 + np.abs(a[finite]).max(initial=0.0))
-        bad = ~(finite & (np.abs(a[..., 0, 1] - a[..., 1, 0]) <= bound))
-        j, i = np.argwhere(bad)[0]
-        raise ValueError(f"non-symmetric or non-finite field at node (j, i) = ({j}, {i})")
-    return a
+    return _check(a, False)
+
+
+def check_spd(a):
+    """``a`` as a float array; ValueError unless it is finite and SPD.
+
+    The test of :func:`check_symmetric`, with its one tolerance and its
+    node report, plus Tr > 0 and Det > 0 in every trailing 2x2 block.
+    """
+    return _check(a, True)
 
 
 def metric_action(a, h):
@@ -159,7 +171,7 @@ def _sqrt_terms(m):
     """``(sqrt(Det m), sqrt(Tr m + 2 sqrt(Det m)))``; refuses a non-positive spectrum."""
     d = det(m)
     t = trace(m)
-    if not (np.all(d > 0) and np.all(t > 0)):
+    if not _positive(t, d).all():
         raise ValueError("spd_sqrt requires positive spectrum (Tr > 0 and Det > 0)")
     s = np.sqrt(d)
     return s, np.sqrt(t + 2.0 * s)
@@ -202,21 +214,19 @@ def dspd_sqrt(m, dm):
 def metric_to_A(g, h):
     """Unique g-self-adjoint positive-definite A with h = g(A., A.).
 
-    Both ``g`` and ``h`` are SPD bilinear forms.  A is the principal square
-    root of the g-self-adjoint operator g^{-1} h, so that
-    ``metric_action(A, g) == h`` holds to round-off.
+    Both ``g`` and ``h`` are SPD bilinear forms, which :func:`check_spd`
+    validates.  A is the principal square root of the g-self-adjoint
+    operator g^{-1} h, so that ``metric_action(A, g) == h`` holds to
+    round-off.
     """
-    g = np.asarray(g, dtype=float)
-    h = np.asarray(h, dtype=float)
-    if not is_spd(g) or not is_spd(h):
-        raise ValueError("metric_to_A requires SPD inputs")
-    return spd_sqrt(inv2(g) @ h)
+    return spd_sqrt_pair(check_spd(g), check_spd(h))
 
 
 def spd_sqrt_pair(g, h):
-    """Like :func:`metric_to_A` without the symmetry validation.
+    """:func:`metric_to_A` without the :func:`check_spd` scans.
 
     Intended for node-indexed SPD fields that are symmetric by
-    construction; skips the global is_spd scan for speed.
+    construction; :func:`spd_sqrt` still refuses a g^{-1} h whose spectrum
+    is not positive.
     """
     return spd_sqrt(inv2(np.asarray(g, dtype=float)) @ np.asarray(h, dtype=float))

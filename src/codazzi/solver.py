@@ -438,8 +438,11 @@ def continuation_solve(g: ConformalMetric, h, steps=10, tol=1e-8):
     accepted solution on the same background state, so a background that is
     not negatively curved raises :class:`CurvatureSignError` before the
     march.  A failed Newton step halves the continuation step; the march
-    aborts when the step underflows :data:`_MIN_STEP`.
+    aborts when the step underflows :data:`_MIN_STEP`.  ``steps`` must be
+    at least 1.
     """
+    if not steps >= 1:  # written so that a NaN fails
+        raise ValueError(f"continuation_solve needs steps >= 1, got {steps!r}")
     grid = g.grid
     h = grid.check_field(h, rank=2)
     idx, ops = _background_state(g)

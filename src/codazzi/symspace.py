@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jcalc import ID2, det, inv2, metric_action, trace
+from .jcalc import ID2, check_spd, det, inv2, metric_action
 
 __all__ = [
     "quotient_metric",
@@ -32,11 +32,7 @@ def quotient_metric(a, b, alpha=0.0):
 
     ``a`` is the base point (SPD), ``b`` a symmetric tangent direction.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    da = det(a)
-    if not (np.all(da > 0.0) and np.all(trace(a) > 0.0)):
-        raise ValueError("quotient_metric needs a positive-definite base point")
+    da = det(check_spd(a))
     return da**alpha * (-0.25 * det(b) / da)
 
 
@@ -55,10 +51,7 @@ def christoffel_difference(a, b, alpha=0.0):
 
 def geodesic(a, t):
     """Geodesic of the alpha = 1/2 rescaled metric through Id: (Id + tA)^2."""
-    a = np.asarray(a, dtype=float)
-    m = ID2 + t * a
-    if not (np.all(det(m) > 0.0) and np.all(trace(m) > 0.0)):
-        raise ValueError("Id + tA left the positive-definite cone")
+    m = check_spd(ID2 + t * np.asarray(a, dtype=float))
     return m @ m
 
 
@@ -80,10 +73,7 @@ def geodesic_residual(a, t):
 
 def exp_map(a, g0):
     """Exponential chart about the metric g0: g0((Id+A)., (Id+A).)."""
-    a = np.asarray(a, dtype=float)
-    m = ID2 + a
-    if not (np.all(det(m) > 0.0) and np.all(trace(m) > 0.0)):
-        raise ValueError("Id + A outside the domain of the exponential chart")
+    m = check_spd(ID2 + np.asarray(a, dtype=float))
     return metric_action(m, np.asarray(g0, dtype=float))
 
 

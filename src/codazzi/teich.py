@@ -17,7 +17,7 @@ import numpy as np
 
 from .energy import trace_energy_over
 from .grid import ConformalMetric
-from .jcalc import ID2, check_symmetric, det, inv2, trace
+from .jcalc import ID2, check_spd, check_symmetric, det, inv2, trace
 
 __all__ = [
     "phi0_solve",
@@ -121,10 +121,10 @@ class DeformationFamily:
 
     def b_t(self, t):
         scale = 1.0 + t * t * self.phi0
-        out = scale[..., None, None] * ID2 + t * self.b
-        if not (np.all(det(out) > 0.0) and np.all(trace(out) > 0.0)):
-            raise ValueError(f"family leaves the positive cone at t = {t}")
-        return out
+        try:
+            return check_spd(scale[..., None, None] * ID2 + t * self.b)
+        except ValueError as exc:
+            raise ValueError(f"family leaves the positive cone at t = {t}: {exc}") from None
 
     def h_t_matrix(self, t):
         bt = self.b_t(t)

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from codazzi import embedding, symspace, teich
+from codazzi import diagnostics, embedding, symspace, teich
 from codazzi.grid import Grid, poincare_disk
-from codazzi.jcalc import ID2, metric_action, spd_sqrt
+from codazzi.jcalc import ID2, check_spd, dsigma, metric_action, metric_to_A, spd_sqrt
 from codazzi.maps import FieldInterpolator, FoldOverError, pullback_metric
 from codazzi.randfields import rng_for, tracefree_codazzi_conformal
 
@@ -35,9 +35,14 @@ def _pullback_of_nan_displacement():
         (lambda: symspace.exp_map(NAN_SPD, ID2), ValueError),
         (_family_b_t, ValueError),
         (_pullback_of_nan_displacement, FoldOverError),
+        (lambda: dsigma(NAN_SPD, ID2), ValueError),
+        (lambda: metric_to_A(ID2, NAN_SPD), ValueError),
+        (lambda: diagnostics.intermediate_J(NAN_SPD), ValueError),
+        (lambda: check_spd(NAN_SPD), ValueError),
     ],
     ids=["spd_sqrt", "metric_action", "quotient_metric", "geodesic", "exp_map",
-         "DeformationFamily.b_t", "pullback_metric"],
+         "DeformationFamily.b_t", "pullback_metric", "dsigma", "metric_to_A",
+         "intermediate_J", "check_spd"],
 )
 def test_positivity_gate_refuses_nan(call, error):
     with pytest.raises(error):

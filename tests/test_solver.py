@@ -84,6 +84,14 @@ def test_continuation_raises_curvature_sign_error_without_halving(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("steps", [0, -2, float("nan")])
+def test_continuation_refuses_fewer_than_one_step(steps):
+    # steps=0 used to divide by zero, and steps=-2 marched to t = -0.5, -1.0, ...
+    g = poincare_disk(Grid(16, 16, 0.8, 0.8, "dirichlet"))
+    with pytest.raises(ValueError, match=r"steps >= 1, got (0|-2|nan)$"):
+        solver.continuation_solve(g, g.matrix(), steps=steps)
+
+
 def test_continuation_ends_at_the_direct_solution(monkeypatch):
     _, g, _, h = _manufactured(32, seed=0)
     x, _ = newton_solve(g, h, tol=1e-9)
