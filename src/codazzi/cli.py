@@ -18,10 +18,12 @@ input, failed suite, an ``embed`` file whose ``phi`` is not the Poincare
 sub-disk metric of its grid), 2 for usage and I/O errors (unknown flags, a
 ``--tol`` that is not finite and positive, a negative ``--continuation-steps``,
 missing or malformed files, a ``solve --h`` file on another grid or with
-another ``phi`` than the background's, an ``embed`` file whose chart cannot
-carry a hyperboloid patch).  All outputs are written through deterministic
-serializers, so two runs with the same configuration produce byte-identical
-artifacts.
+another ``phi`` than the background's, ``solve --h`` with
+``--manufactured-seed``, a ``solve --manufactured-seed`` whose ``--g`` ``phi``
+is not the Poincare sub-disk metric of its grid, an ``embed`` file whose
+chart cannot carry a hyperboloid patch).  All outputs are written through
+deterministic serializers, so two runs with the same configuration produce
+byte-identical artifacts.
 """
 
 import argparse
@@ -65,7 +67,9 @@ def _build_parser():
     )
     ps.set_defaults(run=cmd_solve)
     ps.add_argument("--g", metavar="FILE", help="background metric field file (Dirichlet chart)")
-    ps.add_argument("--h", metavar="FILE", help="target metric field file")
+    # a manufactured run builds its own target, so it takes no --h
+    target = ps.add_mutually_exclusive_group(required=True)
+    target.add_argument("--h", metavar="FILE", help="target metric field file")
     ps.add_argument("--nx", type=int, default=32)
     ps.add_argument("--ny", type=int, default=None, help="default nx")
     ps.add_argument("--lx", type=float, default=0.8)
@@ -73,7 +77,7 @@ def _build_parser():
     ps.add_argument("--tol", type=float, default=1e-8, help="Newton residual tolerance")
     ps.add_argument("--out", default="solve", help="output prefix")
     ps.add_argument("--continuation-steps", type=int, default=0)
-    ps.add_argument(
+    target.add_argument(
         "--manufactured-seed",
         type=int,
         default=None,
@@ -107,29 +111,30 @@ def _load_or_usage(path):
         raise SystemExit(2) from None
 
 
-def _phi_refusal(path, phi, expected, what):
-    """The refusal message if ``phi`` differs from ``expected`` at some node, else None.
+def _phi_refused(path, phi, expected, what):
+    """Print a refusal and return True if ``phi`` differs from ``expected`` at some node.
 
     A node differs when the gap exceeds 1e-12 (1 + |expected|), so the
     round-off of a file written from the same metric passes.  The message
     names the file, the key and the first such node.
     """
     node = first_node(np.abs(phi - expected) > 1e-12 * (1.0 + np.abs(expected)))
-    if node is None:
-        return None
-    return f"error: {path}: key 'phi' is not {what} at node (j, i) = {node}"
+    if node is not None:
+        print(f"error: {path}: key 'phi' is not {what} at node (j, i) = {node}", file=sys.stderr)
+    return node is not None
 
 
-def _endo_refusal(path, endo):
-    """The refusal message if ``endo`` is not finite and symmetric, else None.
+def _endo_refused(path, endo):
+    """Print a refusal and return True if ``endo`` is not finite and symmetric.
 
     The message names the file, the key and the first bad node.
     """
     try:
         check_symmetric(endo)
     except ValueError as exc:
-        return f"error: {path}: refusing 'endo': {exc}"
-    return None
+        print(f"error: {path}: refusing 'endo': {exc}", file=sys.stderr)
+        return True
+    return False
 
 
 def cmd_verify(args, parser):
@@ -139,9 +144,7 @@ def cmd_verify(args, parser):
     if args.g is not None:
         doc = _load_or_usage(args.g)
         if "endo" in doc:
-            refusal = _endo_refusal(args.g, doc["endo"])
-            if refusal:
-                print(refusal, file=sys.stderr)
+            if _endo_refused(args.g, doc["endo"]):
                 return 1
             resid = codazzi_residual(doc["endo"], doc["g"])
             report_extra.append(
@@ -178,13 +181,15 @@ def cmd_verify(args, parser):
 
 
 def cmd_solve(args, parser):
-    if args.h is None and args.manufactured_seed is None:
-        parser.error("solve requires --h (or --manufactured-seed)")
     if args.continuation_steps < 0:
         parser.error("argument --continuation-steps: must be 0 or more")
     g = _background(args)
     diffeo = None
     if args.manufactured_seed is not None:
+        # the target is built for the Poincare sub-disk metric, so a --g must hold it
+        disk = poincare_disk(g.grid).phi
+        if _phi_refused(args.g, g.phi, disk, "the Poincare sub-disk metric of its grid"):
+            return 2
         diffeo = ManufacturedDiffeo.seeded(g.grid, args.manufactured_seed)
         h = pullback_of_scaled_poincare(diffeo, g.grid)
     else:
@@ -198,9 +203,7 @@ def cmd_solve(args, parser):
                 file=sys.stderr,
             )
             return 2
-        refusal = _phi_refusal(args.h, doc["g"].phi, g.phi, "the background's")
-        if refusal:
-            print(refusal, file=sys.stderr)
+        if _phi_refused(args.h, doc["g"].phi, g.phi, "the background's"):
             return 2
         h = doc["h"]
     try:
@@ -235,9 +238,7 @@ def cmd_embed(args, parser):
         print(f"error: {args.endo}: missing required key 'endo'", file=sys.stderr)
         return 2
     grid = doc["grid"]
-    refusal = _endo_refusal(args.endo, doc["endo"])
-    if refusal:
-        print(refusal, file=sys.stderr)
+    if _endo_refused(args.endo, doc["endo"]):
         return 1
     a = doc["endo"]
     try:
@@ -247,11 +248,9 @@ def cmd_embed(args, parser):
         return 2
     # the field is integrated on the chart's Poincare metric, so the file's
     # phi must be that metric's
-    refusal = _phi_refusal(
+    if _phi_refused(
         args.endo, doc["g"].phi, patch.metric.phi, "the Poincare sub-disk metric of its grid"
-    )
-    if refusal:
-        print(refusal, file=sys.stderr)
+    ):
         return 1
     resid = codazzi_residual(a, patch.metric)
     if not (resid <= args.tol):

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import ConformalMetric, Grid, _read_only, poincare_disk
+from .grid import ConformalMetric, Grid, _read_only, central_jacobian, poincare_disk
 from .jcalc import ID2, check_symmetric, det
 from .maps import FieldInterpolator
 from .operators import grad, hessian_endo
@@ -354,16 +354,7 @@ class Isometry21:
 
     def disk_jacobian(self, points):
         """Derivative of the disk action by central differences of the closed form."""
-        points = np.asarray(points, dtype=float)
-        step = 1e-6
-        out = np.empty(points.shape[:-1] + (2, 2))
-        for j in range(2):
-            dp = np.zeros_like(points)
-            dp[..., j] = step
-            out[..., :, j] = (
-                self.disk_action(points + dp) - self.disk_action(points - dp)
-            ) / (2.0 * step)
-        return out
+        return central_jacobian(self.disk_action, np.asarray(points, dtype=float))
 
 
 def _path_integral(a_interp, patch: HyperboloidPatch, p0, p1):

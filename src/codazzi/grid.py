@@ -22,6 +22,10 @@ First derivatives come in two orders, from one pair of methods
   takes central differences and the boundary ring ``np.gradient``'s
   first-order one-sided value.
 
+The order-2 stencil also comes as taps, and the compact 5-point Laplacian
+in array and matrix form.  With :func:`central_jacobian` for closed-form
+maps, no other module holds a spatial finite-difference weight.
+
 A grid and a metric are immutable, so each computes its derived geometry
 (node coordinates, meshgrid, quadrature weights, conformal factor and its
 inverse, metric matrix, derivatives of phi) once, on first use, and returns
@@ -46,6 +50,16 @@ def first_node(mask):
     """First True node (j, i) of a (ny, nx) mask in row-major order, as plain ints, or None."""
     k = int(np.argmax(mask))
     return divmod(k, mask.shape[1]) if mask.flat[k] else None
+
+
+def central_jacobian(f, points):
+    """Jacobian (..., k, 2) of a closed-form map ``f`` of points (..., 2) by central differences.
+
+    The step is 1e-6 along each chart axis.
+    """
+    step = 1e-6
+    cols = [(f(points + d) - f(points - d)) / (2.0 * step) for d in step * np.eye(2)]
+    return np.stack(cols, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -133,13 +147,66 @@ class Grid:
         oa[2:-2] = (fa[:-4] - 8.0 * fa[1:-3] + 8.0 * fa[3:-1] - fa[4:]) / (12.0 * step)
         return out
 
-    def laplace_flat(self, f):
-        """Flat 5-point Laplacian d2/dx2 + d2/dy2."""
+    @staticmethod
+    def _edge2_taps(n, step):
+        """The order-2 stencil of :meth:`ddx`/:meth:`ddy` on ``n`` Dirichlet nodes, by rows.
+
+        Returns ``(cols, vals)`` of shape ``(n, 3)``: the nodes each row reads,
+        ascending, and their weights (``np.gradient``'s with ``edge_order=2``),
+        zero in an unused slot.
+        """
+        cols = np.arange(n)[:, None] + np.array([-1, 1, 1])
+        vals = np.zeros((n, 3))
+        vals[:, 0] = -1.0 / (2.0 * step)
+        vals[:, 1] = 1.0 / (2.0 * step)
+        cols[0], vals[0] = (0, 1, 2), (-1.5 / step, 2.0 / step, -0.5 / step)
+        cols[-1], vals[-1] = (n - 3, n - 2, n - 1), (0.5 / step, -2.0 / step, 1.5 / step)
+        return cols, vals
+
+    def lap5(self, f):
+        """Compact 5-point Laplacian: wrapped if periodic, else zero on the boundary ring.
+
+        Trailing component axes ride along.  Unlike nested central differences
+        it couples adjacent nodes, so it sees the checkerboard modes.
+        """
         f = np.asarray(f, dtype=float)
         if self.periodic:
             fxx = (np.roll(f, -1, 1) - 2 * f + np.roll(f, 1, 1)) / self.dx**2
             fyy = (np.roll(f, -1, 0) - 2 * f + np.roll(f, 1, 0)) / self.dy**2
             return fxx + fyy
+        out = np.zeros_like(f)
+        out[1:-1, 1:-1] = (
+            (f[1:-1, 2:] - 2.0 * f[1:-1, 1:-1] + f[1:-1, :-2]) / self.dx**2
+            + (f[2:, 1:-1] - 2.0 * f[1:-1, 1:-1] + f[:-2, 1:-1]) / self.dy**2
+        )
+        return out
+
+    def lap5_matrix(self):
+        """:meth:`lap5` of a Dirichlet chart as CSR on the ``interior(1)`` nodes, row-major.
+
+        A neighbour on the boundary ring (value zero) is not stored.
+        """
+        import scipy.sparse
+
+        if self.periodic:
+            raise ValueError("lap5_matrix needs a Dirichlet chart")
+        mx, my = self.nx - 2, self.ny - 2
+        num = np.full((self.ny, self.nx), -1)
+        num[1:-1, 1:-1] = np.arange(mx * my).reshape(my, mx)
+        # the nodes below, left, itself, right and above: ascending numbers
+        sides = (num[:-2, 1:-1], num[1:-1, :-2], num[1:-1, 1:-1], num[1:-1, 2:], num[2:, 1:-1])
+        cols = np.stack(sides, axis=-1).reshape(-1, 5)
+        cx, cy = 1.0 / self.dx**2, 1.0 / self.dy**2
+        vals = np.broadcast_to([cy, cx, -2.0 * (cx + cy), cx, cy], cols.shape)
+        keep = cols >= 0
+        indptr = np.zeros(mx * my + 1, dtype=np.int64)
+        np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
+        return scipy.sparse.csr_matrix((vals[keep], cols[keep], indptr), shape=(mx * my,) * 2)
+
+    def laplace_flat(self, f):
+        """Flat Laplacian: :meth:`lap5` if periodic, else nested order-2 derivatives."""
+        if self.periodic:
+            return self.lap5(f)
         return self.ddx(self.ddx(f)) + self.ddy(self.ddy(f))
 
     # -- quadrature and masks --------------------------------------------

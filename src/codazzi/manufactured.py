@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid
+from .grid import Grid, central_jacobian
 from .randfields import rng_for
 
 
@@ -47,18 +47,10 @@ class ManufacturedDiffeo:
         return points + self.displacement(points[..., 0], points[..., 1])
 
     def jacobian(self, x, y):
-        """D psi by a tight central difference (step 1e-6) of the closed form."""
-        step = 1e-6
-        out = np.zeros(np.shape(x) + (2, 2))
-        for j, (dx, dy) in enumerate([(step, 0.0), (0.0, step)]):
-            dp = (
-                self.displacement(x + dx, y + dy)
-                - self.displacement(x - dx, y - dy)
-            ) / (2.0 * step)
-            out[..., 0, j] = dp[..., 0]
-            out[..., 1, j] = dp[..., 1]
-        out[..., 0, 0] += 1.0
-        out[..., 1, 1] += 1.0
+        """D psi: the identity plus the tight central difference of the closed-form displacement."""
+        points = np.stack(np.broadcast_arrays(x, y), axis=-1)
+        out = central_jacobian(lambda p: self.displacement(p[..., 0], p[..., 1]), points)
+        out[..., [0, 1], [0, 1]] += 1.0
         return out
 
 

@@ -20,8 +20,8 @@ stencils, K the per-node derivatives of A through the spline's first
 derivatives and the closed-form derivative of the 2x2 SPD square root
 (:func:`~codazzi.jcalc.dspd_sqrt`), L the divergence and stab the
 checkerboard suppressor.  S, L and stab are written straight into CSR
-arrays from index arrays (the 1-D stencil rows, the node numbering and the
-node weights), one constructor call each, instead of being composed from
+arrays from index arrays (the grid's stencil rows, the node numbering and
+the node weights), one constructor call each, instead of being composed from
 Kronecker products and sparse sums (Davis, "Direct Methods for Sparse
 Linear Systems", SIAM 2006, ch. 2); the Kronecker form stays in the tests
 as their oracle.  The coloured finite-difference Jacobian of Curtis,
@@ -81,21 +81,6 @@ class CurvatureSignError(ValueError):
     """The background metric is not negatively curved where required."""
 
 
-def _lap5(grid, f):
-    """Compact 5-point Laplacian, zero on the boundary ring.
-
-    Unlike nested central differences this stencil couples adjacent nodes,
-    so it sees the highest-frequency (checkerboard) modes that the wide
-    central-difference operators are blind to.
-    """
-    out = np.zeros_like(f)
-    out[1:-1, 1:-1] = (
-        (f[1:-1, 2:] - 2.0 * f[1:-1, 1:-1] + f[1:-1, :-2]) / grid.dx**2
-        + (f[2:, 1:-1] - 2.0 * f[1:-1, 1:-1] + f[:-2, 1:-1]) / grid.dy**2
-    )
-    return out
-
-
 @dataclass
 class SolveReport:
     """Machine-readable record of a solve."""
@@ -134,12 +119,12 @@ def solver_residual(x, g: ConformalMetric, h_interp):
     positive definite, so criticality is equivalent to grad E = 0.  The
     discrete central-difference Hessian is however nearly blind to
     grid-frequency (checkerboard) displacement modes; the consistent
-    O(h^2) term -dx * dy * Laplace(X) removes that spurious near-kernel
-    without moving the smooth discrete solution at leading order.
+    O(h^2) term -dx * dy * :meth:`~codazzi.grid.Grid.lap5` (X) removes that
+    spurious near-kernel without moving the smooth discrete solution at
+    leading order.
     """
     hp = pullback_metric(g.grid, h_interp, x)
-    lap = np.stack([_lap5(g.grid, x[..., 0]), _lap5(g.grid, x[..., 1])], axis=-1)
-    return energy_gradient(hp, g) - g.grid.dx * g.grid.dy * lap
+    return energy_gradient(hp, g) - g.grid.dx * g.grid.dy * g.grid.lap5(x)
 
 
 def _interior_index(grid: Grid):
@@ -181,24 +166,6 @@ _R_PX = _R_DX + [[-1.0, 0.0, 0.0, 0.0], [0.0, 0.0, -1.0, 0.0]]
 _R_PY = _R_DY + [[0.0, -1.0, 0.0, 0.0], [0.0, 0.0, 0.0, -1.0]]
 
 
-def _edge2_taps(n, step):
-    """The order-2 stencil of :meth:`Grid.ddx`/:meth:`Grid.ddy` on ``n`` nodes, by rows.
-
-    Returns ``(cols, vals)``, each of shape ``(n, 3)``: the nodes that each
-    row reads, in ascending order, and their weights, zero in an unused
-    slot.  The weights are ``np.gradient``'s with ``edge_order=2``: central
-    differences inside, the second-order one-sided stencils on the two end
-    nodes.
-    """
-    cols = np.arange(n)[:, None] + np.array([-1, 1, 1])
-    vals = np.zeros((n, 3))
-    vals[:, 0] = -1.0 / (2.0 * step)
-    vals[:, 1] = 1.0 / (2.0 * step)
-    cols[0], vals[0] = (0, 1, 2), (-1.5 / step, 2.0 / step, -0.5 / step)
-    cols[-1], vals[-1] = (n - 3, n - 2, n - 1), (0.5 / step, -2.0 / step, 1.5 / step)
-    return cols, vals
-
-
 def _csr(cols, vals, shape):
     """CSR matrix of ``shape`` whose row k holds ``vals`` at ``cols``, both reshaped to rows.
 
@@ -224,25 +191,27 @@ def _jacobian_operators(g, idx):
     node, A (row-major) 4 per grid node:
 
     * ``S`` maps the unknowns to 6 values per grid node: D = d_j x^k (entry
-      2k + j), by the order-2 stencils of :func:`~codazzi.maps.map_jacobian`
-      including the one-sided rows of the boundary ring, which interior
-      unknowns feed; then the node's own x^0 and x^1;
+      2k + j), by the grid's order-2 taps including the one-sided rows of
+      the boundary ring, which interior unknowns feed; then the node's own
+      x^0 and x^1;
     * ``L`` maps A to the residual's energy gradient -J div(A J); its rows
       read A at the node and its four neighbours;
-    * ``stab`` is the residual's stabiliser, -dx dy :func:`_lap5`, the
-      5-point Laplacian on the unknowns with zero Dirichlet values.
+    * ``stab`` is the residual's stabiliser, -dx dy
+      :meth:`~codazzi.grid.Grid.lap5_matrix` on each component.
 
     Their stored values are those of the Kronecker-product form (kept in the
     tests as the oracle of this one), entry for entry.
     """
+    import scipy.sparse
+
     grid = g.grid
     ny, nx = grid.ny, grid.nx
     nu = idx.size
     # packed number of the unknown at each grid node, -1 off the unknowns
     node = np.full((ny, nx), -1)
     node.flat[idx] = np.arange(nu)
-    cx, wx = _edge2_taps(nx, grid.dx)
-    cy, wy = _edge2_taps(ny, grid.dy)
+    cx, wx = grid._edge2_taps(nx, grid.dx)
+    cy, wy = grid._edge2_taps(ny, grid.dy)
 
     # the unknowns that d_x, d_y and the node itself read at each grid node;
     # a tap off the unknowns gets weight zero and is left out
@@ -275,12 +244,19 @@ def _jacobian_operators(g, idx):
     lvals.reshape(nu, 2, 8)[:, :, 2:6] = w[..., None] * (px * _R_PX + py * _R_PY)
     L = _csr(4 * idx[:, None] + (4 * offsets[s] + k), lvals, (2 * nu, 4 * ny * nx))
 
-    # the stabiliser's row of x^c reads x^c at the same five nodes
-    nb = node.ravel()[idx[:, None] + offsets]
-    ex, ey = 1.0 / grid.dx**2, 1.0 / grid.dy**2
-    lap = -grid.dx * grid.dy * np.array([ey, ex, -2.0 * (ex + ey), ex, ey])
-    lap = np.repeat(np.where(nb >= 0, lap, 0.0)[:, None], 2, axis=1)
-    stab = _csr(2 * nb[:, None] + np.arange(2)[:, None], lap, (2 * nu, 2 * nu))
+    # rows 2k and 2k + 1 of stab are row k of lap5_matrix (numbered as idx) read
+    # at x^0 and at x^1: each entry goes to slot `first` and a row's width on
+    lap = grid.lap5_matrix()
+    width = np.diff(lap.indptr)
+    indptr = np.zeros(2 * nu + 1, dtype=np.int64)
+    np.cumsum(np.repeat(width, 2), out=indptr[1:])
+    first = np.arange(lap.nnz) + np.repeat(lap.indptr[:-1], width)
+    slots = np.concatenate([first, first + np.repeat(width, width)])
+    data = np.empty(2 * lap.nnz)
+    data[slots] = -grid.dx * grid.dy * np.tile(lap.data, 2)
+    indices = np.empty(2 * lap.nnz, dtype=lap.indices.dtype)
+    indices[slots] = np.concatenate([2 * lap.indices, 2 * lap.indices + 1])
+    stab = scipy.sparse.csr_matrix((data, indices, indptr), shape=(2 * nu, 2 * nu))
     return S, L, stab
 
 

@@ -39,39 +39,22 @@ def _check_tracefree_symmetric(b):
 def phi0_solve(b, h: ConformalMetric):
     """Solve (Laplace_h - 2) phi0 = Det(B), zero Dirichlet boundary values.
 
-    For trace-free symmetric B the right side is non-positive, so the
-    maximum principle forces phi0 >= 0; the discrete operator is an
-    M-matrix and inherits the sign.  Returns the full node field.
+    It is solved multiplied through by e^{2 phi}, with the compact
+    :meth:`~codazzi.grid.Grid.lap5_matrix`.  For trace-free symmetric B the
+    right side is non-positive, so the maximum principle forces phi0 >= 0;
+    the discrete operator is an M-matrix and inherits the sign.  Returns
+    the full node field.
     """
     import scipy.sparse
     import scipy.sparse.linalg
 
     grid = h.grid
-    if grid.periodic:
-        raise ValueError("phi0_solve needs a Dirichlet chart")
     b = _check_tracefree_symmetric(grid.check_field(b, rank=2))
     w = h.conformal_factor
     mask = grid.interior(1)
-    num = np.full((grid.ny, grid.nx), -1)
-    num[mask] = np.arange(mask.sum())
-    # row k of interior node (j, i): the diagonal, then the neighbours
-    # (j, i-1), (j, i+1), (j-1, i), (j+1, i); a neighbour on the boundary
-    # ring has number -1 and drops out (zero boundary value)
-    shifts = ((1, 1), (-1, 1), (1, 0), (-1, 0))
-    cols = np.stack([num] + [np.roll(num, k, axis) for k, axis in shifts], axis=-1)[mask]
-    cx, cy = 1.0 / grid.dx**2, 1.0 / grid.dy**2
-    vals = np.empty(cols.shape)
-    vals[:, 0] = -2.0 * (cx + cy) - 2.0 * w[mask]
-    vals[:, 1:3] = cx
-    vals[:, 3:] = cy
-    n = cols.shape[0]
-    rows = np.broadcast_to(np.arange(n)[:, None], cols.shape)
-    keep = cols >= 0
-    mat = scipy.sparse.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(n, n))
-    rhs = det(b)[mask] * w[mask]  # multiplied through by e^{2 phi}
-    sol = scipy.sparse.linalg.spsolve(mat, rhs)
+    mat = grid.lap5_matrix() - scipy.sparse.diags(2.0 * w[mask])
     out = np.zeros((grid.ny, grid.nx))
-    out[mask] = sol
+    out[mask] = scipy.sparse.linalg.spsolve(mat, det(b)[mask] * w[mask])
     return out
 
 

@@ -381,3 +381,39 @@ def test_embed_refuses_a_chart_without_a_hyperboloid_patch_naming_the_file(
     err = capsys.readouterr().err
     assert "nopatch.json" in err and reason in err and f"lx={grid.lx}" in err
     assert not (tmp_path / "e_mesh.csv").exists()
+
+
+def test_solve_refuses_h_together_with_a_manufactured_seed(tmp_path, capsys):
+    # the manufactured run builds its own target and would ignore the file
+    g = poincare_disk(Grid(16, 16, 0.8, 0.8, "dirichlet"))
+    hpath = tmp_path / "h.json"
+    fileio.save_field(hpath, g, h=2.25 * g.matrix())
+    with pytest.raises(SystemExit) as exc:
+        run_cli("solve", "--manufactured-seed", "0", "--h", hpath, "--nx", "16",
+                "--out", tmp_path / "s")
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not (tmp_path / "s_report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "tilt, node, code",
+    [(0.0, None, 0), (0.3, (0, 0), 2)],
+    ids=["poincare", "tilted"],
+)
+def test_solve_manufactured_refuses_a_g_whose_phi_is_not_the_disk_metric(
+    tmp_path, capsys, tilt, node, code
+):
+    # the manufactured target is the pullback of the scaled Poincare metric,
+    # so a background with phi = Poincare + 0.3 x would be solved against a
+    # target built for another metric
+    grid = Grid(16, 16, 0.8, 0.8, "dirichlet")
+    xx, _ = grid.meshgrid()
+    gpath = tmp_path / "tilted.json"
+    fileio.save_field(gpath, ConformalMetric(grid, poincare_disk(grid).phi + tilt * xx))
+    prefix = tmp_path / "s"
+    assert run_cli("solve", "--manufactured-seed", "0", "--g", gpath, "--out", prefix) == code
+    assert (tmp_path / "s_report.json").exists() == (code == 0)
+    if code:
+        err = capsys.readouterr().err
+        assert "tilted.json" in err and "'phi'" in err and f"({node[0]}, {node[1]})" in err

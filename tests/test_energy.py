@@ -116,6 +116,26 @@ def test_correction_G_matches_curvature_route(disk64):
     assert gap(32) / gap(64) > 2.5
 
 
+@pytest.mark.parametrize("seed", [77, 78, 79])
+def test_correction_G_matches_curvature_route_off_codazzi(seed):
+    # on a Codazzi A, G is itself O(h^2) and its sign goes unseen; a
+    # trigonometric SPD A is far from Codazzi, max|G| reads 4-7, and the
+    # O(h^2) gap to the curvature route is under 1e-2 of it from 64^2 on
+    def gap_and_size(n):
+        g = poincare_disk(Grid(n, n, 0.8, 0.8, "dirichlet"))
+        a = trig_spd(g.grid, rng_for(seed), amp=0.2, kmax=1)
+        h = metric_action(a, g.matrix())
+        G = correction_G(h, g)
+        inner = g.grid.interior(n // 8)
+        d = G - correction_G_oracle(h, g)
+        return float(np.max(np.abs(d[inner]))), float(np.max(np.abs(G[inner])))
+
+    gap32, _ = gap_and_size(32)
+    gap64, size64 = gap_and_size(64)
+    assert gap64 <= 1e-2 * size64
+    assert gap32 / gap64 >= 3.5
+
+
 def test_modified_inequality_on_seeded_configs():
     g = poincare_disk(Grid(32, 32, 0.8, 0.8, "dirichlet"))
     cut = bump(g.grid)

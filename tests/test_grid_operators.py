@@ -207,6 +207,43 @@ def test_derivative_order_must_be_two_or_four():
         grid.ddx(np.zeros((16, 16)), order=6)
 
 
+# squares, a chart with lx != ly (a swapped dx/dy would show) and an odd one
+_STENCIL_GRIDS = [
+    Grid(12, 12, 0.8, 0.8, "dirichlet"),
+    Grid(20, 14, 0.8, 0.6, "dirichlet"),
+    Grid(13, 13, 0.8, 0.8, "dirichlet"),
+]
+
+
+@pytest.mark.parametrize("grid", _STENCIL_GRIDS, ids=lambda gr: f"{gr.nx}x{gr.ny}")
+def test_lap5_matrix_is_lap5_on_the_inner_nodes_bit_for_bit(grid):
+    # column k of the matrix is lap5 of the k-th unit field on interior(1);
+    # the unit fields ride along as one trailing component axis
+    inner = grid.interior(1)
+    units = np.zeros((grid.ny, grid.nx, inner.sum()))
+    units[inner] = np.eye(inner.sum())
+    mat = grid.lap5_matrix()
+    assert mat.format == "csr" and mat.nnz == np.count_nonzero(mat.toarray())
+    assert mat.toarray().tobytes() == grid.lap5(units)[inner].tobytes()
+
+
+@pytest.mark.parametrize("grid", _STENCIL_GRIDS, ids=lambda gr: f"{gr.nx}x{gr.ny}")
+def test_order2_taps_are_ddx_and_ddy_bit_for_bit(grid):
+    # row i of the dense tap matrix is d/dx (or d/dy) at node i of unit fields
+    for n, step, unit_field, derivative in (
+        (grid.nx, grid.dx, lambda e: np.broadcast_to(e, (grid.ny, grid.nx, grid.nx)),
+         lambda f: grid.ddx(f)[0]),
+        (grid.ny, grid.dy, lambda e: np.broadcast_to(e[:, None], (grid.ny, grid.nx, grid.ny)),
+         lambda f: grid.ddy(f)[:, 0]),
+    ):
+        cols, vals = grid._edge2_taps(n, step)
+        dense = np.zeros((n, n))
+        rows = np.broadcast_to(np.arange(n)[:, None], cols.shape)
+        used = vals != 0.0
+        dense[rows[used], cols[used]] = vals[used]
+        assert dense.tobytes() == derivative(unit_field(np.eye(n))).tobytes()
+
+
 # Reference operators: the Christoffel tensor of e^{2 phi} delta built from
 # Gamma^k_ij = delta_ki phi_j + delta_kj phi_i - delta_ij phi_k and
 # contracted with einsum, as the covariant derivative is defined.

@@ -129,7 +129,7 @@ def _packed_problem(n, state_seed=7):
 # nodes) of solver_residual: the pullback metric takes first differences of x
 # (reach 1; on the boundary ring the one-sided edge_order=2 stencil reads
 # nodes 0-2), the spline evaluation and field_A are pointwise, and div_endo
-# and _lap5 add reach 1.  Columns at least 2*2+1 nodes apart in both
+# and Grid.lap5 add reach 1.  Columns at least 2*2+1 nodes apart in both
 # directions never share a row.
 _STENCIL_REACH = 2
 _COLOR_STRIDE = 2 * _STENCIL_REACH + 1
@@ -247,8 +247,8 @@ def _kron_jacobian_operators(g, idx):
         + solver._block_diag(w[:, None, None] * (px * solver._R_PX + py * solver._R_PY))
     )
     rows = (2 * idx[:, None] + np.arange(2)).ravel()
-    # the unknowns fill the (ny - 2) x (nx - 2) inner grid, on which _lap5 is
-    # the 5-point Laplacian with zero Dirichlet values
+    # the unknowns fill the (ny - 2) x (nx - 2) inner grid, on which Grid.lap5
+    # is the 5-point Laplacian with zero Dirichlet values
     second = [
         scipy.sparse.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(n - 2, n - 2)) / step**2
         for n, step in ((nx, grid.dx), (ny, grid.dy))
