@@ -20,8 +20,12 @@ sub-disk metric of its grid), 2 for usage and I/O errors (unknown flags, a
 missing or malformed files, a ``solve --h`` file on another grid or with
 another ``phi`` than the background's, ``solve --h`` with
 ``--manufactured-seed``, a ``solve --manufactured-seed`` whose ``--g`` ``phi``
-is not the Poincare sub-disk metric of its grid, an ``embed`` file whose
-chart cannot carry a hyperboloid patch).  All outputs are written through
+is not the Poincare sub-disk metric of its grid, a ``solve`` chart that is
+periodic or, where its Poincare sub-disk metric is needed, leaves the unit
+disk, an ``embed`` file whose chart cannot carry a hyperboloid patch).  Each
+refusal is raised where it is found, and its exception class sets the
+status: ``_Refused`` 1, ``ValueError`` and ``OSError`` 2; :func:`main` alone
+prints ``error: <message>`` and returns it.  All outputs are written through
 deterministic serializers, so two runs with the same configuration produce
 byte-identical artifacts.
 """
@@ -94,25 +98,20 @@ def _build_parser():
     return parser
 
 
-def _background(args):
-    """Background metric from --g or from the grid flags (Poincare sub-disk)."""
-    if args.g is not None:
-        return _load_or_usage(args.g)["g"]
-    ny = args.ny if args.ny is not None else args.nx
-    ly = args.ly if args.ly is not None else args.lx
-    return poincare_disk(Grid(args.nx, ny, args.lx, ly, DIRICHLET))
+class _Refused(Exception):
+    """A check or a mathematical precondition failed: exit status 1."""
 
 
-def _load_or_usage(path):
+def _disk(grid, chart):
+    """Poincare sub-disk metric of ``grid``; its refusal is prefixed by ``chart``."""
     try:
-        return fileio.load_field(path)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(2) from None
+        return poincare_disk(grid)
+    except ValueError as exc:
+        raise ValueError(f"{chart}: {exc}") from None
 
 
-def _phi_refused(path, phi, expected, what):
-    """Print a refusal and return True if ``phi`` differs from ``expected`` at some node.
+def _check_phi(refusal, path, phi, expected, what):
+    """Raise ``refusal`` if ``phi`` differs from ``expected`` at some node.
 
     A node differs when the gap exceeds 1e-12 (1 + |expected|), so the
     round-off of a file written from the same metric passes.  The message
@@ -120,21 +119,18 @@ def _phi_refused(path, phi, expected, what):
     """
     node = first_node(np.abs(phi - expected) > 1e-12 * (1.0 + np.abs(expected)))
     if node is not None:
-        print(f"error: {path}: key 'phi' is not {what} at node (j, i) = {node}", file=sys.stderr)
-    return node is not None
+        raise refusal(f"{path}: key 'phi' is not {what} at node (j, i) = {node}")
 
 
-def _endo_refused(path, endo):
-    """Print a refusal and return True if ``endo`` is not finite and symmetric.
+def _check_endo(path, endo):
+    """Refuse an ``endo`` that is not finite and symmetric.
 
     The message names the file, the key and the first bad node.
     """
     try:
         check_symmetric(endo)
     except ValueError as exc:
-        print(f"error: {path}: refusing 'endo': {exc}", file=sys.stderr)
-        return True
-    return False
+        raise _Refused(f"{path}: refusing 'endo': {exc}") from None
 
 
 def cmd_verify(args, parser):
@@ -142,10 +138,9 @@ def cmd_verify(args, parser):
     # optional input field: validated, and checked when it carries an endo
     report_extra = []
     if args.g is not None:
-        doc = _load_or_usage(args.g)
+        doc = fileio.load_field(args.g)
         if "endo" in doc:
-            if _endo_refused(args.g, doc["endo"]):
-                return 1
+            _check_endo(args.g, doc["endo"])
             resid = codazzi_residual(doc["endo"], doc["g"])
             report_extra.append(
                 {
@@ -183,28 +178,33 @@ def cmd_verify(args, parser):
 def cmd_solve(args, parser):
     if args.continuation_steps < 0:
         parser.error("argument --continuation-steps: must be 0 or more")
-    g = _background(args)
+    # the background: a --g file, or the Poincare sub-disk chart of the grid flags
+    if args.g is None:
+        ny = args.ny if args.ny is not None else args.nx
+        ly = args.ly if args.ly is not None else args.lx
+        grid = Grid(args.nx, ny, args.lx, ly, DIRICHLET)
+        chart = f"grid {grid}"
+        g = _disk(grid, chart)
+    else:
+        g = fileio.load_field(args.g)["g"]
+        chart = f"{args.g}: grid {g.grid}"
+        if args.manufactured_seed is not None:
+            # the target is built for the Poincare sub-disk metric, so a --g must hold it
+            disk = _disk(g.grid, chart).phi
+            _check_phi(ValueError, args.g, g.phi, disk, "the Poincare sub-disk metric of its grid")
     diffeo = None
     if args.manufactured_seed is not None:
-        # the target is built for the Poincare sub-disk metric, so a --g must hold it
-        disk = poincare_disk(g.grid).phi
-        if _phi_refused(args.g, g.phi, disk, "the Poincare sub-disk metric of its grid"):
-            return 2
         diffeo = ManufacturedDiffeo.seeded(g.grid, args.manufactured_seed)
         h = pullback_of_scaled_poincare(diffeo, g.grid)
     else:
-        doc = _load_or_usage(args.h)
+        doc = fileio.load_field(args.h)
         if "h" not in doc:
-            print(f"error: {args.h}: missing required key 'h'", file=sys.stderr)
-            return 2
+            raise ValueError(f"{args.h}: missing required key 'h'")
         if doc["grid"] != g.grid:
-            print(
-                f"error: {args.h}: grid {doc['grid']} does not match the background grid {g.grid}",
-                file=sys.stderr,
+            raise ValueError(
+                f"{args.h}: grid {doc['grid']} does not match the background grid {g.grid}"
             )
-            return 2
-        if _phi_refused(args.h, doc["g"].phi, g.phi, "the background's"):
-            return 2
+        _check_phi(ValueError, args.h, doc["g"].phi, g.phi, "the background's")
         h = doc["h"]
     try:
         if args.continuation_steps > 0:
@@ -215,8 +215,10 @@ def cmd_solve(args, parser):
         else:
             x, report = solver.newton_solve(g, h, tol=args.tol)
     except (solver.SolverError, solver.CurvatureSignError) as exc:
-        print(f"error: solve failed: {exc}", file=sys.stderr)
-        return 1
+        raise _Refused(f"solve failed: {exc}") from None
+    except ValueError as exc:
+        # the solver's refusal of the chart itself (a periodic one)
+        raise ValueError(f"{chart}: {exc}") from None
     fileio.save_field(f"{args.out}_displacement.json", g, x=x)
     rep = report.to_dict()
     if diffeo is not None:
@@ -233,32 +235,23 @@ def cmd_solve(args, parser):
 
 
 def cmd_embed(args, parser):
-    doc = _load_or_usage(args.endo)
+    doc = fileio.load_field(args.endo)
     if "endo" not in doc:
-        print(f"error: {args.endo}: missing required key 'endo'", file=sys.stderr)
-        return 2
+        raise ValueError(f"{args.endo}: missing required key 'endo'")
     grid = doc["grid"]
-    if _endo_refused(args.endo, doc["endo"]):
-        return 1
+    _check_endo(args.endo, doc["endo"])
     a = doc["endo"]
     try:
         patch = embedding.HyperboloidPatch(grid)
     except ValueError as exc:
-        print(f"error: {args.endo}: grid {grid}: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError(f"{args.endo}: grid {grid}: {exc}") from None
     # the field is integrated on the chart's Poincare metric, so the file's
     # phi must be that metric's
-    if _phi_refused(
-        args.endo, doc["g"].phi, patch.metric.phi, "the Poincare sub-disk metric of its grid"
-    ):
-        return 1
+    disk = patch.metric.phi
+    _check_phi(_Refused, args.endo, doc["g"].phi, disk, "the Poincare sub-disk metric of its grid")
     resid = codazzi_residual(a, patch.metric)
     if not (resid <= args.tol):
-        print(
-            f"error: refusing non-Codazzi input: residual {resid:.3e} exceeds {args.tol:.3e}",
-            file=sys.stderr,
-        )
-        return 1
+        raise _Refused(f"refusing non-Codazzi input: residual {resid:.3e} exceeds {args.tol:.3e}")
     u = patch.nodes()[patch.base_index]
     x = embedding.integrate_immersion(a, patch, u, sign=1, codazzi_tol=None)
     phi = embedding.support_function(x, patch, sign=1)
@@ -291,10 +284,10 @@ def main(argv=None):
         parser.error(f"argument --tol: must be finite and positive, got {args.tol}")
     try:
         return args.run(args, parser)
-    except (ValueError, OSError) as exc:
+    except (_Refused, ValueError, OSError) as exc:
         # OSError: an output path that cannot be written; its message names it
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, _Refused) else 2
 
 
 if __name__ == "__main__":

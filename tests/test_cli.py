@@ -36,9 +36,7 @@ def test_verify_corrupted_file_names_file_and_key(tmp_path, capsys):
     doc = json.loads(path.read_text())
     doc["phi"] = doc["phi"][:-3]
     path.write_text(json.dumps(doc))
-    with pytest.raises(SystemExit) as exc:
-        run_cli("verify", "--suite", "jcalc", "--g", path)
-    assert exc.value.code == 2
+    assert run_cli("verify", "--suite", "jcalc", "--g", path) == 2
     err = capsys.readouterr().err
     assert "bad.json" in err and "phi" in err
 
@@ -95,9 +93,7 @@ def test_solve_refuses_non_spd_h_naming_file_key_and_node(tmp_path, capsys, entr
     for entry, value in entries.items():
         doc["h"][4 * 16 + 9][entry] = value
     hpath.write_text(json.dumps(doc))
-    with pytest.raises(SystemExit) as exc:
-        run_cli("solve", "--g", gpath, "--h", hpath, "--out", tmp_path / "s")
-    assert exc.value.code == 2
+    assert run_cli("solve", "--g", gpath, "--h", hpath, "--out", tmp_path / "s") == 2
     err = capsys.readouterr().err
     assert "badh.json" in err and "'h'" in err and "(4, 9)" in err
     assert not (tmp_path / "s_report.json").exists()
@@ -193,9 +189,7 @@ def test_non_finite_phi_is_refused_naming_file_key_and_node(tmp_path, capsys, co
         "verify": ("verify", "--suite", "jcalc", "--g", path, "--out", tmp_path / "r.json"),
         "embed": ("embed", "--endo", path, "--out", tmp_path / "e"),
     }[command]
-    with pytest.raises(SystemExit) as exc:
-        run_cli(*argv)
-    assert exc.value.code == 2
+    assert run_cli(*argv) == 2
     err = capsys.readouterr().err
     assert "nanphi.json" in err and "'phi'" in err and "(5, 11)" in err
 
@@ -305,9 +299,7 @@ def test_embed_refuses_non_integral_header_naming_file_and_key(tmp_path, capsys)
     doc = json.loads(path.read_text())
     doc["grid"]["nx"] = 17.9
     path.write_text(json.dumps(doc))
-    with pytest.raises(SystemExit) as exc:
-        run_cli("embed", "--endo", path, "--out", tmp_path / "e")
-    assert exc.value.code == 2
+    assert run_cli("embed", "--endo", path, "--out", tmp_path / "e") == 2
     err = capsys.readouterr().err
     assert "f.json" in err and "'nx'" in err
 
@@ -417,3 +409,135 @@ def test_solve_manufactured_refuses_a_g_whose_phi_is_not_the_disk_metric(
     if code:
         err = capsys.readouterr().err
         assert "tilted.json" in err and "'phi'" in err and f"({node[0]}, {node[1]})" in err
+
+
+@pytest.mark.parametrize(
+    "metric, grid, argv, reason",
+    [
+        (ConformalMetric.flat, Grid(16, 16, 1.6, 1.6, "dirichlet"),
+         ("--manufactured-seed", "0", "--g", "{g}"), "chart leaves the unit disk"),
+        (None, Grid(16, 16, 1.6, 1.6, "dirichlet"),
+         ("--manufactured-seed", "0", "--nx", "16", "--lx", "1.6"), "chart leaves the unit disk"),
+        (poincare_disk, Grid(16, 16, 0.8, 0.8, "periodic"),
+         ("--g", "{g}", "--h", "{g}"), "the solver needs a Dirichlet chart"),
+        (poincare_disk, Grid(16, 16, 0.8, 0.8, "periodic"),
+         ("--manufactured-seed", "0", "--g", "{g}"), "the solver needs a Dirichlet chart"),
+    ],
+    ids=["outside-the-disk", "outside-the-disk-flags", "periodic", "periodic-manufactured"],
+)
+def test_solve_refuses_a_chart_naming_the_file_and_the_grid(
+    tmp_path, capsys, metric, grid, argv, reason
+):
+    # with only grid flags there is no file, and the message names the grid
+    gpath = tmp_path / "chart.json"
+    if metric is not None:
+        g = metric(grid)
+        fileio.save_field(gpath, g, h=2.25 * g.matrix())
+    prefix = tmp_path / "s"
+    assert run_cli("solve", *(a.format(g=gpath) for a in argv), "--out", prefix) == 2
+    named = "" if metric is None else f"{gpath}: "
+    assert capsys.readouterr().err == f"error: {named}grid {grid}: {reason}\n"
+    assert not list(tmp_path.glob("s_*"))
+
+
+@pytest.fixture(scope="module")
+def refused_files(tmp_path_factory):
+    """A directory holding one field file for each refusal of the table below."""
+    d = tmp_path_factory.mktemp("refused")
+    grid16 = Grid(16, 16, 0.8, 0.8, "dirichlet")
+    disk16 = poincare_disk(grid16)
+    xx16, _ = grid16.meshgrid()
+    grid17 = Grid(17, 17, 0.8, 0.8, "dirichlet")
+    disk17 = poincare_disk(grid17)
+    xx17, yy17 = grid17.meshgrid()
+    idf17 = np.broadcast_to(ID2, (17, 17, 2, 2))
+
+    def save(name, g, **payload):
+        fileio.save_field(d / name, g, **payload)
+
+    save("disk16.json", disk16)
+    save("h16.json", disk16, h=2.25 * disk16.matrix())
+    doc = json.loads((d / "h16.json").read_text())
+    (d / "truncated.json").write_text(json.dumps(dict(doc, phi=doc["phi"][:-3])))
+    doc["h"][4 * 16 + 9] = [1.0, 2.0, 1.0]
+    (d / "nonspd.json").write_text(json.dumps(doc))
+    (d / "notjson.json").write_text("{")
+    other = poincare_disk(Grid(16, 16, 0.6, 0.8, "dirichlet"))
+    save("othergrid.json", other, h=other.matrix())
+    phi = disk16.phi.copy()
+    phi[3, 12] += 1e-9 * (1.0 + abs(phi[3, 12]))
+    save("otherphi_h.json", ConformalMetric(grid16, phi), h=2.25 * disk16.matrix())
+    save("tilted.json", ConformalMetric(grid16, disk16.phi + 0.3 * xx16))
+    phi = disk17.phi.copy()
+    phi[5, 11] = np.nan
+    save("nanphi.json", ConformalMetric(grid17, phi), endo=idf17)
+    phi = disk17.phi.copy()
+    phi[3, 12] += 1e-9 * (1.0 + abs(phi[3, 12]))
+    save("otherphi_endo.json", ConformalMetric(grid17, phi), endo=idf17)
+    a = idf17.copy()
+    a[6, 13, 0, 1] += 0.3
+    save("nonsym.json", disk17, endo=a)
+    periodic = ConformalMetric.flat(Grid(16, 16, 0.8, 0.8, "periodic"))
+    save("periodic_endo.json", periodic, endo=np.broadcast_to(ID2, (16, 16, 2, 2)))
+    wide = ConformalMetric.flat(Grid(16, 16, 1.6, 1.6, "dirichlet"))
+    save("outside_endo.json", wide, endo=np.broadcast_to(ID2, (16, 16, 2, 2)))
+    save("wide.json", wide)
+    a = idf17.copy()
+    a[..., 0, 0] += 1.5 * np.sin(5 * xx17) * np.cos(4 * yy17)
+    save("noncodazzi.json", disk17, endo=a)
+    flat16 = ConformalMetric.flat(grid16)
+    save("flat16.json", flat16, h=2.0 * flat16.matrix())
+    periodic_disk = poincare_disk(periodic.grid)
+    save("periodic_disk.json", periodic_disk, h=2.25 * periodic_disk.matrix())
+    return d
+
+
+# one row per refusal class: argv, exit status, and what the message names
+# ("{d}/..." a file; None for the two refusals of a computed quantity)
+_REFUSALS = {
+    "load-not-json": (("verify", "--suite", "jcalc", "--g", "{d}/notjson.json"), 2,
+                      "{d}/notjson.json"),
+    "load-absent": (("embed", "--endo", "{d}/absent.json"), 2, "{d}/absent.json"),
+    "load-truncated": (("solve", "--h", "{d}/truncated.json", "--nx", "16"), 2,
+                       "{d}/truncated.json"),
+    "load-non-spd-h": (("solve", "--g", "{d}/disk16.json", "--h", "{d}/nonspd.json"), 2,
+                       "{d}/nonspd.json"),
+    "missing-key-h": (("solve", "--h", "{d}/disk16.json", "--nx", "16"), 2, "{d}/disk16.json"),
+    "missing-key-endo": (("embed", "--endo", "{d}/disk16.json"), 2, "{d}/disk16.json"),
+    "grid": (("solve", "--h", "{d}/othergrid.json", "--nx", "16"), 2, "{d}/othergrid.json"),
+    "phi-non-finite": (("embed", "--endo", "{d}/nanphi.json"), 2, "{d}/nanphi.json"),
+    "phi-solve-h": (("solve", "--h", "{d}/otherphi_h.json", "--nx", "16"), 2,
+                    "{d}/otherphi_h.json"),
+    "phi-solve-manufactured": (("solve", "--manufactured-seed", "0", "--g", "{d}/tilted.json"),
+                               2, "{d}/tilted.json"),
+    "phi-embed": (("embed", "--endo", "{d}/otherphi_endo.json"), 1, "{d}/otherphi_endo.json"),
+    "endo-verify": (("verify", "--suite", "jcalc", "--g", "{d}/nonsym.json"), 1,
+                    "{d}/nonsym.json"),
+    "endo-embed": (("embed", "--endo", "{d}/nonsym.json"), 1, "{d}/nonsym.json"),
+    "patch-periodic": (("embed", "--endo", "{d}/periodic_endo.json"), 2,
+                       "{d}/periodic_endo.json"),
+    "patch-outside": (("embed", "--endo", "{d}/outside_endo.json"), 2, "{d}/outside_endo.json"),
+    "non-codazzi": (("embed", "--endo", "{d}/noncodazzi.json"), 1, None),
+    "curvature": (("solve", "--g", "{d}/flat16.json", "--h", "{d}/flat16.json"), 1, None),
+    "chart-outside": (("solve", "--manufactured-seed", "0", "--g", "{d}/wide.json"), 2,
+                      "{d}/wide.json"),
+    "chart-outside-flags": (("solve", "--manufactured-seed", "0", "--nx", "16", "--lx", "1.6"),
+                            2, "grid Grid(nx=16, ny=16, lx=1.6"),
+    "chart-periodic": (("solve", "--g", "{d}/periodic_disk.json", "--h",
+                        "{d}/periodic_disk.json"), 2, "{d}/periodic_disk.json"),
+}
+
+
+@pytest.mark.parametrize("argv, code, named", _REFUSALS.values(), ids=_REFUSALS.keys())
+def test_each_refusal_returns_its_status_with_one_error_line_and_writes_nothing(
+    refused_files, tmp_path, capsys, argv, code, named
+):
+    # a refusal comes back from cli.main as a status, not as a raised SystemExit
+    argv = [a.format(d=refused_files) for a in argv]
+    assert run_cli(*argv, "--out", tmp_path / "o") == code
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.err.endswith("\n")
+    if named is not None:
+        assert named.format(d=refused_files) in captured.err
+    assert not list(tmp_path.iterdir())

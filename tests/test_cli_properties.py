@@ -1,8 +1,8 @@
 """Property test of the CLI's exit contract on corrupted field files.
 
-Each corrupted file must be refused with exit 2 and a message that names
-it, before any suite, solve or integration runs; no corruption may escape
-as a traceback.
+Each corrupted file must be refused with exit 2, returned by ``cli.main``,
+and a message that names it, before any suite, solve or integration runs;
+no corruption may escape as a traceback or as a raised ``SystemExit``.
 """
 
 import contextlib
@@ -66,10 +66,7 @@ def _run(argv):
         ]:
             mp.setattr(module, name, _work)
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            try:
-                code = cli.main([str(a) for a in argv])
-            except SystemExit as exc:
-                code = exc.code
+            code = cli.main([str(a) for a in argv])
     return code, err.getvalue()
 
 
