@@ -136,32 +136,17 @@ def _check_endo(path, endo):
 def cmd_verify(args, parser):
     names = verify.SUITE_NAMES if args.suite == "all" else (args.suite,)
     # optional input field: validated, and checked when it carries an endo
-    report_extra = []
+    check = None
     if args.g is not None:
         doc = fileio.load_field(args.g)
         if "endo" in doc:
             _check_endo(args.g, doc["endo"])
             resid = codazzi_residual(doc["endo"], doc["g"])
-            report_extra.append(
-                {
-                    "check": "input_codazzi_residual",
-                    "lhs": resid,
-                    "rhs": 0.0,
-                    "residual": resid,
-                    "order": None,
-                    "pass": resid <= args.tol,
-                }
-            )
+            check = verify._equal("input_codazzi_residual", resid, 0.0, args.tol)
     report = verify.run_suites(names, seed=args.seed)
-    if report_extra:
-        report["suites"].append(
-            {
-                "suite": "input",
-                "passed": all(c["pass"] for c in report_extra),
-                "checks": report_extra,
-            }
-        )
-        report["passed"] = report["passed"] and report["suites"][-1]["passed"]
+    if check is not None:
+        report["suites"].append({"suite": "input", "passed": check["pass"], "checks": [check]})
+        report["passed"] = report["passed"] and check["pass"]
     for s in report["suites"]:
         for c in s["checks"]:
             status = "PASS" if c["pass"] else "FAIL"
@@ -215,7 +200,7 @@ def cmd_solve(args, parser):
         else:
             x, report = solver.newton_solve(g, h, tol=args.tol)
     except (solver.SolverError, solver.CurvatureSignError) as exc:
-        raise _Refused(f"solve failed: {exc}") from None
+        raise _Refused(f"{chart}: solve failed: {exc}") from None
     except ValueError as exc:
         # the solver's refusal of the chart itself (a periodic one)
         raise ValueError(f"{chart}: {exc}") from None
@@ -251,7 +236,9 @@ def cmd_embed(args, parser):
     _check_phi(_Refused, args.endo, doc["g"].phi, disk, "the Poincare sub-disk metric of its grid")
     resid = codazzi_residual(a, patch.metric)
     if not (resid <= args.tol):
-        raise _Refused(f"refusing non-Codazzi input: residual {resid:.3e} exceeds {args.tol:.3e}")
+        raise _Refused(
+            f"{args.endo}: refusing non-Codazzi input: residual {resid:.3e} exceeds {args.tol:.3e}"
+        )
     u = patch.nodes()[patch.base_index]
     x = embedding.integrate_immersion(a, patch, u, sign=1, codazzi_tol=None)
     phi = embedding.support_function(x, patch, sign=1)

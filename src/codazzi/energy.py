@@ -10,7 +10,7 @@ live here.
 
 import numpy as np
 
-from .grid import ConformalMetric
+from .grid import ConformalMetric, central_difference
 from .jcalc import J, check_symmetric, det, inv2, sigma, spd_sqrt_pair, trace
 from .maps import FieldInterpolator, pullback_metric
 from .operators import (
@@ -134,8 +134,7 @@ def flow_derivative_fd(h, g: ConformalMetric, x):
         hp = pullback_metric(grid, h, x, t, order=4)
         return _simpson2(grid, trace(field_A(hp, g)) * w)
 
-    eps = 1e-4
-    return (energy_at(eps) - energy_at(-eps)) / (2.0 * eps)
+    return central_difference(energy_at, 0.0, 1e-4, 1)
 
 
 def nabla_vec_endo(x, g: ConformalMetric):

@@ -23,8 +23,10 @@ First derivatives come in two orders, from one pair of methods
   first-order one-sided value.
 
 The order-2 stencil also comes as taps, and the compact 5-point Laplacian
-in array and matrix form.  With :func:`central_jacobian` for closed-form
-maps, no other module holds a spatial finite-difference weight.
+in array and matrix form.  :func:`central_difference` is the central first
+or second difference in a scalar parameter, and :func:`central_jacobian`
+applies it along each chart axis of a closed-form map.  No other module
+holds a finite-difference weight, spatial or in a parameter.
 
 A grid and a metric are immutable, so each computes its derived geometry
 (node coordinates, meshgrid, quadrature weights, conformal factor and its
@@ -52,13 +54,24 @@ def first_node(mask):
     return divmod(k, mask.shape[1]) if mask.flat[k] else None
 
 
+def central_difference(f, t, step, order):
+    """Central difference of ``order`` 1 or 2 in a scalar parameter, of ``f`` at ``t``.
+
+    ``f`` may return an array; the difference keeps its shape.
+    """
+    if order == 1:
+        return (f(t + step) - f(t - step)) / (2.0 * step)
+    if order == 2:
+        return (f(t + step) - 2.0 * f(t) + f(t - step)) / step**2
+    raise ValueError("central difference order must be 1 or 2")
+
+
 def central_jacobian(f, points):
     """Jacobian (..., k, 2) of a closed-form map ``f`` of points (..., 2) by central differences.
 
     The step is 1e-6 along each chart axis.
     """
-    step = 1e-6
-    cols = [(f(points + d) - f(points - d)) / (2.0 * step) for d in step * np.eye(2)]
+    cols = [central_difference(lambda s: f(points + s * e), 0.0, 1e-6, 1) for e in np.eye(2)]
     return np.stack(cols, axis=-1)
 
 

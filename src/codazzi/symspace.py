@@ -5,14 +5,19 @@ conformally rescaled Lorentz metrics b_alpha built from the determinant
 form; for alpha = 1/2 the geodesics through the identity direction A are
 the explicit squares (Id + tA)^2, and the associated exponential map is a
 chart whose Beltrami-coefficient parametrization (P, Q) covers the domain
-tilde-U = {P + 1 > 0, (P+1)^2 > |Q|^2}.  Everything here is exact matrix
-arithmetic; the verification scripts drive it with finite differences.
+tilde-U = {P + 1 > 0, (P+1)^2 > |Q|^2}.  :func:`quotient_metric` is the
+unrescaled member alpha = 0, normalised as -Det(B)/(4 Det A), so at A = Id
+it is a quarter of :func:`codazzi.jcalc.b_form` of B.  Everything here is
+exact matrix arithmetic; the verification scripts drive it with finite
+differences.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
+from .grid import central_difference
 from .jcalc import ID2, check_spd, det, inv2, metric_action
 
 __all__ = [
@@ -27,16 +32,15 @@ __all__ = [
 ]
 
 
-def quotient_metric(a, b, alpha=0.0):
-    """Conformally rescaled quotient Lorentz form Det(A)^alpha (-Det(B)/(4 Det A)).
+def quotient_metric(a, b):
+    """Quotient Lorentz form -Det(B)/(4 Det A), the alpha = 0 member of the family.
 
     ``a`` is the base point (SPD), ``b`` a symmetric tangent direction.
     """
-    da = det(check_spd(a))
-    return da**alpha * (-0.25 * det(b) / da)
+    return -0.25 * det(b) / det(check_spd(a))
 
 
-def christoffel_difference(a, b, alpha=0.0):
+def christoffel_difference(a, b, alpha):
     """Christoffel correction Omega_alpha(A)(B, B) = (alpha - 1) A^{-1} B^2.
 
     Only valid for commuting pairs; non-commuting input is rejected.
@@ -62,13 +66,10 @@ def geodesic_residual(a, t):
     correction of alpha = 1/2 applied to the central first difference;
     identically zero in exact arithmetic.  The step is 1e-3.
     """
-    step = 1e-3
-    gp = geodesic(a, t + step)
-    g0 = geodesic(a, t)
-    gm = geodesic(a, t - step)
-    acc = (gp - 2.0 * g0 + gm) / step**2
-    vel = (gp - gm) / (2.0 * step)
-    return float(np.max(np.abs(acc + christoffel_difference(g0, vel, 0.5))))
+    gamma = partial(geodesic, a)
+    acc = central_difference(gamma, t, 1e-3, 2)
+    vel = central_difference(gamma, t, 1e-3, 1)
+    return float(np.max(np.abs(acc + christoffel_difference(gamma(t), vel, 0.5))))
 
 
 def exp_map(a, g0):

@@ -12,11 +12,12 @@ finite-difference second derivative dominates the closed-form lower bound.
 """
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .energy import trace_energy_over
-from .grid import ConformalMetric
+from .grid import ConformalMetric, central_difference
 from .jcalc import ID2, check_spd, check_symmetric, det, inv2, trace
 
 __all__ = [
@@ -129,11 +130,7 @@ def second_derivative_lower_bound(a0, family: DeformationFamily, target):
     """
     grid = family.h0.grid
     a0 = grid.check_field(a0, rank=2)
-    eps = 3e-3
-    ep = family.e_hat_along(target, eps)
-    e0 = family.e_hat_along(target, 0.0)
-    em = family.e_hat_along(target, -eps)
-    lhs = (ep - 2.0 * e0 + em) / eps**2
+    lhs = central_difference(partial(family.e_hat_along, target), 0.0, 3e-3, 2)
     rhs = family.h0.integrate(2.0 * family.phi0 * trace(a0))
     return lhs, rhs
 

@@ -492,8 +492,8 @@ def refused_files(tmp_path_factory):
     return d
 
 
-# one row per refusal class: argv, exit status, and what the message names
-# ("{d}/..." a file; None for the two refusals of a computed quantity)
+# one row per refusal class: argv, exit status, and the file or grid the
+# message names
 _REFUSALS = {
     "load-not-json": (("verify", "--suite", "jcalc", "--g", "{d}/notjson.json"), 2,
                       "{d}/notjson.json"),
@@ -517,8 +517,9 @@ _REFUSALS = {
     "patch-periodic": (("embed", "--endo", "{d}/periodic_endo.json"), 2,
                        "{d}/periodic_endo.json"),
     "patch-outside": (("embed", "--endo", "{d}/outside_endo.json"), 2, "{d}/outside_endo.json"),
-    "non-codazzi": (("embed", "--endo", "{d}/noncodazzi.json"), 1, None),
-    "curvature": (("solve", "--g", "{d}/flat16.json", "--h", "{d}/flat16.json"), 1, None),
+    "non-codazzi": (("embed", "--endo", "{d}/noncodazzi.json"), 1, "{d}/noncodazzi.json: "),
+    "curvature": (("solve", "--g", "{d}/flat16.json", "--h", "{d}/flat16.json"), 1,
+                  "{d}/flat16.json: grid Grid(nx=16, ny=16"),
     "chart-outside": (("solve", "--manufactured-seed", "0", "--g", "{d}/wide.json"), 2,
                       "{d}/wide.json"),
     "chart-outside-flags": (("solve", "--manufactured-seed", "0", "--nx", "16", "--lx", "1.6"),
@@ -538,6 +539,5 @@ def test_each_refusal_returns_its_status_with_one_error_line_and_writes_nothing(
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert captured.err.endswith("\n")
-    if named is not None:
-        assert named.format(d=refused_files) in captured.err
+    assert named.format(d=refused_files) in captured.err
     assert not list(tmp_path.iterdir())

@@ -8,7 +8,7 @@ import pytest
 
 from codazzi import cli
 from codazzi.energy import nabla_vec_endo
-from codazzi.grid import ConformalMetric, Grid, poincare_disk
+from codazzi.grid import ConformalMetric, Grid, central_difference, poincare_disk
 from codazzi.jcalc import J
 from codazzi.operators import (
     brioschi_curvature,
@@ -205,6 +205,43 @@ def test_derivative_order_must_be_two_or_four():
     grid = Grid(16, 16, 1.0, 1.0, "dirichlet")
     with pytest.raises(ValueError):
         grid.ddx(np.zeros((16, 16)), order=6)
+
+
+@pytest.mark.parametrize("step", [0.1, 1e-3])
+def test_central_difference_is_exact_on_quadratics_and_cubics(step):
+    # order 1 is exact on quadratics and order 2 on cubics, up to the
+    # round-off of f's values divided by the step (squared for order 2);
+    # array coefficients check that an array-valued f keeps its shape
+    c = rng_for(5).standard_normal((4, 3, 2, 2))
+    t = 0.7
+
+    def quadratic(s):
+        return c[0] + s * c[1] + s * s * c[2]
+
+    def cubic(s):
+        return c[0] + s * c[1] + s * s * c[2] + s**3 * c[3]
+
+    roundoff = 8.0 * np.finfo(float).eps * np.abs(c).sum(axis=0)
+    d1 = central_difference(quadratic, t, step, 1)
+    assert d1.shape == (3, 2, 2)
+    assert np.all(np.abs(d1 - (c[1] + 2.0 * t * c[2])) <= roundoff / step)
+    d2 = central_difference(cubic, t, step, 2)
+    assert d2.shape == (3, 2, 2)
+    assert np.all(np.abs(d2 - (2.0 * c[2] + 6.0 * t * c[3])) <= roundoff / step**2)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_central_difference_error_falls_fourfold_when_the_step_halves(order):
+    # both differences are second order in the step; every derivative of exp is exp
+    t = 0.3
+    errs = [abs(central_difference(np.exp, t, h, order) - np.exp(t)) for h in (0.1, 0.05)]
+    assert 3.9 < errs[0] / errs[1] < 4.1
+
+
+@pytest.mark.parametrize("order", [0, 3, 4])
+def test_central_difference_order_must_be_one_or_two(order):
+    with pytest.raises(ValueError):
+        central_difference(np.exp, 0.0, 1e-3, order)
 
 
 # squares, a chart with lx != ly (a swapped dx/dy would show) and an odd one

@@ -11,8 +11,17 @@ does not hide it.
 
 A parameter with a default, of any function or method in ``src/codazzi``,
 must be passed by at least one call in the same four trees, by keyword or
-by position.  Calls are matched to definitions by name; a call with
-``*args`` or ``**kwargs`` counts as passing every parameter.
+by position, with a value other than its default.  Calls are matched to
+definitions by name; a call with ``*args`` or ``**kwargs`` counts as passing
+every parameter a value other than its default.  A passed value is the
+default when it is the same literal (``0`` and ``0.0`` are the same) or the
+same expression, as ``PERIODIC`` for a default ``PERIODIC``.
+
+No module of ``src/codazzi`` but ``grid`` holds a difference quotient: a
+division whose denominator is ``2 * name``, ``2.0 * name`` or ``name ** 2``
+and whose numerator is a subtraction or a sum that starts with one.  Such a
+quotient is a central difference, and ``grid.central_difference`` is the one
+implementation of it.  Tests keep their own finite-difference oracles.
 
 Every entry of a module's ``__all__`` names a module-level definition or
 import, and every public name that another module of ``src/codazzi``
@@ -77,10 +86,11 @@ def _references():
 
 
 def _defaulted_parameters():
-    """(qualified name, function name, parameter, positional index or None).
+    """(qualified name, function name, parameter, positional index or None, default).
 
     The positional index counts call arguments, so it skips the ``self`` or
-    ``cls`` of a method; keyword-only parameters have index None.
+    ``cls`` of a method; keyword-only parameters have index None.  The
+    default is its expression node.
     """
     def visit(node, prefix, in_class):
         for item in ast.iter_child_nodes(node):
@@ -97,11 +107,13 @@ def _defaulted_parameters():
                 if in_class and not static:
                     positional = positional[1:]
                 first = len(positional) - len(args.defaults)
-                for i, arg in enumerate(positional[first:], start=first):
-                    yield f"{full}({arg.arg})", item.name, arg.arg, i
+                for i, (arg, default) in enumerate(
+                    zip(positional[first:], args.defaults), start=first
+                ):
+                    yield f"{full}({arg.arg})", item.name, arg.arg, i, default
                 for arg, default in zip(args.kwonlyargs, args.kw_defaults):
                     if default is not None:
-                        yield f"{full}({arg.arg})", item.name, arg.arg, None
+                        yield f"{full}({arg.arg})", item.name, arg.arg, None, default
                 yield from visit(item, full, False)
             else:
                 yield from visit(item, prefix, in_class)
@@ -111,7 +123,11 @@ def _defaulted_parameters():
 
 
 def _calls():
-    """Callee name -> list of (positional argument count, keyword names)."""
+    """Callee name -> list of (positional argument nodes, keyword name -> value node).
+
+    The positional list is None when the call unpacks ``*args``; a
+    ``**kwargs`` argument is the keyword None.
+    """
     calls = {}
     for tree in _searched_trees():
         for node in ast.walk(tree):
@@ -124,11 +140,30 @@ def _calls():
             else:
                 continue
             star = any(isinstance(a, ast.Starred) for a in node.args)
-            npos = float("inf") if star else len(node.args)
-            # a **kwargs argument is a keyword with arg None
-            keywords = {k.arg for k in node.keywords}
-            calls.setdefault(name, []).append((npos, keywords))
+            keywords = {k.arg: k.value for k in node.keywords}
+            calls.setdefault(name, []).append((None if star else node.args, keywords))
     return calls
+
+
+def _passed_values(calls, name, param, index):
+    """The value node each call of ``name`` passes ``param``; None for an unpacked one."""
+    for args, keywords in calls.get(name, ()):
+        if param in keywords:
+            yield keywords[param]
+        elif index is not None and (args is None or len(args) > index):
+            yield None if args is None else args[index]
+        elif None in keywords:
+            yield None
+
+
+def _is_default(value, default):
+    """True when the node ``value`` is the literal or the expression ``default``."""
+    if value is None:
+        return False
+    try:
+        return ast.literal_eval(value) == ast.literal_eval(default)
+    except ValueError:
+        return ast.dump(value) == ast.dump(default)
 
 
 def test_no_public_name_is_unreferenced():
@@ -145,13 +180,46 @@ def test_every_defaulted_parameter_is_passed_by_some_call():
     calls = _calls()
     unset = [
         full
-        for full, name, param, index in _defaulted_parameters()
-        if not any(
-            (index is not None and npos > index) or param in keywords or None in keywords
-            for npos, keywords in calls.get(name, ())
-        )
+        for full, name, param, index, default in _defaulted_parameters()
+        if all(_is_default(v, default) for v in _passed_values(calls, name, param, index))
     ]
-    assert not unset, f"parameters with defaults that no call passes: {unset}"
+    assert not unset, f"parameters with defaults that no call passes another value: {unset}"
+
+
+def _starts_with_subtraction(node):
+    """A subtraction, or a sum whose leftmost term is one."""
+    while isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+        node = node.left
+    return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+
+
+def _is_two(node):
+    return isinstance(node, ast.Constant) and type(node.value) in (int, float) and node.value == 2
+
+
+def _is_step_denominator(node):
+    """``2 * name``, ``2.0 * name`` or ``name ** 2``."""
+    if not isinstance(node, ast.BinOp):
+        return False
+    if isinstance(node.op, ast.Mult):
+        return _is_two(node.left) and isinstance(node.right, ast.Name)
+    if isinstance(node.op, ast.Pow):
+        return isinstance(node.left, ast.Name) and _is_two(node.right)
+    return False
+
+
+def test_no_difference_quotient_outside_grid():
+    quotients = [
+        f"{stem}.py:{node.lineno}"
+        for stem, tree in _library_trees()
+        if stem != "grid"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Div)
+        and _is_step_denominator(node.right)
+        and _starts_with_subtraction(node.left)
+    ]
+    assert not quotients, f"difference quotients outside grid.central_difference: {quotients}"
 
 
 def _module_level_names(tree):

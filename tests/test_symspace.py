@@ -65,6 +65,6 @@ def test_quotient_metric_normalization():
     rng = rng_for(4)
     for _ in range(50):
         b = rng.standard_normal((2, 2))
-        assert symspace.quotient_metric(ID2, b, alpha=0.0) == pytest.approx(
+        assert symspace.quotient_metric(ID2, b) == pytest.approx(
             0.25 * float(b_form(b)), abs=1e-14
         )
