@@ -166,13 +166,13 @@ def codazzi_residual(a, g: ConformalMetric):
     return float(np.max(np.abs(r[mask])))
 
 
-def _q_field(a, a_inv, g: ConformalMetric):
+def _q_field(a_inv, dn, g: ConformalMetric):
     """Scalar q = div(A^{-1} J div(A J)), the double-divergence block.
 
-    ``a_inv`` is inv2(a), passed in by callers that also need it.
+    ``a_inv`` is inv2(A) and ``dn`` is dnabla_endo(A) = div(A J), both
+    passed in by callers that also need them.
     """
-    inner = div_endo(a @ J, g)
-    w = np.einsum("...kj,...j->...k", a_inv @ J, inner)
+    w = np.einsum("...kj,...j->...k", a_inv @ J, dn)
     return div_vec(w, g)
 
 
@@ -188,7 +188,7 @@ def curvature_identity_residual(a, g: ConformalMetric, margin=3):
     a = check_symmetric(g.grid.check_field(a, rank=2))
     h = np.swapaxes(a, -1, -2) @ g.matrix() @ a
     kh = brioschi_curvature(g.grid, h)
-    resid = det(a) * kh - curvature(g) - _q_field(a, inv2(a), g)
+    resid = det(a) * kh - curvature(g) - _q_field(inv2(a), dnabla_endo(a, g), g)
     mask = g.grid.interior(margin)
     return float(np.max(np.abs(resid[mask])))
 
@@ -202,12 +202,12 @@ def correction_G(h, g: ConformalMetric):
     and the two must agree to O(h^2).
     """
     a = field_A(h, g)
-    return _correction(a, inv2(a), g)
+    return _correction(inv2(a), dnabla_endo(a, g), g)
 
 
-def _correction(a, a_inv, g):
-    """G = -grad q(A) from A and its inverse."""
-    return -grad(_q_field(a, a_inv, g), g)
+def _correction(a_inv, dn, g):
+    """G = -grad q(A) from inv2(A) and dnabla_endo(A)."""
+    return -grad(_q_field(a_inv, dn, g), g)
 
 
 def correction_G_oracle(h, g: ConformalMetric):
@@ -224,14 +224,15 @@ def modified_inequality_check(h, g: ConformalMetric):
     rhs = int <grad E, A^{-1} grad E>; the claim is lhs >= rhs, i.e. the
     correction pairs non-negatively against A^{-1} grad E (its pairing
     equals int q^2 dArea up to a boundary term).  grad E and G are
-    :func:`energy_gradient` and :func:`correction_G` written out on one A
-    and one inverse of it.
+    :func:`energy_gradient` and :func:`correction_G` written out on one A,
+    one inverse of it and one d^nabla A(e1, e2) = div(A J).
     """
     a = field_A(h, g)
     a_inv = inv2(a)
-    ge = -apply_J(dnabla_endo(a, g))
+    dn = dnabla_endo(a, g)
+    ge = -apply_J(dn)
     y = np.einsum("...kj,...j->...k", a_inv, ge)
-    gcorr = _correction(a, a_inv, g)
+    gcorr = _correction(a_inv, dn, g)
     w = g.conformal_factor
     rhs = g.integrate(w * np.einsum("...k,...k->...", ge, y))
     lhs = g.integrate(w * np.einsum("...k,...k->...", ge - gcorr, y))

@@ -42,6 +42,14 @@ import numpy as np
 PERIODIC = "periodic"
 DIRICHLET = "dirichlet"
 
+# SuperLU options for a sparse matrix whose pattern is symmetric and whose
+# diagonal is a stable pivot sequence: minimum degree on A^T + A, diagonal
+# pivots only (Davis, "Direct Methods for Sparse Linear Systems", SIAM 2006).
+# Passed as ``scipy.sparse.linalg.splu(mat, **SYMMETRIC_SPLU)``.
+SYMMETRIC_SPLU = dict(
+    permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options=dict(SymmetricMode=True)
+)
+
 
 def _read_only(a):
     a.flags.writeable = False

@@ -56,11 +56,17 @@ def det(a):
 
 
 def inv2(a):
-    """Closed-form inverse of 2x2 matrices; raises on singular input."""
+    """Closed-form inverse of 2x2 matrices; raises on singular or non-finite input.
+
+    The gate reads only Det: an infinite entry makes it inf or NaN and a
+    NaN entry makes it NaN, so |Det| in [1e-300, inf) passes only finite,
+    non-singular blocks (and refuses a Det that overflows).
+    """
     a = np.asarray(a, dtype=float)
     d = det(a)
-    if np.any(np.abs(d) < 1e-300):
-        raise ValueError("singular 2x2 matrix")
+    ad = np.abs(d)
+    if not np.all((ad >= 1e-300) & (ad < np.inf)):
+        raise ValueError("singular or non-finite 2x2 matrix")
     out = np.empty_like(a)
     out[..., 0, 0] = a[..., 1, 1]
     out[..., 1, 1] = a[..., 0, 0]

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import ConformalMetric, Grid
+from .grid import SYMMETRIC_SPLU, ConformalMetric, Grid
 from .energy import codazzi_residual, energy_gradient, field_A
 from .jcalc import dspd_sqrt, inv2
 from .maps import FieldInterpolator, FoldOverError, map_jacobian, map_points, pullback_metric
@@ -299,10 +299,7 @@ def _factor_step(jac, r):
 
     # splu is called through the module, so perfbench's probe on it times it
     try:
-        lu = scipy.sparse.linalg.splu(
-            jac, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-            options=dict(SymmetricMode=True),
-        )
+        lu = scipy.sparse.linalg.splu(jac, **SYMMETRIC_SPLU)
         step = lu.solve(-r)
         if np.all(np.isfinite(step)):
             return lu, step

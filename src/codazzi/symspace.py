@@ -10,6 +10,13 @@ unrescaled member alpha = 0, normalised as -Det(B)/(4 Det A), so at A = Id
 it is a quarter of :func:`codazzi.jcalc.b_form` of B.  Everything here is
 exact matrix arithmetic; the verification scripts drive it with finite
 differences.
+
+Like :mod:`codazzi.jcalc`, every function takes stacks: matrices of shape
+``(..., 2, 2)`` and a :class:`BeltramiPoint` whose P and Q are arrays, so a
+check over many draws is one call.  Each 2x2 block (each point) is treated
+as a one-at-a-time call would treat it: :func:`christoffel_difference`
+scales its commuting test per block, :meth:`BeltramiPoint.in_domain` answers
+per point, and :func:`psi_tilde` names the first point outside the domain.
 """
 
 from dataclasses import dataclass
@@ -43,12 +50,15 @@ def quotient_metric(a, b):
 def christoffel_difference(a, b, alpha):
     """Christoffel correction Omega_alpha(A)(B, B) = (alpha - 1) A^{-1} B^2.
 
-    Only valid for commuting pairs; non-commuting input is rejected.
+    Only valid for commuting pairs; non-commuting input is rejected.  The
+    test |AB - BA| <= 1e-10 (1 + max|A| max|B|) is made per 2x2 block, so a
+    stack refuses exactly the pairs that one-pair calls refuse.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    comm = a @ b - b @ a
-    if np.max(np.abs(comm)) > 1e-10 * (1.0 + np.abs(a).max() * np.abs(b).max()):
+    comm = np.abs(a @ b - b @ a).max(axis=(-2, -1))
+    scale = 1.0 + np.abs(a).max(axis=(-2, -1)) * np.abs(b).max(axis=(-2, -1))
+    if np.any(comm > 1e-10 * scale):
         raise ValueError("christoffel_difference needs a commuting pair")
     return (alpha - 1.0) * inv2(a) @ b @ b
 
@@ -64,7 +74,8 @@ def geodesic_residual(a, t):
 
     Central second difference of gamma plus the commuting Christoffel
     correction of alpha = 1/2 applied to the central first difference;
-    identically zero in exact arithmetic.  The step is 1e-3.
+    identically zero in exact arithmetic.  The step is 1e-3.  On a stack of
+    directions ``a`` it returns the maximum over the stack.
     """
     gamma = partial(geodesic, a)
     acc = central_difference(gamma, t, 1e-3, 2)
@@ -80,28 +91,55 @@ def exp_map(a, g0):
 
 @dataclass(frozen=True)
 class BeltramiPoint:
-    """Beltrami-coefficient coordinates (P real, Q complex)."""
+    """Beltrami-coefficient coordinates (P real, Q complex), or stacks of them.
 
-    p: float
-    q: complex
+    ``p`` is a float or a float array and ``q`` a complex or a complex
+    array; the two broadcast against each other.
+    """
+
+    p: float | np.ndarray
+    q: complex | np.ndarray
 
     def in_domain(self):
-        """Membership in tilde-U: P + 1 > 0 and (P+1)^2 > |Q|^2."""
-        return self.p + 1.0 > 0.0 and (self.p + 1.0) ** 2 > abs(self.q) ** 2
+        """Membership in tilde-U, per point: P + 1 > 0 and (P+1)^2 > |Q|^2.
+
+        |Q| is ``np.hypot`` of its parts and the squares go through ``pow``
+        (``np.float_power``), as Python's ``abs`` and ``**`` on one point
+        take them, so a stack and a one-point call agree to the last bit
+        near the boundary.  A NaN coordinate is outside.
+        """
+        s = np.asarray(self.p, dtype=float) + 1.0
+        q = np.asarray(self.q, dtype=complex)
+        return (s > 0.0) & (np.float_power(s, 2) > np.float_power(np.hypot(q.real, q.imag), 2))
 
 
 def beltrami_matrix(point: BeltramiPoint):
-    """Symmetric matrix [[a + P, b], [b, -a + P]] for Q = a + b i.
+    """Symmetric matrix [[a + P, b], [b, -a + P]] for Q = a + b i, shape (..., 2, 2).
 
     Tr(Id + A) = 2 (P + 1) and Det(Id + A) = (P+1)^2 - |Q|^2, so the
     domain tilde-U is exactly where Id + A is positive-definite.
     """
-    a, b = float(np.real(point.q)), float(np.imag(point.q))
-    return np.array([[a + point.p, b], [b, -a + point.p]])
+    q = np.asarray(point.q, dtype=complex)
+    p, a, b = np.broadcast_arrays(np.asarray(point.p, dtype=float), q.real, q.imag)
+    out = np.empty(p.shape + (2, 2))
+    out[..., 0, 0] = a + p
+    out[..., 0, 1] = b
+    out[..., 1, 0] = b
+    out[..., 1, 1] = -a + p
+    return out
 
 
 def psi_tilde(point: BeltramiPoint, g0):
-    """Metric of the Beltrami chart: the exponential map applied to A(P, Q)."""
-    if not point.in_domain():
-        raise ValueError("Beltrami point outside tilde-U")
+    """Metric of the Beltrami chart: the exponential map applied to A(P, Q).
+
+    A stack is refused if any point is outside tilde-U; the message names
+    the first such index in row-major order.
+    """
+    inside = point.in_domain()
+    if not inside.all():
+        if inside.ndim == 0:
+            raise ValueError("Beltrami point outside tilde-U")
+        first = np.unravel_index(np.argmin(inside), inside.shape)
+        index = int(first[0]) if inside.ndim == 1 else tuple(int(k) for k in first)
+        raise ValueError(f"Beltrami point outside tilde-U at index {index}")
     return exp_map(beltrami_matrix(point), g0)

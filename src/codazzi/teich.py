@@ -17,7 +17,7 @@ from functools import partial
 import numpy as np
 
 from .energy import trace_energy_over
-from .grid import ConformalMetric, central_difference
+from .grid import SYMMETRIC_SPLU, ConformalMetric, central_difference
 from .jcalc import ID2, check_spd, check_symmetric, det, inv2, trace
 
 __all__ = [
@@ -45,6 +45,11 @@ def phi0_solve(b, h: ConformalMetric):
     right side is non-positive, so the maximum principle forces phi0 >= 0;
     the discrete operator is an M-matrix and inherits the sign.  Returns
     the full node field.
+
+    The matrix is symmetric and its negative is positive-definite, so
+    diagonal pivots are stable: SuperLU factors it with the options of
+    :data:`~codazzi.grid.SYMMETRIC_SPLU` (minimum degree on A^T + A,
+    symmetric mode), as the Newton solver factors its Jacobian.
     """
     import scipy.sparse
     import scipy.sparse.linalg
@@ -55,7 +60,11 @@ def phi0_solve(b, h: ConformalMetric):
     mask = grid.interior(1)
     mat = grid.lap5_matrix() - scipy.sparse.diags(2.0 * w[mask])
     out = np.zeros((grid.ny, grid.nx))
-    out[mask] = scipy.sparse.linalg.spsolve(mat, det(b)[mask] * w[mask])
+    # mat is symmetric, so mat.T, a CSC view of its CSR arrays, is mat itself
+    # with no copy; splu is called through the module, so perfbench's probe on
+    # it times it
+    lu = scipy.sparse.linalg.splu(mat.T, **SYMMETRIC_SPLU)
+    out[mask] = lu.solve(det(b)[mask] * w[mask])
     return out
 
 

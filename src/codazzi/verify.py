@@ -575,55 +575,54 @@ def suite_embed(seed):
 
 
 def suite_appendix(seed):
+    # each check runs on one stack of draws; a stacked draw fills in C order,
+    # so the generator is read as by draws of one matrix at a time
     rng = rng_for(seed + 7)
     checks = []
 
-    comp_err = 0.0
+    # a point outside the domain draws no m, so the points are drawn one at a time
+    ps, qs, ms = [], [], []
     for _ in range(200):
         pval = rng.uniform(-0.5, 1.0)
         qmax = 0.95 * (pval + 1.0)
         q = rng.uniform(-qmax, qmax) / np.sqrt(2.0) + 1j * rng.uniform(-qmax, qmax) / np.sqrt(2.0)
-        point = symspace.BeltramiPoint(pval, q)
-        if not point.in_domain():
+        if not symspace.BeltramiPoint(pval, q).in_domain():
             continue
-        m = rng.standard_normal((2, 2))
-        g0 = m.T @ m + 0.2 * ID2
-        lhs = symspace.psi_tilde(point, g0)
-        mat = ID2 + symspace.beltrami_matrix(point)
-        comp_err = max(comp_err, float(np.max(np.abs(lhs - mat.T @ g0 @ mat))))
+        ps.append(pval)
+        qs.append(q)
+        ms.append(rng.standard_normal((2, 2)))
+    points = symspace.BeltramiPoint(np.array(ps), np.array(qs))
+    m = np.array(ms)
+    g0 = np.swapaxes(m, -1, -2) @ m + 0.2 * ID2
+    lhs = symspace.psi_tilde(points, g0)
+    mat = ID2 + symspace.beltrami_matrix(points)
+    comp_err = float(np.max(np.abs(lhs - np.swapaxes(mat, -1, -2) @ g0 @ mat)))
     checks.append(_equal("beltrami_chart_composition", comp_err, 0.0, 1e-14))
 
-    geo_err = 0.0
-    for _ in range(20):
-        m = rng.standard_normal((2, 2))
-        a = 0.4 * (m + m.T) / 2.0
-        for t in (0.0, 0.2, -0.15):
-            geo_err = max(geo_err, symspace.geodesic_residual(a, t))
+    m = rng.standard_normal((20, 2, 2))
+    a = 0.4 * (m + np.swapaxes(m, -1, -2)) / 2.0
+    geo_err = max(symspace.geodesic_residual(a, t) for t in (0.0, 0.2, -0.15))
     checks.append(_equal("geodesic_ode_residual", geo_err, 0.0, 1e-6))
 
-    conj_err = 0.0
-    for _ in range(500):
-        bmat = rng.standard_normal((2, 2))
-        gmat = rng.standard_normal((2, 2)) + 2.0 * ID2
-        if abs(float(det(gmat))) < 0.1:
-            continue
-        conj = gmat @ bmat @ inv2(gmat)
-        conj_err = max(conj_err, abs(float(b_form(conj) - b_form(bmat))))
+    pairs = rng.standard_normal((500, 2, 2, 2))
+    bmat, gmat = pairs[:, 0], pairs[:, 1] + 2.0 * ID2
+    keep = np.abs(det(gmat)) >= 0.1
+    bmat, gmat = bmat[keep], gmat[keep]
+    conj = gmat @ bmat @ inv2(gmat)
+    conj_err = float(np.max(np.abs(b_form(conj) - b_form(bmat)), initial=0.0))
     checks.append(_equal("b_form_conjugation_invariance", conj_err, 0.0, 1e-12))
 
     inside = symspace.BeltramiPoint(0.2, 0.3 + 0.4j)
     boundary = symspace.BeltramiPoint(0.0, 0.6 + 0.8j)
-    dom_ok = inside.in_domain() and not boundary.in_domain()
-    id_err = 0.0
-    for _ in range(200):
-        pval = rng.uniform(-2.0, 2.0)
-        q = rng.uniform(-2.0, 2.0) + 1j * rng.uniform(-2.0, 2.0)
-        mat = ID2 + symspace.beltrami_matrix(symspace.BeltramiPoint(pval, q))
-        id_err = max(
-            id_err,
-            abs(float(trace(mat)) - 2.0 * (pval + 1.0)),
-            abs(float(det(mat)) - ((pval + 1.0) ** 2 - abs(q) ** 2)),
-        )
+    dom_ok = bool(inside.in_domain() and not boundary.in_domain())
+    draws = rng.uniform(-2.0, 2.0, (200, 3))
+    pval, q = draws[:, 0], draws[:, 1] + 1j * draws[:, 2]
+    mat = ID2 + symspace.beltrami_matrix(symspace.BeltramiPoint(pval, q))
+    # |Q| and the squares as BeltramiPoint.in_domain takes them
+    dq = np.float_power(pval + 1.0, 2) - np.float_power(np.hypot(q.real, q.imag), 2)
+    id_err = float(max(
+        np.max(np.abs(trace(mat) - 2.0 * (pval + 1.0))), np.max(np.abs(det(mat) - dq))
+    ))
     checks.append(
         _record(
             "domain_trace_det_identities",
@@ -644,12 +643,8 @@ def suite_appendix(seed):
         )
     checks.append(_equal("exp_map_matches_geodesic", exp_err, 0.0, 1e-14))
 
-    qm_err = 0.0
-    for _ in range(100):
-        bmat = rng.standard_normal((2, 2))
-        qm_err = max(
-            qm_err, abs(symspace.quotient_metric(ID2, bmat) - 0.25 * float(b_form(bmat)))
-        )
+    bmat = rng.standard_normal((100, 2, 2))
+    qm_err = float(np.max(np.abs(symspace.quotient_metric(ID2, bmat) - 0.25 * b_form(bmat))))
     checks.append(_equal("quotient_metric_normalization", qm_err, 0.0, 1e-14))
     return checks
 

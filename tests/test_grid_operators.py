@@ -137,6 +137,16 @@ def test_dnabla_vanishes_on_flat_codazzi_generators():
     assert np.max(np.abs(r[grid.interior(3)])) < 1e-10
 
 
+@pytest.mark.parametrize("topology", ["dirichlet", "periodic"])
+def test_dnabla_endo_is_div_endo_of_aJ_bit_for_bit(topology):
+    # the energy module takes div(A J) as d^nabla A(e1, e2) and forms no A J
+    grid = Grid(33, 29, 0.8, 0.7, topology)
+    g = poincare_disk(grid) if topology == "dirichlet" else ConformalMetric(
+        grid, trig_scalar(grid, rng_for(4), amp=0.3))
+    a = trig_endo(grid, rng_for(6))
+    assert np.array_equal(dnabla_endo(a, g), div_endo(a @ J, g))
+
+
 def test_hessian_endo_of_linear_function_vanishes():
     grid = Grid(32, 32, 1.0, 1.0, "dirichlet")
     flat = ConformalMetric.flat(grid)

@@ -5,7 +5,7 @@ import pytest
 
 from codazzi import diagnostics, embedding, symspace, teich
 from codazzi.grid import Grid, poincare_disk
-from codazzi.jcalc import ID2, check_spd, dsigma, metric_action, metric_to_A, spd_sqrt
+from codazzi.jcalc import ID2, check_spd, dsigma, inv2, metric_action, metric_to_A, spd_sqrt
 from codazzi.maps import FieldInterpolator, FoldOverError, pullback_metric
 from codazzi.randfields import rng_for, tracefree_codazzi_conformal
 
@@ -25,6 +25,11 @@ def _pullback_of_nan_displacement():
     return pullback_metric(grid, FieldInterpolator(grid, poincare_disk(grid).matrix()), x)
 
 
+def _psi_tilde_of_nan_stack():
+    p = np.array([0.1, 0.2, np.nan, 0.3])
+    return symspace.psi_tilde(symspace.BeltramiPoint(p, np.full(4, 0.1 + 0.1j)), ID2)
+
+
 @pytest.mark.parametrize(
     "call, error",
     [
@@ -39,10 +44,11 @@ def _pullback_of_nan_displacement():
         (lambda: metric_to_A(ID2, NAN_SPD), ValueError),
         (lambda: diagnostics.intermediate_J(NAN_SPD), ValueError),
         (lambda: check_spd(NAN_SPD), ValueError),
+        (_psi_tilde_of_nan_stack, ValueError),
     ],
     ids=["spd_sqrt", "metric_action", "quotient_metric", "geodesic", "exp_map",
          "DeformationFamily.b_t", "pullback_metric", "dsigma", "metric_to_A",
-         "intermediate_J", "check_spd"],
+         "intermediate_J", "check_spd", "psi_tilde_stack"],
 )
 def test_positivity_gate_refuses_nan(call, error):
     with pytest.raises(error):
@@ -68,3 +74,9 @@ def _equivariance_of_nan_field():
 def test_tolerance_gate_refuses_nan(call, match):
     with pytest.raises(ValueError, match=match):
         call()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_inv2_singular_gate_refuses_non_finite(bad):
+    with pytest.raises(ValueError, match="singular or non-finite 2x2 matrix"):
+        inv2(np.array([[bad, 0.0], [0.0, 1.0]]))

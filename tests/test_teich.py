@@ -7,7 +7,7 @@ import scipy.sparse.linalg
 
 from codazzi import teich
 from codazzi.energy import trace_energy
-from codazzi.grid import ConformalMetric, Grid, poincare_disk
+from codazzi.grid import SYMMETRIC_SPLU, ConformalMetric, Grid, poincare_disk
 from codazzi.jcalc import ID2, det, metric_action
 from codazzi.randfields import rng_for, tracefree_codazzi_conformal, trig_spd
 
@@ -61,7 +61,8 @@ def _phi0_by_node_loop(b, h):
     n = int(mask.sum())
     mat = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
     out = np.zeros((grid.ny, grid.nx))
-    out[mask] = scipy.sparse.linalg.spsolve(mat, (det(b) * w)[mask])
+    lu = scipy.sparse.linalg.splu(mat.tocsc(), **SYMMETRIC_SPLU)
+    out[mask] = lu.solve((det(b) * w)[mask])
     return out
 
 
@@ -69,6 +70,33 @@ def test_phi0_equals_the_node_loop_assembly_bit_for_bit():
     h0 = poincare_disk(Grid(17, 13, 0.8, 0.6, "dirichlet"))
     b = tracefree_codazzi_conformal(h0, rng_for(5), amp=0.25)
     assert np.array_equal(teich.phi0_solve(b, h0), _phi0_by_node_loop(b, h0))
+
+
+def _plateau_direction(n, s=0.7):
+    b = np.zeros((n, n, 2, 2))
+    b[..., 0, 0] = s
+    b[..., 1, 1] = -s
+    return b
+
+
+@pytest.mark.parametrize("chart", ["poincare64", "flat96"])
+def test_phi0_symmetric_factor_agrees_with_spsolve(chart):
+    # the symmetric-mode factor against spsolve's partial pivoting (COLAMD)
+    # on the same matrix and right side
+    if chart == "poincare64":
+        h = poincare_disk(Grid(64, 64, 0.8, 0.8, "dirichlet"))
+        b = tracefree_codazzi_conformal(h, rng_for(3), amp=0.25)
+    else:
+        h = ConformalMetric.flat(Grid(96, 96, 12.0, 12.0, "dirichlet"))
+        b = _plateau_direction(96)
+    grid, w = h.grid, h.conformal_factor
+    mask = grid.interior(1)
+    mat = grid.lap5_matrix() - scipy.sparse.diags(2.0 * w[mask])
+    ref = scipy.sparse.linalg.spsolve(mat.tocsc(), (det(b) * w)[mask])
+    got = teich.phi0_solve(b, h)
+    assert np.max(np.abs(ref)) > 0.0
+    assert np.max(np.abs(got[mask] - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert np.all(got[~mask] == 0.0)
 
 
 def test_phi0_vanishes_for_zero_direction():
@@ -82,10 +110,7 @@ def test_phi0_plateau_value_on_large_flat_chart():
     grid = Grid(96, 96, 12.0, 12.0, "dirichlet")
     flat = ConformalMetric.flat(grid)
     s = 0.7
-    b = np.zeros((96, 96, 2, 2))
-    b[..., 0, 0] = s
-    b[..., 1, 1] = -s
-    phi0 = teich.phi0_solve(b, flat)
+    phi0 = teich.phi0_solve(_plateau_direction(96, s), flat)
     assert float(phi0[48, 48]) == pytest.approx(0.5 * s * s, abs=2e-3)
 
 
