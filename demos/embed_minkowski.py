@@ -30,14 +30,14 @@ print(f"        support function range [{phi.min():.6f}, {phi.max():.6f}]")
 xx, yy = grid.meshgrid()
 f = 2.0 + 0.3 * np.cos(3.0 * xx) * np.sin(2.0 * yy) + 0.2 * xx * yy
 a = embedding.codazzi_generator(f, patch)
-x = embedding.integrate_immersion(a, patch, iota[patch.base_index], codazzi_tol=None)
+x = embedding.integrate_immersion(a, patch, iota[patch.base_index])
 
 print(f"\nHessian-type field: plaquette defect {embedding.plaquette_defect(a, patch):.3e}")
 print(f"                    induced-metric error {embedding.induced_metric_error(x, a, patch):.3e}")
 spacelike, definite, side = embedding.convexity_check(x, patch)
 print(f"                    spacelike={spacelike}, definite={definite}, side={side}")
 
-_, _, phi_p, phi_m = embedding.support_pair(f, patch, codazzi_tol=None)
+_, _, phi_p, phi_m = embedding.support_pair(f, patch)
 print(f"support pair: max |phi_+ + phi_- - f| = {np.max(np.abs(phi_p + phi_m - f)):.3e}")
 
 write_mesh_csv("embed_demo_mesh.csv", grid, x, phi_p)

@@ -6,11 +6,14 @@ abbreviation of a flag, is a usage error:
 
 * ``verify``: ``--suite --seed --g --tol --out``.  The suites run at their
   fixed resolutions (32 and 64 for the refinement checks);
-* ``solve``: ``--g --h --nx --ny --lx --ly --tol --out
-  --continuation-steps --manufactured-seed``.  The solver runs on Dirichlet
-  charts only; without ``--g`` the background is the Dirichlet Poincare
-  sub-disk chart given by the grid flags;
-* ``embed``: ``--endo --tol --out``.
+* ``solve``: ``--g --h --nx --lx --tol --out --continuation-steps
+  --manufactured-seed``.  The solver runs on Dirichlet charts only; without
+  ``--g`` the background is the Dirichlet Poincare sub-disk chart on the
+  square of ``--nx`` nodes and extent ``--lx`` on each side, and a
+  non-square chart comes in through ``--g``;
+* ``embed``: ``--endo --tol --out``.  The field is certified once, by
+  :func:`codazzi.embedding.certify_codazzi` at ``--tol``, before it is
+  integrated.
 
 Exit-status contract: 0 when every requested check passes, 1 when a check
 or a mathematical precondition fails (wrong curvature sign, non-Codazzi
@@ -31,6 +34,7 @@ byte-identical artifacts.
 """
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -74,10 +78,8 @@ def _build_parser():
     # a manufactured run builds its own target, so it takes no --h
     target = ps.add_mutually_exclusive_group(required=True)
     target.add_argument("--h", metavar="FILE", help="target metric field file")
-    ps.add_argument("--nx", type=int, default=32)
-    ps.add_argument("--ny", type=int, default=None, help="default nx")
-    ps.add_argument("--lx", type=float, default=0.8)
-    ps.add_argument("--ly", type=float, default=None, help="default lx")
+    ps.add_argument("--nx", type=int, default=32, help="nodes per side of the square chart")
+    ps.add_argument("--lx", type=float, default=0.8, help="side of the square chart")
     ps.add_argument("--tol", type=float, default=1e-8, help="Newton residual tolerance")
     ps.add_argument("--out", default="solve", help="output prefix")
     ps.add_argument("--continuation-steps", type=int, default=0)
@@ -165,9 +167,7 @@ def cmd_solve(args, parser):
         parser.error("argument --continuation-steps: must be 0 or more")
     # the background: a --g file, or the Poincare sub-disk chart of the grid flags
     if args.g is None:
-        ny = args.ny if args.ny is not None else args.nx
-        ly = args.ly if args.ly is not None else args.lx
-        grid = Grid(args.nx, ny, args.lx, ly, DIRICHLET)
+        grid = Grid(args.nx, args.nx, args.lx, args.lx, DIRICHLET)
         chart = f"grid {grid}"
         g = _disk(grid, chart)
     else:
@@ -205,7 +205,7 @@ def cmd_solve(args, parser):
         # the solver's refusal of the chart itself (a periodic one)
         raise ValueError(f"{chart}: {exc}") from None
     fileio.save_field(f"{args.out}_displacement.json", g, x=x)
-    rep = report.to_dict()
+    rep = dataclasses.asdict(report)
     if diffeo is not None:
         rep["recovery_error"] = float(recovery_error(diffeo, g.grid, x))
     fileio.write_json(f"{args.out}_report.json", rep)
@@ -234,13 +234,12 @@ def cmd_embed(args, parser):
     # phi must be that metric's
     disk = patch.metric.phi
     _check_phi(_Refused, args.endo, doc["g"].phi, disk, "the Poincare sub-disk metric of its grid")
-    resid = codazzi_residual(a, patch.metric)
-    if not (resid <= args.tol):
-        raise _Refused(
-            f"{args.endo}: refusing non-Codazzi input: residual {resid:.3e} exceeds {args.tol:.3e}"
-        )
+    try:
+        resid = embedding.certify_codazzi(a, patch, args.tol)
+    except embedding.PathDependenceError as exc:
+        raise _Refused(f"{args.endo}: refusing non-Codazzi input: {exc}") from None
     u = patch.nodes()[patch.base_index]
-    x = embedding.integrate_immersion(a, patch, u, sign=1, codazzi_tol=None)
+    x = embedding.integrate_immersion(a, patch, u, sign=1)
     phi = embedding.support_function(x, patch, sign=1)
     fileio.write_mesh_csv(f"{args.out}_mesh.csv", grid, x, phi)
     spacelike, definite, side = embedding.convexity_check(x, patch)

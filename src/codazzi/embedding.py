@@ -5,9 +5,11 @@ Minkowski space R^{2,1} with metric diag(1, 1, -1); a chart over a
 sub-disk of the Poincare disk supplies the discretization.  A symmetric
 Codazzi endomorphism field A turns the closed 1-form A . d iota into an
 immersion X = U + sign * int A . d iota, integrated along canonical grid
-paths.  Support functions, pairs of immersions summing to a prescribed
-support, equivariance under isometries of the Minkowski space, and
-convexity are all verified numerically.
+paths.  The integration does not certify its input: a caller whose field
+may be far from Codazzi checks it first with :func:`certify_codazzi`.
+Support functions, pairs of immersions summing to a prescribed support,
+equivariance under isometries of the Minkowski space, and convexity are
+all verified numerically.
 """
 
 from dataclasses import dataclass, field
@@ -27,6 +29,7 @@ __all__ = [
     "HyperboloidPatch",
     "Isometry21",
     "PathDependenceError",
+    "certify_codazzi",
     "codazzi_generator",
     "integrate_immersion",
     "plaquette_defect",
@@ -127,6 +130,18 @@ class HyperboloidPatch:
         return self._nodes
 
 
+def certify_codazzi(a, patch: HyperboloidPatch, tol):
+    """Codazzi residual of ``a`` on the patch's metric, certified to be at most ``tol``.
+
+    Raises :class:`PathDependenceError` otherwise; the test is written so
+    that a NaN residual fails it.
+    """
+    r = codazzi_residual(a, patch.metric)
+    if not (r <= tol):
+        raise PathDependenceError(f"residual {r:.3e} exceeds {tol:.3e}")
+    return r
+
+
 def codazzi_generator(f, patch: HyperboloidPatch):
     """The field f Id - Hess f, Codazzi for metrics of curvature -1.
 
@@ -185,25 +200,18 @@ def _cum_from(seg, k0, n):
     return out
 
 
-def integrate_immersion(a, patch: HyperboloidPatch, u, sign=1, codazzi_tol=0.05):
+def integrate_immersion(a, patch: HyperboloidPatch, u, sign=1):
     """X = U + sign * int A . d iota along canonical grid paths.
 
     Each node is reached from the base node along the base row, then up or
     down its column; for a Codazzi field any other staircase agrees to
     O(h^2) (:func:`plaquette_defect` bounds the difference per cell).  Raises
-    ValueError unless ``a`` is finite and symmetric, and
-    :class:`PathDependenceError` unless the Codazzi residual of ``a`` is at
-    most ``codazzi_tol``, so a NaN residual is refused (pass None to skip
-    the certificate).
+    ValueError unless ``a`` is finite and symmetric and ``sign`` is +1 or
+    -1.  The Codazzi residual of ``a`` is not checked here; see
+    :func:`certify_codazzi`.
     """
     grid = patch.grid
     a = check_symmetric(grid.check_field(a, rank=2))
-    if codazzi_tol is not None:
-        r = codazzi_residual(a, patch.metric)
-        if not (r <= codazzi_tol):
-            raise PathDependenceError(
-                f"Codazzi residual {r:.3e} exceeds {codazzi_tol:.3e}"
-            )
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     j0, i0 = patch.base_index
@@ -256,7 +264,7 @@ def support_function(x, patch: HyperboloidPatch, sign=1):
     return sign * mdot(np.asarray(x, dtype=float), patch.nodes())
 
 
-def support_pair(f, patch: HyperboloidPatch, codazzi_tol=0.05):
+def support_pair(f, patch: HyperboloidPatch):
     """Immersion pair whose support functions sum to the prescribed f.
 
     Both immersions use A = (f Id - Hess f) / 2; they are integrated with
@@ -276,8 +284,8 @@ def support_pair(f, patch: HyperboloidPatch, codazzi_tol=0.05):
     gfx, gfy = grad(f, g)[j0, i0]
     dio_x, dio_y = _disk_immersion_frame(x0, y0)
     udiff = gfx * dio_x + gfy * dio_y - f[j0, i0] * _disk_immersion(x0, y0)
-    xplus = integrate_immersion(a, patch, 0.5 * udiff, sign=-1, codazzi_tol=codazzi_tol)
-    xminus = integrate_immersion(a, patch, -0.5 * udiff, sign=1, codazzi_tol=codazzi_tol)
+    xplus = integrate_immersion(a, patch, 0.5 * udiff, sign=-1)
+    xminus = integrate_immersion(a, patch, -0.5 * udiff, sign=1)
     return (
         xplus,
         xminus,

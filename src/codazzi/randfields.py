@@ -88,7 +88,7 @@ def random_displacement(grid: Grid, rng, **kw):
     return 0.3 * bump(grid)[..., None] * x
 
 
-def harmonic_scalar(grid: Grid, rng, degmax=4, amp=1.0):
+def harmonic_scalar(grid: Grid, rng, degmax=4):
     """Random harmonic polynomial: sum of Re/Im of c_n z^n, n = 2..degmax."""
     xx, yy = grid.meshgrid()
     z = xx + 1j * yy
@@ -96,7 +96,7 @@ def harmonic_scalar(grid: Grid, rng, degmax=4, amp=1.0):
     for n in range(2, degmax + 1):
         c = rng.uniform(-1.0, 1.0) + 1j * rng.uniform(-1.0, 1.0)
         out += np.real(c * z**n)
-    return amp * out
+    return out
 
 
 def holomorphic_values(grid: Grid, rng, amp=1.0):
@@ -115,7 +115,7 @@ def tracefree_codazzi_flat(grid: Grid, rng):
     On a flat chart this is exactly Codazzi in the continuum; the discrete
     residual is O(h^2).
     """
-    u = harmonic_scalar(grid, rng, degmax=4, amp=0.5)
+    u = 0.5 * harmonic_scalar(grid, rng, degmax=4)
     uxx = grid.ddx(grid.ddx(u))
     uyy = grid.ddy(grid.ddy(u))
     uxy = grid.ddy(grid.ddx(u))

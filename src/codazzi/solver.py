@@ -83,22 +83,13 @@ class CurvatureSignError(ValueError):
 
 @dataclass
 class SolveReport:
-    """Machine-readable record of a solve."""
+    """Machine-readable record of a solve; ``dataclasses.asdict`` gives its report."""
 
     iterations: int = 0
     jacobians: int = 0
     residuals: list = field(default_factory=list)
     steps: list = field(default_factory=list)
     codazzi_residual: float = 0.0
-
-    def to_dict(self):
-        return {
-            "iterations": int(self.iterations),
-            "jacobians": int(self.jacobians),
-            "residuals": [float(r) for r in self.residuals],
-            "steps": [float(s) for s in self.steps],
-            "codazzi_residual": float(self.codazzi_residual),
-        }
 
 
 def _require_negative_curvature(g):

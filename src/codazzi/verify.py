@@ -481,9 +481,7 @@ def suite_embed(seed):
         q = _patch(n)
         _, a = _hessian_pair(q)
         pd = embedding.plaquette_defect(2.0 * a, q)
-        xq = embedding.integrate_immersion(
-            2.0 * a, q, q.nodes()[q.base_index], codazzi_tol=None
-        )
+        xq = embedding.integrate_immersion(2.0 * a, q, q.nodes()[q.base_index])
         ime = embedding.induced_metric_error(xq, 2.0 * a, q)
         return pd, ime
 
@@ -495,7 +493,7 @@ def suite_embed(seed):
     def support_sum(n):
         q = _patch(n)
         f, _ = _hessian_pair(q)
-        _, _, pp, pm = embedding.support_pair(f, q, codazzi_tol=None)
+        _, _, pp, pm = embedding.support_pair(f, q)
         return float(np.max(np.abs(pp + pm - f)))
 
     checks.append(_converging("support_sum_equals_f", support_sum(N1), support_sum(N2)))
@@ -514,9 +512,7 @@ def suite_embed(seed):
         r2 = xx**2 + yy**2
         f = 2.0 + 0.5 * r2 + 0.3 * r2**2
         a = 0.5 * embedding.codazzi_generator(f, q)
-        xq = embedding.integrate_immersion(
-            a, q, q.nodes()[q.base_index], codazzi_tol=None
-        )
+        xq = embedding.integrate_immersion(a, q, q.nodes()[q.base_index])
         _, r = embedding.equivariance_residual(
             xq, embedding.Isometry21.rotation(0.4), a, q
         )
@@ -580,14 +576,14 @@ def suite_appendix(seed):
     rng = rng_for(seed + 7)
     checks = []
 
-    # a point outside the domain draws no m, so the points are drawn one at a time
+    # each point's uniform draws are followed by its normal draw of m from the
+    # same stream, so the points are drawn one at a time; |q| <= 0.95 (p + 1)
+    # puts every point inside the domain, which psi_tilde still checks
     ps, qs, ms = [], [], []
     for _ in range(200):
         pval = rng.uniform(-0.5, 1.0)
         qmax = 0.95 * (pval + 1.0)
         q = rng.uniform(-qmax, qmax) / np.sqrt(2.0) + 1j * rng.uniform(-qmax, qmax) / np.sqrt(2.0)
-        if not symspace.BeltramiPoint(pval, q).in_domain():
-            continue
         ps.append(pval)
         qs.append(q)
         ms.append(rng.standard_normal((2, 2)))

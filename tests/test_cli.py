@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from codazzi import cli, embedding, fileio
+from codazzi import cli, embedding, fileio, verify
 from codazzi.grid import ConformalMetric, Grid, poincare_disk
 from codazzi.jcalc import ID2
 
@@ -27,6 +27,12 @@ def test_verify_unknown_suite_is_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run_cli("verify", "--suite", "nonsense")
     assert exc.value.code == 2
+
+
+def test_run_suite_refuses_an_unknown_suite():
+    # the CLI's --suite choices keep this name out; the library refuses it too
+    with pytest.raises(ValueError, match="unknown suite 'nope'"):
+        verify.run_suite("nope", 0)
 
 
 def test_verify_corrupted_file_names_file_and_key(tmp_path, capsys):
@@ -199,7 +205,7 @@ def test_embed_nan_codazzi_residual_is_refused(tmp_path, capsys, monkeypatch):
     patch = embedding.HyperboloidPatch(grid)
     path = tmp_path / "id.json"
     fileio.save_field(path, patch.metric, endo=np.broadcast_to(ID2, (17, 17, 2, 2)))
-    monkeypatch.setattr(cli, "codazzi_residual", lambda a, g: float("nan"))
+    monkeypatch.setattr(embedding, "codazzi_residual", lambda a, g: float("nan"))
     prefix = tmp_path / "e"
     assert run_cli("embed", "--endo", path, "--out", prefix) == 1
     assert "refusing non-Codazzi input: residual nan" in capsys.readouterr().err
@@ -230,7 +236,7 @@ def test_verify_reports_are_deterministic(tmp_path, monkeypatch):
     "command, flags",
     [
         ("verify", {"--suite", "--seed", "--g", "--tol", "--out"}),
-        ("solve", {"--g", "--h", "--nx", "--ny", "--lx", "--ly", "--tol", "--out",
+        ("solve", {"--g", "--h", "--nx", "--lx", "--tol", "--out",
                    "--continuation-steps", "--manufactured-seed"}),
         ("embed", {"--endo", "--tol", "--out"}),
     ],

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from codazzi import embedding
+from codazzi.energy import codazzi_residual
 from codazzi.grid import Grid
 from codazzi.jcalc import ID2
 
@@ -62,8 +63,7 @@ def test_induced_metric_error_converges():
     def err(n):
         q = _patch(n)
         _, a = _hessian_field(q)
-        x = embedding.integrate_immersion(a, q, q.nodes()[q.base_index],
-                                          codazzi_tol=None)
+        x = embedding.integrate_immersion(a, q, q.nodes()[q.base_index])
         return embedding.induced_metric_error(x, a, q)
 
     assert err(32) / err(64) > 3.5
@@ -73,7 +73,7 @@ def test_support_pair_sums_to_f():
     def gap(n):
         q = _patch(n)
         f, _ = _hessian_field(q)
-        _, _, pp, pm = embedding.support_pair(f, q, codazzi_tol=None)
+        _, _, pp, pm = embedding.support_pair(f, q)
         return float(np.max(np.abs(pp + pm - f)))
 
     assert gap(32) / gap(64) > 3.5
@@ -116,22 +116,27 @@ def test_isometries_preserve_minkowski_form():
         )
 
 
-def test_integrate_immersion_rejects_non_codazzi():
+def test_certify_codazzi_rejects_non_codazzi():
     p = _patch(33)
     xx, yy = p.grid.meshgrid()
     a = np.broadcast_to(ID2, (33, 33, 2, 2)).copy()
     a[..., 0, 0] += 0.4 * np.sin(3 * xx) * np.cos(2 * yy)
-    with pytest.raises(embedding.PathDependenceError):
-        embedding.integrate_immersion(a, p, p.nodes()[p.base_index],
-                                      codazzi_tol=1e-3)
+    r = codazzi_residual(a, p.metric)
+    with pytest.raises(embedding.PathDependenceError,
+                       match=f"^residual {r:.3e} exceeds 1.000e-03$"):
+        embedding.certify_codazzi(a, p, 1e-3)
+    assert embedding.certify_codazzi(a, p, r) == r
+    # the integration itself certifies nothing
+    x = embedding.integrate_immersion(a, p, p.nodes()[p.base_index])
+    assert np.all(np.isfinite(x))
 
 
-def test_integrate_immersion_refuses_nan_codazzi_residual(monkeypatch):
+def test_certify_codazzi_refuses_nan_residual(monkeypatch):
     p = _patch(17)
     a = np.broadcast_to(ID2, (17, 17, 2, 2)).copy()
     monkeypatch.setattr(embedding, "codazzi_residual", lambda a, g: float("nan"))
-    with pytest.raises(embedding.PathDependenceError, match="nan"):
-        embedding.integrate_immersion(a, p, p.nodes()[p.base_index], codazzi_tol=0.05)
+    with pytest.raises(embedding.PathDependenceError, match="^residual nan exceeds 5.000e-02$"):
+        embedding.certify_codazzi(a, p, 0.05)
 
 
 @pytest.mark.parametrize("defect", ["asymmetric", "nan"])
@@ -142,6 +147,36 @@ def test_integrate_immersion_rejects_non_symmetric_or_non_finite(defect):
         a[8, 3, 0, 0] = np.nan
     else:
         a[8, 3, 0, 1] += 1e-6
-    # no Codazzi certificate: the symmetry check alone must refuse
     with pytest.raises(ValueError, match="non-symmetric or non-finite"):
-        embedding.integrate_immersion(a, p, p.nodes()[p.base_index], codazzi_tol=None)
+        embedding.integrate_immersion(a, p, p.nodes()[p.base_index])
+
+
+def test_integrate_immersion_refuses_a_sign_other_than_one():
+    p = _patch(17)
+    a = np.broadcast_to(ID2, (17, 17, 2, 2)).copy()
+    with pytest.raises(ValueError, match="sign must be \\+1 or -1"):
+        embedding.integrate_immersion(a, p, p.nodes()[p.base_index], sign=2)
+
+
+def test_isometry_refuses_an_improper_linear_part():
+    # diag(1, -1, 1) preserves the Minkowski form but has determinant -1
+    with pytest.raises(ValueError, match="proper and future-preserving"):
+        embedding.Isometry21(np.diag([1.0, -1.0, 1.0]))
+
+
+def test_equivariance_refuses_an_isometry_that_moves_the_patch_off_itself():
+    p = _patch(17)
+    idf = np.broadcast_to(ID2, (17, 17, 2, 2)).copy()
+    x = embedding.integrate_immersion(idf, p, p.nodes()[p.base_index])
+    with pytest.raises(ValueError, match="insufficient overlap"):
+        embedding.equivariance_residual(x, embedding.Isometry21.boost(3.0), idf, p)
+
+
+def test_convexity_of_the_past_hyperboloid_and_of_a_saddle():
+    p = _patch(33)
+    idf = np.broadcast_to(ID2, (33, 33, 2, 2)).copy()
+    past = embedding.integrate_immersion(idf, p, -p.nodes()[p.base_index], sign=-1)
+    assert embedding.convexity_check(past, p) == (True, True, "past")
+    xx, yy = p.grid.meshgrid()
+    saddle = np.stack([xx, yy, 0.5 * (xx**2 - yy**2)], axis=-1)
+    assert embedding.convexity_check(saddle, p) == (True, False, "mixed")

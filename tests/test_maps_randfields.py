@@ -252,7 +252,7 @@ def test_random_displacement_respects_dirichlet():
 def test_harmonic_scalar_is_discretely_harmonic():
     # the 5-point stencil is exact on harmonic polynomials up to degree 3
     grid = Grid(48, 48, 1.6, 1.6, "dirichlet")
-    u = harmonic_scalar(grid, rng_for(2), degmax=3, amp=0.5)
+    u = 0.5 * harmonic_scalar(grid, rng_for(2), degmax=3)
     lap = grid.laplace_flat(u)
     assert np.max(np.abs(lap[grid.interior(2)])) < 1e-11
 

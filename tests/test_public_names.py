@@ -15,7 +15,12 @@ by position, with a value other than its default.  Calls are matched to
 definitions by name; a call with ``*args`` or ``**kwargs`` counts as passing
 every parameter a value other than its default.  A passed value is the
 default when it is the same literal (``0`` and ``0.0`` are the same) or the
-same expression, as ``PERIODIC`` for a default ``PERIODIC``.
+same expression, as ``PERIODIC`` for a default ``PERIODIC``.  Nor, once
+some call passes such a parameter, may every call give it one and the same
+literal (a constant, a signed number or ``None``), a call that passes none
+giving the default: that value is a constant of the function, not a choice
+of its callers.  An unpacked ``*args`` or ``**kwargs`` counts as any value
+here too.
 
 No module of ``src/codazzi`` but ``grid`` holds a difference quotient: a
 division whose denominator is ``2 * name``, ``2.0 * name`` or ``name ** 2``
@@ -145,8 +150,12 @@ def _calls():
     return calls
 
 
-def _passed_values(calls, name, param, index):
-    """The value node each call of ``name`` passes ``param``; None for an unpacked one."""
+def _passed_values(calls, name, param, index, default):
+    """The value node each call of ``name`` gives ``param``.
+
+    That is None for an unpacked one, and the node ``default`` itself for a
+    call that passes none.
+    """
     for args, keywords in calls.get(name, ()):
         if param in keywords:
             yield keywords[param]
@@ -154,6 +163,8 @@ def _passed_values(calls, name, param, index):
             yield None if args is None else args[index]
         elif None in keywords:
             yield None
+        else:
+            yield default
 
 
 def _is_default(value, default):
@@ -181,9 +192,36 @@ def test_every_defaulted_parameter_is_passed_by_some_call():
     unset = [
         full
         for full, name, param, index, default in _defaulted_parameters()
-        if all(_is_default(v, default) for v in _passed_values(calls, name, param, index))
+        if all(_is_default(v, default) for v in _passed_values(calls, name, param, index, default))
     ]
     assert not unset, f"parameters with defaults that no call passes another value: {unset}"
+
+
+_NOT_A_LITERAL = object()
+
+
+def _literal(node):
+    """The value of a constant or a signed number; a sentinel for any other node."""
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+        inner = node.operand
+        if isinstance(inner, ast.Constant) and type(inner.value) in (int, float, complex):
+            return ast.literal_eval(node)
+    elif isinstance(node, ast.Constant):
+        return node.value
+    return _NOT_A_LITERAL
+
+
+def test_no_defaulted_parameter_has_one_literal_value():
+    calls = _calls()
+    constant = []
+    for full, name, param, index, default in _defaulted_parameters():
+        nodes = list(_passed_values(calls, name, param, index, default))
+        if all(v is default for v in nodes):
+            continue  # no call passes it: the test above reports that
+        values = [_NOT_A_LITERAL if v is None else _literal(v) for v in nodes]
+        if values[0] is not _NOT_A_LITERAL and all(v == values[0] for v in values):
+            constant.append(f"{full} = {values[0]!r}")
+    assert not constant, f"parameters that every call passes the same literal: {constant}"
 
 
 def _starts_with_subtraction(node):

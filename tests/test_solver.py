@@ -1,5 +1,7 @@
 """Newton and continuation solves against manufactured diffeomorphisms."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -49,7 +51,7 @@ def test_terminal_residual_contraction(small_solve):
 
 def test_report_serializes_required_keys(small_solve):
     _, _, _, _, report = small_solve
-    d = report.to_dict()
+    d = dataclasses.asdict(report)
     for key in ("iterations", "jacobians", "residuals", "steps", "codazzi_residual"):
         assert key in d
 
