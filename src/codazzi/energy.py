@@ -21,7 +21,7 @@ from .operators import (
     div_vec,
     dnabla_endo,
     grad,
-    _cov_deriv_vecfield,
+    nabla_vec_endo,
 )
 
 __all__ = [
@@ -135,14 +135,6 @@ def flow_derivative_fd(h, g: ConformalMetric, x):
         return _simpson2(grid, trace(field_A(hp, g)) * w)
 
     return central_difference(energy_at, 0.0, 1e-4, 1)
-
-
-def nabla_vec_endo(x, g: ConformalMetric):
-    """Covariant differential of a vector field as the endomorphism nabla x."""
-    x = g.grid.check_field(x, rank=1)
-    nv = _cov_deriv_vecfield(g, x)
-    # nv[..., i, k] = (nabla_i x)^k; the endomorphism is v -> nabla_v x
-    return np.swapaxes(nv, -1, -2)
 
 
 def second_variation(h, g: ConformalMetric, x):

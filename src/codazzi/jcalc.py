@@ -65,8 +65,7 @@ def inv2(a):
     a = np.asarray(a, dtype=float)
     d = det(a)
     ad = np.abs(d)
-    if not np.all((ad >= 1e-300) & (ad < np.inf)):
-        raise ValueError("singular or non-finite 2x2 matrix")
+    _require((ad >= 1e-300) & (ad < np.inf), "singular or non-finite 2x2 matrix")
     out = np.empty_like(a)
     out[..., 0, 0] = a[..., 1, 1]
     out[..., 1, 1] = a[..., 0, 0]
@@ -120,33 +119,47 @@ def _positive(t, d):
     return (t > 0.0) & (d > 0.0)
 
 
+def _block_max(a):
+    """max|entry| of each trailing 2x2 block, NaN where the block holds a NaN."""
+    m = np.abs(a)
+    return np.maximum(np.maximum(m[..., 0, 0], m[..., 0, 1]), np.maximum(m[..., 1, 0], m[..., 1, 1]))
+
+
+def _require(good, what):
+    """ValueError(what) unless the per-block mask ``good`` holds everywhere.
+
+    On a field-shaped (ny, nx) mask the message names the first failing
+    node (j, i) in row-major order.
+    """
+    if not np.all(good):
+        if np.ndim(good) == 2:
+            what = f"{what} at node (j, i) = {first_node(~good)}"
+        raise ValueError(what)
+
+
 def _check(a, spd):
-    """:func:`check_symmetric`, and with ``spd`` :func:`check_spd`.  The bound
-    1e-10 (1 + max|a|) is inf or NaN exactly when some entry is, so finiteness
-    needs no pass of its own; only a refused field is scanned node by node."""
+    """:func:`check_symmetric`, and with ``spd`` :func:`check_spd`, in one
+    per-block mask.  A block's bound 1e-10 (1 + max|block|) is inf or NaN
+    exactly when one of its entries is, so bound < inf is its finiteness test."""
     a = np.asarray(a, dtype=float)
-    asym = np.abs(a[..., 0, 1] - a[..., 1, 0])
-    bound = 1e-10 * (1.0 + np.abs(a).max())
-    if asym.max() <= bound < np.inf:
-        if not spd or _positive(trace(a), det(a)).all():
-            return a
-    what = "non-symmetric, non-finite or non-positive" if spd else "non-symmetric or non-finite"
-    if a.ndim != 4:
-        raise ValueError(f"{what} field")
-    finite = np.all(np.isfinite(a), axis=(-2, -1))
-    good = finite & (asym <= 1e-10 * (1.0 + np.abs(a[finite]).max(initial=0.0)))
+    bound = 1e-10 * (1.0 + _block_max(a))
+    good = (np.abs(a[..., 0, 1] - a[..., 1, 0]) <= bound) & (bound < np.inf)
     if spd:
         good &= _positive(trace(a), det(a))
-    raise ValueError(f"{what} field at node (j, i) = {first_node(~good)}")
+    what = "non-symmetric, non-finite or non-positive" if spd else "non-symmetric or non-finite"
+    _require(good, f"{what} field")
+    return a
 
 
 def check_symmetric(a):
     """``a`` as a float array; ValueError unless it is finite and symmetric.
 
-    Symmetric means |a01 - a10| <= 1e-10 (1 + max|a|) in every trailing
-    2x2 block, and a NaN anywhere fails the test.  On an endomorphism
-    field, shape (ny, nx, 2, 2), the message names the first failing node
-    (j, i) in row-major order; max|a| is then taken over the finite blocks.
+    Symmetric means |a01 - a10| <= 1e-10 (1 + max|block|) in every trailing
+    2x2 block, with max|block| that block's largest |entry|, and a NaN
+    anywhere fails the test; a stack is refused exactly when one of its
+    blocks is refused alone.  On an endomorphism field, shape
+    (ny, nx, 2, 2), the message names the first failing node (j, i) in
+    row-major order.
     """
     return _check(a, False)
 
@@ -154,8 +167,8 @@ def check_symmetric(a):
 def check_spd(a):
     """``a`` as a float array; ValueError unless it is finite and SPD.
 
-    The test of :func:`check_symmetric`, with its one tolerance and its
-    node report, plus Tr > 0 and Det > 0 in every trailing 2x2 block.
+    The test of :func:`check_symmetric`, with its per-block tolerance and
+    its node report, plus Tr > 0 and Det > 0 in every trailing 2x2 block.
     """
     return _check(a, True)
 
@@ -167,8 +180,7 @@ def metric_action(a, h):
     """
     a = np.asarray(a, dtype=float)
     h = np.asarray(h, dtype=float)
-    if not np.all(det(a) > 0):
-        raise ValueError("metric_action requires Det(a) > 0")
+    _require(det(a) > 0, "metric_action requires Det(a) > 0")
     at = np.swapaxes(a, -1, -2)
     return at @ h @ a
 
@@ -177,8 +189,7 @@ def _sqrt_terms(m):
     """``(sqrt(Det m), sqrt(Tr m + 2 sqrt(Det m)))``; refuses a non-positive spectrum."""
     d = det(m)
     t = trace(m)
-    if not _positive(t, d).all():
-        raise ValueError("spd_sqrt requires positive spectrum (Tr > 0 and Det > 0)")
+    _require(_positive(t, d), "spd_sqrt requires positive spectrum (Tr > 0 and Det > 0)")
     s = np.sqrt(d)
     return s, np.sqrt(t + 2.0 * s)
 

@@ -31,6 +31,7 @@ __all__ = [
     "general_christoffels",
     "brioschi_curvature",
     "apply_J",
+    "nabla_vec_endo",
 ]
 
 
@@ -112,6 +113,14 @@ def _cov_deriv_vecfield(g: ConformalMetric, v):
     nv[..., 0, 1] += rot
     nv[..., 1, 0] -= rot
     return nv
+
+
+def nabla_vec_endo(x, g: ConformalMetric):
+    """Covariant differential of a vector field as the endomorphism nabla x."""
+    x = g.grid.check_field(x, rank=1)
+    nv = _cov_deriv_vecfield(g, x)
+    # nv[..., i, k] = (nabla_i x)^k; the endomorphism is v -> nabla_v x
+    return np.swapaxes(nv, -1, -2)
 
 
 def div_endo_oracle(a, g: ConformalMetric):

@@ -345,7 +345,7 @@ def _newton(vec, g, h_interp, idx, ops, tol, report):
     lu = None
     for _ in range(_MAX_ITER):
         if rnorm <= tol:
-            return vec
+            break
         found = None
         if lu is not None:  # chord step on the factor of an earlier iterate
             step = lu.solve(-r)
@@ -366,9 +366,9 @@ def _newton(vec, g, h_interp, idx, ops, tol, report):
         r, rnorm = r_new, rnorm_new
         report.iterations += 1
         report.residuals.append(rnorm)
-    if rnorm <= tol:
-        return vec
-    raise SolverError(f"Newton stalled at residual {rnorm:.3e}")
+    if not rnorm <= tol:  # written so that a NaN fails
+        raise SolverError(f"Newton stalled at residual {rnorm:.3e}")
+    return vec
 
 
 def _finish(vec, g, h_interp, idx, report):

@@ -25,7 +25,7 @@ from functools import partial
 import numpy as np
 
 from .grid import central_difference
-from .jcalc import ID2, check_spd, det, inv2, metric_action
+from .jcalc import ID2, _block_max, _require, check_spd, det, inv2, metric_action
 
 __all__ = [
     "quotient_metric",
@@ -52,14 +52,14 @@ def christoffel_difference(a, b, alpha):
 
     Only valid for commuting pairs; non-commuting input is rejected.  The
     test |AB - BA| <= 1e-10 (1 + max|A| max|B|) is made per 2x2 block, so a
-    stack refuses exactly the pairs that one-pair calls refuse.
+    stack refuses exactly the pairs that one-pair calls refuse; a NaN
+    commutator refuses.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    comm = np.abs(a @ b - b @ a).max(axis=(-2, -1))
-    scale = 1.0 + np.abs(a).max(axis=(-2, -1)) * np.abs(b).max(axis=(-2, -1))
-    if np.any(comm > 1e-10 * scale):
-        raise ValueError("christoffel_difference needs a commuting pair")
+    scale = 1.0 + _block_max(a) * _block_max(b)
+    comm = _block_max(a @ b - b @ a)
+    _require(comm <= 1e-10 * scale, "christoffel_difference needs a commuting pair")
     return (alpha - 1.0) * inv2(a) @ b @ b
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .energy import trace_energy_over
 from .grid import SYMMETRIC_SPLU, ConformalMetric, central_difference
-from .jcalc import ID2, check_spd, check_symmetric, det, inv2, trace
+from .jcalc import ID2, _block_max, _require, check_spd, check_symmetric, det, inv2, trace
 
 __all__ = [
     "phi0_solve",
@@ -31,9 +31,10 @@ __all__ = [
 
 
 def _check_tracefree_symmetric(b):
+    """``b`` as :func:`~codazzi.jcalc.check_symmetric` returns it; ValueError
+    unless |Tr| <= 1e-10 (1 + max|block|) in every block, naming the node."""
     b = check_symmetric(b)
-    if np.max(np.abs(trace(b))) > 1e-10 * (1.0 + np.abs(b).max()):
-        raise ValueError("field is not trace-free")
+    _require(np.abs(trace(b)) <= 1e-10 * (1.0 + _block_max(b)), "field is not trace-free")
     return b
 
 

@@ -525,15 +525,8 @@ def suite_embed(seed):
     )
 
     spacelike, definite, side = embedding.convexity_check(x_id, p)
-    checks.append(
-        _record(
-            "convexity_of_hyperboloid",
-            float(spacelike and definite and side == "future"),
-            1.0,
-            0.0 if (spacelike and definite and side == "future") else 1.0,
-            spacelike and definite and side == "future",
-        )
-    )
+    convex = spacelike and definite and side == "future"
+    checks.append(_equal("convexity_of_hyperboloid", float(convex), 1.0, 0.0))
 
     g1 = embedding.Isometry21.boost(0.3, 0.7, translation=np.array([0.1, -0.2, 0.05]))
     g2 = embedding.Isometry21.rotation(1.1, translation=np.array([0.0, 0.3, 0.1]))
@@ -703,15 +696,8 @@ def suite_diagnostics(seed):
     sys0 = 2.0 * math.asinh(1.0)
     col2 = diagnostics.collar_and_modulus(sys0, 0.25, 3)
     checks.append(_equal("l2max_hand_value", col2["l2max"], math.log(1.0 + math.sqrt(2.0)), 1e-12))
-    checks.append(
-        _record(
-            "modulus_lower_degeneration",
-            1.0 if math.isinf(diagnostics.modulus_lower_via_flat(0.0, 1.0)) else 0.0,
-            1.0,
-            0.0,
-            math.isinf(diagnostics.modulus_lower_via_flat(0.0, 1.0)),
-        )
-    )
+    degenerate = math.isinf(diagnostics.modulus_lower_via_flat(0.0, 1.0))
+    checks.append(_record("modulus_lower_degeneration", float(degenerate), 1.0, 0.0, degenerate))
     imb = diagnostics.intermediate_modulus_bounds(1.0)
     checks.append(_equal("intermediate_modulus_at_one", imb["formula"], 2.0 * math.pi, 1e-12))
     return checks

@@ -119,6 +119,15 @@ def test_solve_manufactured_reports_recovery(tmp_path):
     assert disp["x"].shape == (16, 16, 2)
 
 
+def test_solve_with_continuation_steps_marches_to_the_target(tmp_path):
+    prefix = tmp_path / "s"
+    assert run_cli("solve", "--manufactured-seed", "3", "--nx", "16",
+                   "--continuation-steps", "2", "--out", prefix) == 0
+    rep = json.loads((tmp_path / "s_report.json").read_text())
+    assert rep["steps"] == [0.5, 1.0]
+    assert rep["residuals"][-1] <= 1e-8
+
+
 def test_embed_identity_support_column(tmp_path):
     grid = Grid(17, 17, 0.8, 0.8, "dirichlet")
     patch = embedding.HyperboloidPatch(grid)

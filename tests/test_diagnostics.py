@@ -77,6 +77,31 @@ def test_modulus_lower_degenerates_with_systole():
     assert math.isinf(diagnostics.modulus_lower_via_flat(0.0, 1.0))
 
 
+def test_modulus_lower_away_from_degeneration():
+    # 2 pi area / sys^2 = 2 pi 3 / 4
+    assert diagnostics.modulus_lower_via_flat(2.0, 3.0) == pytest.approx(1.5 * math.pi, rel=1e-15)
+
+
+_COLLAR_POSITIVE = "systole and collar radius must be positive"
+
+
+@pytest.mark.parametrize(
+    "formula, args, message",
+    [
+        (diagnostics.collar_and_modulus, (0.0, 0.5, 2), _COLLAR_POSITIVE),
+        (diagnostics.collar_and_modulus, (1.0, -0.5, 2), _COLLAR_POSITIVE),
+        (diagnostics.collar_and_modulus, (1.0, 0.5, 1), "genus must be at least 2"),
+        (diagnostics.modulus_lower_via_flat, (-1.0, 1.0), "systole and area must be non-negative"),
+        (diagnostics.modulus_lower_via_flat, (1.0, -1.0), "systole and area must be non-negative"),
+        (diagnostics.intermediate_modulus_bounds, (0.0,), "b must be positive"),
+    ],
+    ids=["systole", "radius", "genus", "flat-systole", "flat-area", "b"],
+)
+def test_scalar_formulas_refuse_arguments_outside_their_range(formula, args, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        formula(*args)
+
+
 def test_intermediate_modulus_bounds_at_one():
     imb = diagnostics.intermediate_modulus_bounds(1.0)
     assert imb["formula"] == pytest.approx(2.0 * math.pi, abs=1e-12)

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from codazzi import cli
-from codazzi.energy import nabla_vec_endo
 from codazzi.grid import ConformalMetric, Grid, central_difference, poincare_disk
 from codazzi.jcalc import J
 from codazzi.operators import (
@@ -21,6 +20,7 @@ from codazzi.operators import (
     frame_identity_residual,
     grad,
     hessian_endo,
+    nabla_vec_endo,
 )
 from codazzi.randfields import (
     rng_for,
@@ -272,6 +272,19 @@ def test_lap5_matrix_is_lap5_on_the_inner_nodes_bit_for_bit(grid):
     mat = grid.lap5_matrix()
     assert mat.format == "csr" and mat.nnz == np.count_nonzero(mat.toarray())
     assert mat.toarray().tobytes() == grid.lap5(units)[inner].tobytes()
+
+
+def test_lap5_matrix_refuses_a_periodic_chart():
+    with pytest.raises(ValueError, match="^lap5_matrix needs a Dirichlet chart$"):
+        Grid(16, 16, 1.0, 1.0, "periodic").lap5_matrix()
+
+
+@pytest.mark.parametrize("shape, rank, expected", [((9, 8), 0, (8, 9)),
+                                                   ((8, 9, 2), 2, (8, 9, 2, 2))])
+def test_check_field_refuses_another_shape_naming_both(shape, rank, expected):
+    with pytest.raises(ValueError) as exc:
+        Grid(9, 8).check_field(np.zeros(shape), rank=rank)
+    assert str(exc.value) == f"field shape {shape} does not match grid {expected}"
 
 
 @pytest.mark.parametrize("grid", _STENCIL_GRIDS, ids=lambda gr: f"{gr.nx}x{gr.ny}")

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from codazzi import teich
+from codazzi.grid import ConformalMetric, Grid
 from codazzi.jcalc import (
     ID2,
     check_spd,
@@ -13,9 +15,11 @@ from codazzi.jcalc import (
     dsigma,
     dspd_sqrt,
     inv2,
+    metric_action,
     metric_to_A,
     spd_sqrt,
 )
+from codazzi.symspace import christoffel_difference
 
 
 # A fixed, derandomized profile keeps the property tests deterministic.
@@ -90,10 +94,9 @@ def _planted_field(draw):
     """A random SPD field of shape (ny, nx, 2, 2) and defects at distinct nodes.
 
     The asymmetries are 0.5x and 2x the validators' tolerance
-    1e-10 (1 + max|a|), max|a| taken over the finite blocks after the other
-    defects are planted.  The eigenvalues lie in [1, 3], so in every block
-    the larger diagonal entry exceeds |a01| by at least 1, and adding an
-    asymmetry cannot move max|a|.
+    1e-10 (1 + max|block|) of their own block.  The eigenvalues lie in
+    [1, 3], so in every block the larger diagonal entry exceeds |a01| by at
+    least 1, and adding an asymmetry cannot move max|block|.
     """
     ny, nx = draw(st.integers(8, 20)), draw(st.integers(8, 20))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -115,10 +118,9 @@ def _planted_field(draw):
             a[j, i] = -a[j, i]
         elif kind == "det":  # Tr = 1 > 0, Det = 0
             a[j, i] = [[1.0, 0.0], [0.0, 0.0]]
-    finite = np.all(np.isfinite(a), axis=(-2, -1))
-    tol = 1e-10 * (1.0 + np.abs(a[finite]).max())
     for (j, i), kind in planted.items():
         if kind.startswith("asym"):
+            tol = 1e-10 * (1.0 + np.abs(a[j, i]).max())
             a[j, i, 0, 1] += (0.5 if kind == "asym_half" else 2.0) * tol
     return a, planted
 
@@ -158,3 +160,164 @@ def test_spd_gates_take_an_asymmetry_below_the_tolerance_only(factor, accepted, 
         else:
             with pytest.raises(ValueError, match="non-symmetric"):
                 call()
+
+
+# Every gate on a stack of 2x2 blocks, called as gate(a, b) on one stack ``a``
+# and a second stack ``b`` of the same shape that the one-argument gates ignore.
+def _tracefree(a, b):
+    """The trace-free gate, reached through critical_sum_check; it takes fields only."""
+    zero = np.zeros_like(a)
+    h0 = ConformalMetric.flat(Grid(a.shape[1], a.shape[0]))
+    return teich.critical_sum_check(zero, zero, a, h0)
+
+
+_GATES = {
+    "check_spd": lambda a, b: check_spd(a),
+    "check_symmetric": lambda a, b: check_symmetric(a),
+    "inv2": lambda a, b: inv2(a),
+    "spd_sqrt": lambda a, b: spd_sqrt(a),
+    "dspd_sqrt": dspd_sqrt,
+    "metric_action": metric_action,
+    "tracefree": _tracefree,
+    "christoffel_difference": lambda a, b: christoffel_difference(a, b, 0.5),
+}
+# A large block each gate passes: beside it, a tolerance taken over the whole
+# stack would pass a small block's defect.
+_LARGE = {gate: (1e6 * ID2, ID2) for gate in _GATES}
+_LARGE["tracefree"] = (1e6 * np.diag([1.0, -1.0]), ID2)
+_NODE = " at node (j, i) = "
+
+
+@st.composite
+def _block(draw):
+    """One 2x2 block at scale 1e-6, 1 or 1e6, drawn near the edges of the gates.
+
+    Kinds: SPD with an asymmetry of 0, 0.5x or 2x its own block's tolerance;
+    trace-free symmetric with a trace of 0, 0.5x or 2x that tolerance; the
+    negative of an SPD block; a singular one; SPD with a NaN or infinite
+    entry; and entries drawn freely.
+    """
+    x, y, z, w = (draw(st.floats(-1.0, 1.0)) for _ in range(4))
+    scale = draw(st.sampled_from([1e-6, 1.0, 1e6]))
+    kind = draw(st.sampled_from(["asym", "asym", "asym", "tracefree", "tracefree", "negative",
+                                 "singular", "nonfinite", "free"]))
+    factor = draw(st.sampled_from([0.0, 0.5, 2.0]))
+    spd = np.array([[3.0 + x, y], [y, 3.0 + z]])
+    if kind == "asym":  # factor 0: SPD
+        spd[0, 1] += factor * 1e-10 * (1.0 + np.abs(spd).max())
+    elif kind == "tracefree":
+        spd = np.array([[x, y], [y, -x]])
+        spd[0, 0] += factor * 1e-10 * (1.0 + np.abs(spd).max())
+    elif kind == "negative":
+        spd = -spd
+    elif kind == "singular":
+        spd = np.array([[1.0, 1.0], [1.0, 1.0]]) * (2.0 + x)
+    elif kind == "nonfinite":
+        spd[draw(st.integers(0, 1)), draw(st.integers(0, 1))] = draw(
+            st.sampled_from([np.nan, np.inf, -np.inf]))
+    elif kind == "free":
+        spd = np.array([[x, y], [z, w]])
+    return scale * spd
+
+
+@st.composite
+def _pair(draw):
+    """A block and a partner: a polynomial in it (a commuting pair) or another block."""
+    a = draw(_block())
+    if draw(st.booleans()):
+        with np.errstate(invalid="ignore"):  # 0 * inf
+            return a, draw(st.floats(-2.0, 2.0)) * ID2 + draw(st.floats(-2.0, 2.0)) * a
+    return a, draw(_block())
+
+
+def _refusal(call):
+    """The message of the ValueError ``call()`` raises, or None if it returns."""
+    try:
+        call()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _alone(gate, a, b):
+    """The refusal of one block pair, with any node report cut off."""
+    if gate == "tracefree":  # at node (0, 0) of an 8x8 field of zeros
+        a, b = (np.pad(m[None, None], ((0, 7), (0, 7), (0, 0), (0, 0))) for m in (a, b))
+    msg = _refusal(lambda: _GATES[gate](a, b))
+    return None if msg is None else msg.split(_NODE)[0]
+
+
+def _check_stack(gate, pairs, alone, which):
+    """The stack ``pairs[which]`` is refused iff one of its blocks is refused
+    alone; on a field, the message is that refusal at the first node whose
+    block alone gives it."""
+    with np.errstate(all="ignore"):
+        a, b = (np.array([p[k] for p in pairs])[which] for k in (0, 1))
+        msg = _refusal(lambda: _GATES[gate](a, b))
+    refused = [alone[k] for k in which.flat if alone[k] is not None]
+    if not refused:
+        assert msg is None
+        return
+    assert msg is not None
+    if which.ndim == 1:
+        assert msg in refused
+        return
+    base, node = msg.split(_NODE)
+    first = divmod(int(np.argmax([alone[k] == base for k in which.flat])), which.shape[1])
+    assert alone[which[first]] == base and node == f"{first}"
+
+
+@_PROPERTY
+@given(drawn=st.lists(_pair(), min_size=1, max_size=3), field=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+@pytest.mark.parametrize("gate", sorted(_GATES))
+def test_a_stack_is_refused_exactly_when_one_block_alone_is(gate, drawn, field, seed):
+    """Stacks of the gate's large block and the drawn pairs: all of them mixed,
+    and each drawn pair beside the large block only; a 1-D stack, or an 8x8
+    field with one of them at each node."""
+    pairs = [_LARGE[gate]] + drawn
+    with np.errstate(all="ignore"):
+        alone = [_alone(gate, a, b) for a, b in pairs]
+    field = field or gate == "tracefree"
+    rng = np.random.default_rng(seed)
+    stacks = [rng.integers(0, len(pairs), (8, 8)) if field else np.arange(len(pairs))]
+    for k in range(1, len(pairs)):
+        which = np.zeros((8, 8), dtype=int) if field else np.array([0, k])
+        which[tuple(rng.integers(0, 8, 2)) if field else 1] = k
+        stacks.append(which)
+    for which in stacks:
+        _check_stack(gate, pairs, alone, which)
+
+
+_FOUND = np.array([[1.0, 1e-5], [0.0, 1.0]])  # refused alone: asymmetry 1e-5
+_TRACE_FOUND = np.array([[1.0, 0.0], [0.0, -1.0 + 1e-5]])  # refused alone: trace 1e-5
+
+
+def _field_with(block, filler, node=(3, 5)):
+    out = np.broadcast_to(filler, (8, 8, 2, 2)).copy()
+    out[node] = block
+    return out
+
+
+def test_a_small_defect_beside_a_large_block_is_refused():
+    """Beside 1e6 Id, a stack-wide tolerance 1e-10 (1 + 1e6) would pass both defects."""
+    big, big_tracefree = 1e6 * ID2, 1e6 * np.diag([1.0, -1.0])
+    for stack in (_FOUND, np.stack([_FOUND, big])):
+        with pytest.raises(ValueError, match="^non-symmetric, non-finite or non-positive field$"):
+            check_spd(stack)
+    for check, what in ((check_spd, "non-symmetric, non-finite or non-positive"),
+                        (check_symmetric, "non-symmetric or non-finite")):
+        with pytest.raises(ValueError) as exc:
+            check(_field_with(_FOUND, big))
+        assert str(exc.value) == f"{what} field at node (j, i) = (3, 5)"
+    with pytest.raises(ValueError, match="^field is not trace-free$"):
+        teich._check_tracefree_symmetric(np.stack([_TRACE_FOUND, big_tracefree]))
+    b = _field_with(_TRACE_FOUND, big_tracefree)
+    zero = np.zeros_like(b)
+    with pytest.raises(ValueError, match=r"^field is not trace-free at node \(j, i\) = \(3, 5\)$"):
+        teich.critical_sum_check(zero, zero, b, ConformalMetric.flat(Grid(8, 8)))
+
+
+def test_a_nan_commutator_is_refused():
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="commuting pair"):
+        christoffel_difference(ID2, np.full((2, 2), np.nan), 0.5)

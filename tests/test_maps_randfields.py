@@ -134,6 +134,17 @@ def test_interpolator_refuses_periodic_chart():
         FieldInterpolator(grid, np.zeros((16, 16)))
 
 
+def test_interpolator_refuses_a_field_of_another_shape():
+    grid = Grid(16, 12, 1.0, 1.0, "dirichlet")
+    with pytest.raises(ValueError, match="^field shape does not match grid$"):
+        FieldInterpolator(grid, np.zeros((16, 12, 2, 2)))
+
+
+def test_trig_spd_refuses_an_amplitude_that_leaves_the_spd_cone():
+    with pytest.raises(ValueError, match="^perturbation amplitude too large for an SPD field$"):
+        trig_spd(Grid(16, 16), rng_for(0), amp=5.0)
+
+
 def test_pullback_by_zero_displacement_is_identity():
     grid = Grid(24, 24, 1.0, 1.0, "dirichlet")
     g = poincare_disk(grid)

@@ -14,7 +14,7 @@ from codazzi.manufactured import (
     pullback_of_scaled_poincare,
     recovery_error,
 )
-from codazzi.maps import FieldInterpolator
+from codazzi.maps import FieldInterpolator, FoldOverError
 from codazzi.solver import CurvatureSignError, SolverError, newton_solve
 
 
@@ -439,3 +439,76 @@ def test_recovery_error_order_rises_toward_two_under_refinement():
     )
     assert fine >= 1.7
     assert fine > coarse
+
+
+# Globalisation: manufactured pairs far enough from the background (amplitude
+# 0.15 or 0.1 against the default 0.0025) that Newton's full step folds the map
+# over or fails to reduce the residual.
+def _far(n, amp, seed):
+    grid = Grid(n, n, 0.8, 0.8, "dirichlet")
+    diffeo = ManufacturedDiffeo.seeded(grid, seed, amp=amp)
+    return poincare_disk(grid), pullback_of_scaled_poincare(diffeo, grid)
+
+
+@pytest.fixture
+def fold_overs(monkeypatch):
+    """The list of fold-overs met by residual evaluations, one entry each."""
+    met = []
+    real = solver._residual_vec
+
+    def residual_vec(*args):
+        try:
+            return real(*args)
+        except FoldOverError:
+            met.append(args[0])
+            raise
+
+    monkeypatch.setattr(solver, "_residual_vec", residual_vec)
+    return met
+
+
+def test_newton_refuses_when_no_halving_reduces_the_residual(fold_overs):
+    g, h = _far(16, 0.15, 0)
+    with pytest.raises(SolverError, match="^line search failed to reduce the residual$"):
+        newton_solve(g, h, tol=1e-9)
+    # the line search halved past trial points that fold the map over
+    assert fold_overs
+
+
+def test_continuation_halves_a_failed_step_and_reaches_the_target():
+    g, h = _far(16, 0.15, 0)
+    _, report = solver.continuation_solve(g, h, steps=10, tol=1e-9)
+    # the step 0.4 -> 0.5 fails and is retried as two steps of 0.05
+    expected = [0.1, 0.2, 0.3, 0.4] + [0.45 + 0.05 * k for k in range(12)]
+    assert report.steps == pytest.approx(expected, abs=1e-12)
+    assert report.steps[-1] == 1.0
+    assert report.residuals[-1] <= 1e-9
+
+
+def test_newton_stalls_after_the_iteration_limit():
+    g, h = _far(16, 0.15, 1)
+    with pytest.raises(SolverError, match=r"^Newton stalled at residual 3\.056e-08$"):
+        newton_solve(g, h, tol=1e-9)
+
+
+def test_continuation_refuses_when_its_step_underflows():
+    g, h = _far(16, 0.15, 3)
+    with pytest.raises(SolverError, match="^continuation step underflow$"):
+        solver.continuation_solve(g, h, steps=10, tol=1e-9)
+
+
+def test_manufactured_target_refuses_a_chart_beyond_the_disk():
+    # the corners (+-0.8, +-0.8) of this chart lie outside the unit disk
+    grid = Grid(16, 16, 1.6, 1.6, "dirichlet")
+    with pytest.raises(ValueError, match="^diffeomorphism leaves the unit disk$"):
+        pullback_of_scaled_poincare(ManufacturedDiffeo.seeded(grid, 0), grid)
+
+
+def test_damped_steps_refresh_the_factor(fold_overs):
+    g, h = _far(32, 0.1, 0)
+    _, report = newton_solve(g, h, tol=1e-9)
+    # a halved or weakly contracting step drops the factor, so 15 steps
+    # take 8 Jacobians, not one
+    assert (report.iterations, report.jacobians) == (15, 8)
+    assert report.residuals[-1] <= 1e-9
+    assert fold_overs

@@ -136,6 +136,12 @@ def test_psi_tilde_names_the_first_stacked_point_outside_the_domain():
         symspace.psi_tilde(symspace.BeltramiPoint(p, q), ID2)
 
 
+def test_psi_tilde_refuses_one_point_outside_the_domain():
+    # (P + 1)^2 = |Q|^2 = 1: on the boundary, which tilde-U excludes
+    with pytest.raises(ValueError, match="^Beltrami point outside tilde-U$"):
+        symspace.psi_tilde(symspace.BeltramiPoint(0.0, 0.6 + 0.8j), ID2)
+
+
 def test_christoffel_difference_gates_each_block_of_a_stack():
     # the small pair fails its own commuting test, but would pass one scaled
     # by the large commuting pairs around it
