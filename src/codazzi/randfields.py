@@ -17,8 +17,12 @@ def rng_for(seed):
     return np.random.Generator(np.random.Philox(int(seed)))
 
 
-def _trig_sums(grid: Grid, rng, ncomp, nmodes=4, kmax=2, amp=1.0):
-    """``ncomp`` random finite trigonometric sums, shape (ncomp, ny, nx).
+# modes in one random trigonometric sum
+_NMODES = 4
+
+
+def _trig_sums(grid: Grid, rng, ncomp, kmax=2, amp=1.0):
+    """``ncomp`` random finite trigonometric sums of :data:`_NMODES` modes, shape (ncomp, ny, nx).
 
     Each component draws its modes' (kx, ky, phase, c) from ``rng`` in turn,
     so component k is the k-th of ``ncomp`` one-component calls.  The cosines
@@ -28,7 +32,7 @@ def _trig_sums(grid: Grid, rng, ncomp, nmodes=4, kmax=2, amp=1.0):
     draws = np.array([
         (rng.integers(-kmax, kmax + 1), rng.integers(-kmax, kmax + 1),
          rng.uniform(0.0, 2.0 * np.pi), rng.uniform(-1.0, 1.0))
-        for _ in range(ncomp * nmodes)
+        for _ in range(ncomp * _NMODES)
     ])
     kx, ky, phase, c = (d[:, None, None] for d in draws.T)
     # c cos(2 pi (kx x / lx + ky y / ly) + phase), in place on one array
@@ -37,11 +41,11 @@ def _trig_sums(grid: Grid, rng, ncomp, nmodes=4, kmax=2, amp=1.0):
     terms += phase
     np.cos(terms, out=terms)
     terms *= c
-    terms = terms.reshape(ncomp, nmodes, grid.ny, grid.nx)
+    terms = terms.reshape(ncomp, _NMODES, grid.ny, grid.nx)
     out = np.zeros((ncomp, grid.ny, grid.nx))
-    for m in range(nmodes):
+    for m in range(_NMODES):
         out += terms[:, m]
-    return amp * out / nmodes
+    return amp * out / _NMODES
 
 
 def trig_scalar(grid: Grid, rng, **kw):
@@ -115,7 +119,7 @@ def tracefree_codazzi_flat(grid: Grid, rng):
     On a flat chart this is exactly Codazzi in the continuum; the discrete
     residual is O(h^2).
     """
-    u = 0.5 * harmonic_scalar(grid, rng, degmax=4)
+    u = 0.5 * harmonic_scalar(grid, rng)
     uxx = grid.ddx(grid.ddx(u))
     uyy = grid.ddy(grid.ddy(u))
     uxy = grid.ddy(grid.ddx(u))

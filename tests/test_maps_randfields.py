@@ -173,17 +173,17 @@ def test_map_jacobian_of_linear_displacement():
     assert np.max(np.abs(jac - ref)) < 1e-10
 
 
-def _loop_trig_scalar(grid, rng, nmodes=4, kmax=2, amp=1.0):
-    """One sum, one mode at a time on the meshgrid: the generators' oracle."""
+def _loop_trig_scalar(grid, rng, kmax=2, amp=1.0):
+    """One sum of four modes, one mode at a time on the meshgrid: the generators' oracle."""
     xx, yy = grid.meshgrid()
     out = np.zeros((grid.ny, grid.nx))
-    for _ in range(nmodes):
+    for _ in range(4):
         kx = rng.integers(-kmax, kmax + 1)
         ky = rng.integers(-kmax, kmax + 1)
         phase = rng.uniform(0.0, 2.0 * np.pi)
         c = rng.uniform(-1.0, 1.0)
         out += c * np.cos(2.0 * np.pi * (kx * xx / grid.lx + ky * yy / grid.ly) + phase)
-    return amp * out / nmodes
+    return amp * out / 4
 
 
 def _loop_trig_vector(grid, rng, **kw):

@@ -1,9 +1,15 @@
-"""Positivity and tolerance gates refuse NaN input instead of passing it through."""
+"""Positivity and tolerance gates refuse NaN input instead of passing it through.
+
+The same holds for the verify records: a NaN anywhere in a check's values
+makes the check fail, and the record shows the NaN.
+"""
+
+import itertools
 
 import numpy as np
 import pytest
 
-from codazzi import diagnostics, embedding, symspace, teich
+from codazzi import diagnostics, embedding, symspace, teich, verify
 from codazzi.grid import Grid, poincare_disk
 from codazzi.jcalc import ID2, check_spd, dsigma, inv2, metric_action, metric_to_A, spd_sqrt
 from codazzi.maps import FieldInterpolator, FoldOverError, pullback_metric
@@ -80,3 +86,69 @@ def test_tolerance_gate_refuses_nan(call, match):
 def test_inv2_singular_gate_refuses_non_finite(bad):
     with pytest.raises(ValueError, match="singular or non-finite 2x2 matrix"):
         inv2(np.array([[bad, 0.0], [0.0, 1.0]]))
+
+
+# -- verify records ------------------------------------------------------------
+
+# each helper's arguments for a passing record, the positions that hold values
+# (the others hold tolerances) and the record field where a NaN value shows
+PASSING_RECORDS = [
+    (verify._equal, ("c", 1.0, 1.0, 1e-12), (1, 2), "residual"),
+    (verify._bound, ("c", 1.0, 0.5, 0.1), (1, 2), "residual"),
+    (verify._converging, ("c", 1e-3, 1e-4, 3.5), (1, 2), "order"),
+    (verify._vanishes, ("c", 1e-12, 0.0, np.zeros((3, 2, 2)), np.zeros(4)), (2, 3, 4), "residual"),
+]
+
+
+def _with_nan(value):
+    if isinstance(value, np.ndarray):
+        value = value.copy()
+        value.flat[-1] = np.nan
+        return value
+    return np.nan
+
+
+@pytest.mark.parametrize(
+    "helper, args, values, field", PASSING_RECORDS, ids=[c[0].__name__ for c in PASSING_RECORDS]
+)
+def test_a_record_helper_fails_on_a_nan_in_any_argument(helper, args, values, field):
+    assert helper(*args)["pass"]
+    for i in range(1, len(args)):
+        bad = list(args)
+        bad[i] = _with_nan(args[i])
+        record = helper(*bad)
+        assert not record["pass"], i
+        assert np.isnan(record[field]) == (i in values), i
+
+
+def test_maxabs_keeps_a_nan_after_a_number():
+    assert np.isnan(verify._maxabs(1.0, np.array([0.5, np.nan])))
+    assert verify._maxabs(np.array([]), -2.0) == 2.0
+
+
+def _nan_on_call(monkeypatch, owner, name, n):
+    """Make the ``n``-th call of ``owner.name`` return NaN in place of its value."""
+    real = getattr(owner, name)
+    count = itertools.count(1)
+
+    def wrapped(*args, **kwargs):
+        out = real(*args, **kwargs)
+        return np.asarray(out) * np.nan if next(count) == n else out
+
+    monkeypatch.setattr(owner, name, wrapped)
+
+
+@pytest.mark.parametrize(
+    "owner, name, n, suite, check",
+    [
+        (symspace, "exp_map", 2, "appendix", "exp_map_matches_geodesic"),
+        (verify, "flow_derivative_fd", 3, "energy", "gradient_fd_relative"),
+        (verify, "modified_inequality_check", 7, "energy", "modified_inequality_50_seeds"),
+        (symspace, "geodesic_residual", 2, "appendix", "geodesic_ode_residual"),
+    ],
+    ids=["exp_map", "flow_derivative_fd", "modified_inequality_check", "geodesic_residual"],
+)
+def test_a_nan_in_one_draw_fails_its_check(monkeypatch, owner, name, n, suite, check):
+    _nan_on_call(monkeypatch, owner, name, n)
+    records = {c["check"]: c for c in verify.run_suite(suite, 0)}
+    assert not records[check]["pass"]

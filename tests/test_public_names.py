@@ -12,15 +12,20 @@ does not hide it.
 A parameter with a default, of any function or method in ``src/codazzi``,
 must be passed by at least one call in the same four trees, by keyword or
 by position, with a value other than its default.  Calls are matched to
-definitions by name; a call with ``*args`` or ``**kwargs`` counts as passing
-every parameter a value other than its default.  A passed value is the
+definitions by name; a call with ``*args`` counts as passing every
+parameter a value other than its default, and so does one with ``**kwargs``
+unless that is the enclosing function's own ``**`` parameter.  Such a
+forward passes a keyword only as the calls of the forwarding function pass
+it, followed along chains of forwards: ``kmax`` reaches ``_trig_sums``
+through ``random_displacement`` and ``trig_vector`` with the values that
+calls of ``random_displacement`` give it.  A passed value is the
 default when it is the same literal (``0`` and ``0.0`` are the same) or the
 same expression, as ``PERIODIC`` for a default ``PERIODIC``.  Nor, once
 some call passes such a parameter, may every call give it one and the same
 literal (a constant, a signed number or ``None``), a call that passes none
 giving the default: that value is a constant of the function, not a choice
-of its callers.  An unpacked ``*args`` or ``**kwargs`` counts as any value
-here too.
+of its callers.  An unpacked ``*args``, or a ``**kwargs`` that is not
+forwarded, counts as any value here too.
 
 No module of ``src/codazzi`` but ``grid`` holds a difference quotient: a
 division whose denominator is ``2 * name``, ``2.0 * name`` or ``name ** 2``
@@ -127,17 +132,38 @@ def _defaulted_parameters():
         yield from visit(tree, stem, False)
 
 
+def _calls_in(node, scope=None):
+    """(call, innermost enclosing function definition or lambda) of each call under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call):
+            yield child, scope
+        inner = isinstance(child, (ast.FunctionDef, ast.Lambda))
+        yield from _calls_in(child, child if inner else scope)
+
+
+def _forwarder(call, scope):
+    """The definition whose own ``**`` parameter ``call`` unpacks, else None."""
+    if not isinstance(scope, ast.FunctionDef) or scope.args.kwarg is None:
+        return None
+    own = scope.args.kwarg.arg
+    forwarded = any(
+        k.arg is None and isinstance(k.value, ast.Name) and k.value.id == own
+        for k in call.keywords
+    )
+    return scope if forwarded else None
+
+
 def _calls():
-    """Callee name -> list of (positional argument nodes, keyword name -> value node).
+    """Callee name -> list of (positional argument nodes, keyword name -> value node, forwarder).
 
     The positional list is None when the call unpacks ``*args``; a
-    ``**kwargs`` argument is the keyword None.
+    ``**kwargs`` argument is the keyword None.  The forwarder is the
+    definition around the call when that argument is its own ``**``
+    parameter, else None.
     """
     calls = {}
     for tree in _searched_trees():
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
+        for node, scope in _calls_in(tree):
             if isinstance(node.func, ast.Name):
                 name = node.func.id
             elif isinstance(node.func, ast.Attribute):
@@ -146,25 +172,40 @@ def _calls():
                 continue
             star = any(isinstance(a, ast.Starred) for a in node.args)
             keywords = {k.arg: k.value for k in node.keywords}
-            calls.setdefault(name, []).append((None if star else node.args, keywords))
+            calls.setdefault(name, []).append(
+                (None if star else node.args, keywords, _forwarder(node, scope))
+            )
     return calls
 
 
-def _passed_values(calls, name, param, index, default):
+def _named_parameters(definition):
+    args = definition.args
+    return {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+
+
+def _passed_values(calls, name, param, index, default, forwarders=()):
     """The value node each call of ``name`` gives ``param``.
 
     That is None for an unpacked one, and the node ``default`` itself for a
-    call that passes none.
+    call that passes none.  A call that forwards its function's own
+    ``**`` parameter gives what each call of that function passes by keyword;
+    ``forwarders`` are the names already followed, where a cycle gives None.
     """
-    for args, keywords in calls.get(name, ()):
+    for args, keywords, forwarder in calls.get(name, ()):
         if param in keywords:
             yield keywords[param]
         elif index is not None and (args is None or len(args) > index):
             yield None if args is None else args[index]
-        elif None in keywords:
-            yield None
-        else:
+        elif None not in keywords:
             yield default
+        elif forwarder is None or forwarder.name in forwarders:
+            yield None
+        elif param in _named_parameters(forwarder):
+            yield default  # a named parameter never travels in the ``**``
+        else:
+            yield from _passed_values(
+                calls, forwarder.name, param, None, default, forwarders + (forwarder.name,)
+            )
 
 
 def _is_default(value, default):
