@@ -17,7 +17,7 @@ from codazzi.jcalc import ID2
 
 grid = Grid(65, 65, 0.8, 0.8, "dirichlet")
 patch = embedding.HyperboloidPatch(grid)
-iota = patch.nodes()
+iota = patch.nodes
 
 # sanity: the identity field gives back the hyperboloid, support -1
 idf = np.broadcast_to(ID2, (65, 65, 2, 2)).copy()
@@ -27,7 +27,7 @@ phi = embedding.support_function(x_id, patch, sign=1)
 print(f"        support function range [{phi.min():.6f}, {phi.max():.6f}]")
 
 # a curved example from a generating function f
-xx, yy = grid.meshgrid()
+xx, yy = grid.meshgrid
 f = 2.0 + 0.3 * np.cos(3.0 * xx) * np.sin(2.0 * yy) + 0.2 * xx * yy
 a = embedding.codazzi_generator(f, patch)
 x = embedding.integrate_immersion(a, patch, iota[patch.base_index])

@@ -26,7 +26,7 @@ print(f"background: 64x64 Poincare sub-disk, curvature -1, area {g.area():.4f}")
 
 # a random SPD deformation of the background defines the target metric
 a = trig_spd(g.grid, rng_for(11), amp=0.12, kmax=1)
-h = metric_action(a, g.matrix())
+h = metric_action(a, g.matrix)
 
 # direction field: the gradient itself, cut off at the boundary
 cut = bump(g.grid) ** 2
@@ -39,7 +39,7 @@ print(f"energy derivative along the flow:  FD {fd:+.8f}")
 print(f"weak pairing with -J div(A J):      {pair:+.8f}")
 print(f"relative gap: {abs(fd - pair) / abs(pair):.2e}")
 
-zero = np.max(np.abs(energy_gradient(2.25 * g.matrix(), g)))
+zero = np.max(np.abs(energy_gradient(2.25 * g.matrix, g)))
 print(f"\ngradient at the conformal target h = (1.5)^2 g: max |grad| = {zero:.2e}")
 
 print("\ncurvature identity residual under refinement:")

@@ -15,20 +15,20 @@ abbreviation of a flag, is a usage error:
   :func:`codazzi.embedding.certify_codazzi` at ``--tol``, before it is
   integrated.
 
-Exit-status contract: 0 when every requested check passes, 1 when a check
-or a mathematical precondition fails (wrong curvature sign, non-Codazzi
-input, failed suite, an ``embed`` file whose ``phi`` is not the Poincare
-sub-disk metric of its grid), 2 for usage and I/O errors (unknown flags, a
-``--tol`` that is not finite and positive, a negative ``--continuation-steps``,
-missing or malformed files, a ``solve --h`` file on another grid or with
-another ``phi`` than the background's, ``solve --h`` with
-``--manufactured-seed``, a ``solve --manufactured-seed`` whose ``--g`` ``phi``
-is not the Poincare sub-disk metric of its grid, a ``solve`` chart that is
-periodic or, where its Poincare sub-disk metric is needed, leaves the unit
+Exit-status contract: 0 when every requested check passes, 1 when a check or a
+mathematical precondition fails (wrong curvature sign, non-Codazzi input,
+failed suite, an ``embed`` file whose ``phi`` is not the Poincare sub-disk
+metric of its grid), 2 for usage and I/O errors (unknown flags, a ``--tol``
+that is not finite and positive, a negative ``--seed``, ``--manufactured-seed``
+or ``--continuation-steps``, missing or malformed files, a ``solve --h`` file
+on another grid or with another ``phi`` than the background's, ``solve --h``
+with ``--manufactured-seed``, a ``solve --manufactured-seed`` whose ``--g``
+``phi`` is not the Poincare sub-disk metric of its grid, a ``solve`` chart that
+is periodic or, where its Poincare sub-disk metric is needed, leaves the unit
 disk, an ``embed`` file whose chart cannot carry a hyperboloid patch).  Each
-refusal is raised where it is found, and its exception class sets the
-status: ``_Refused`` 1, ``ValueError`` and ``OSError`` 2; :func:`main` alone
-prints ``error: <message>`` and returns it.  All outputs are written through
+refusal is raised where it is found, and its exception class sets the status:
+``_Refused`` 1, ``ValueError`` and ``OSError`` 2; :func:`main` alone prints
+``error: <message>`` and returns it.  All outputs are written through
 deterministic serializers, so two runs with the same configuration produce
 byte-identical artifacts.
 """
@@ -136,6 +136,8 @@ def _check_endo(path, endo):
 
 
 def cmd_verify(args, parser):
+    if args.seed < 0:
+        parser.error("argument --seed: must be 0 or more")
     names = verify.SUITE_NAMES if args.suite == "all" else (args.suite,)
     # optional input field: validated, and checked when it carries an endo
     check = None
@@ -165,6 +167,8 @@ def cmd_verify(args, parser):
 def cmd_solve(args, parser):
     if args.continuation_steps < 0:
         parser.error("argument --continuation-steps: must be 0 or more")
+    if args.manufactured_seed is not None and args.manufactured_seed < 0:
+        parser.error("argument --manufactured-seed: must be 0 or more")
     # the background: a --g file, or the Poincare sub-disk chart of the grid flags
     if args.g is None:
         grid = Grid(args.nx, args.nx, args.lx, args.lx, DIRICHLET)
@@ -209,7 +213,7 @@ def cmd_solve(args, parser):
     if diffeo is not None:
         rep["recovery_error"] = float(recovery_error(diffeo, g.grid, x))
     fileio.write_json(f"{args.out}_report.json", rep)
-    last = rep["residuals"][-1] if rep["residuals"] else float("nan")
+    last = rep["residuals"][-1]
     print(
         f"converged in {rep['iterations']} iterations, final residual {last:.3e}, "
         f"codazzi residual {rep['codazzi_residual']:.3e}"
@@ -238,7 +242,7 @@ def cmd_embed(args, parser):
         resid = embedding.certify_codazzi(a, patch, args.tol)
     except embedding.PathDependenceError as exc:
         raise _Refused(f"{args.endo}: refusing non-Codazzi input: {exc}") from None
-    u = patch.nodes()[patch.base_index]
+    u = patch.nodes[patch.base_index]
     x = embedding.integrate_immersion(a, patch, u, sign=1)
     phi = embedding.support_function(x, patch, sign=1)
     fileio.write_mesh_csv(f"{args.out}_mesh.csv", grid, x, phi)

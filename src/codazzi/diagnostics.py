@@ -71,9 +71,9 @@ def alpha_harmonic_residual(a, g: ConformalMetric):
     """
     grid = g.grid
     a = check_spd(grid.check_field(a, rank=2))
-    h = g.matrix() @ a
+    h = g.matrix @ a
     hinv = inv2(h)
-    dphi = np.stack(g.phi_derivs(), axis=-1)
+    dphi = np.stack(g.phi_derivs, axis=-1)
     # h^{mn} Gamma_g^k_mn = (h^{kn} + h^{nk}) phi_n - h^{mm} phi_k, from
     # Gamma_g^k_mn = delta_km phi_n + delta_kn phi_m - delta_mn phi_k
     lap_g = (
@@ -95,7 +95,7 @@ def map_energy(gS: ConformalMetric, hN):
     (exactly, even discretely).
     """
     hN = gS.grid.check_field(hN, rank=2)
-    return gS.integrate(trace(inv2(gS.matrix()) @ hN))
+    return gS.integrate(trace(inv2(gS.matrix) @ hN))
 
 
 def energy_identity_check(a, g: ConformalMetric):
@@ -108,11 +108,11 @@ def energy_identity_check(a, g: ConformalMetric):
     """
     grid = g.grid
     a = check_spd(grid.check_field(a, rank=2))
-    gm = g.matrix()
+    gm = g.matrix
     h = gm @ a
     hinv = inv2(h)
     vol_h = np.sqrt(det(h))
-    w = grid.cell_weights()
+    w = grid.cell_weights
     e1 = float(np.sum(trace(hinv @ gm) * vol_h * w))
     e2 = float(np.sum(trace(hinv @ (gm @ a @ a)) * vol_h * w))
     phi = _phi_field(a)

@@ -122,12 +122,9 @@ class HyperboloidPatch:
         return float(self.grid.x[i0]), float(self.grid.y[j0])
 
     @cached_property
-    def _nodes(self):
-        return _read_only(_disk_immersion(*self.grid.meshgrid()))
-
     def nodes(self):
         """Node values of iota, shape (ny, nx, 3), read-only."""
-        return self._nodes
+        return _read_only(_disk_immersion(*self.grid.meshgrid))
 
 
 def certify_codazzi(a, patch: HyperboloidPatch, tol):
@@ -161,7 +158,7 @@ def _segments_x(a, patch: HyperboloidPatch):
     the midpoint value of iota_y.
     """
     grid = patch.grid
-    iot = patch.nodes()
+    iot = patch.nodes
     amid = 0.5 * (a[:, :-1] + a[:, 1:])
     xm = 0.5 * (grid.x[:-1] + grid.x[1:])
     xx, yy = np.meshgrid(xm, grid.y)
@@ -175,7 +172,7 @@ def _segments_x(a, patch: HyperboloidPatch):
 def _segments_y(a, patch: HyperboloidPatch):
     """Displacement over each +y grid edge, (ny-1, nx, 3)."""
     grid = patch.grid
-    iot = patch.nodes()
+    iot = patch.nodes
     amid = 0.5 * (a[:-1] + a[1:])
     ym = 0.5 * (grid.y[:-1] + grid.y[1:])
     xx, yy = np.meshgrid(grid.x, ym)
@@ -261,7 +258,7 @@ def induced_metric_error(x, a, patch: HyperboloidPatch):
 
 def support_function(x, patch: HyperboloidPatch, sign=1):
     """Nodewise support function sign * <X, iota> in the Minkowski pairing."""
-    return sign * mdot(np.asarray(x, dtype=float), patch.nodes())
+    return sign * mdot(np.asarray(x, dtype=float), patch.nodes)
 
 
 def support_pair(f, patch: HyperboloidPatch):
@@ -396,7 +393,7 @@ def equivariance_residual(x, gamma: Isometry21, a, patch: HyperboloidPatch):
     ref = a[j0, i0, 0, 0] * dio_x + a[j0, i0, 1, 0] * dio_y
     sign = 1 if np.dot(dxn, ref) >= 0.0 else -1
 
-    xx, yy = grid.meshgrid()
+    xx, yy = grid.meshgrid
     pts = np.stack([xx, yy], axis=-1)
     gpts = gamma.disk_action(pts)
     half = 0.5 - 2.0 / min(grid.nx, grid.ny)  # stay a couple nodes inside

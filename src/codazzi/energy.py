@@ -44,7 +44,7 @@ __all__ = [
 def field_A(h, g: ConformalMetric):
     """Positive g-self-adjoint A with h = g(A., A.), nodewise."""
     h = g.grid.check_field(h, rank=2)
-    return spd_sqrt_pair(g.matrix(), h)
+    return spd_sqrt_pair(g.matrix, h)
 
 
 def energy(h, g: ConformalMetric):
@@ -67,7 +67,7 @@ def trace_energy_over(grid, base, target):
     base = grid.check_field(base, rank=2)
     target = grid.check_field(target, rank=2)
     dens = trace(spd_sqrt_pair(base, target)) * np.sqrt(det(base))
-    return float(np.sum(dens * grid.cell_weights()))
+    return float(np.sum(dens * grid.cell_weights))
 
 
 def trace_energy(h, g: ConformalMetric):
@@ -77,7 +77,7 @@ def trace_energy(h, g: ConformalMetric):
     it is the normalization whose L2 gradient is exactly -J div(A J), and
     the one used by the finite-difference gradient checks.
     """
-    return trace_energy_over(g.grid, g.matrix(), h)
+    return trace_energy_over(g.grid, g.matrix, h)
 
 
 def energy_gradient(h, g: ConformalMetric):
@@ -178,7 +178,7 @@ def curvature_identity_residual(a, g: ConformalMetric, margin=3):
     Returns the interior L-infinity residual.
     """
     a = check_symmetric(g.grid.check_field(a, rank=2))
-    h = np.swapaxes(a, -1, -2) @ g.matrix() @ a
+    h = np.swapaxes(a, -1, -2) @ g.matrix @ a
     kh = brioschi_curvature(g.grid, h)
     resid = det(a) * kh - curvature(g) - _q_field(inv2(a), dnabla_endo(a, g), g)
     mask = g.grid.interior(margin)

@@ -30,8 +30,8 @@ holds a finite-difference weight, spatial or in a parameter.
 
 A grid and a metric are immutable, so each computes its derived geometry
 (node coordinates, meshgrid, quadrature weights, conformal factor and its
-inverse, metric matrix, derivatives of phi) once, on first use, and returns
-it read-only.
+inverse, metric matrix, derivatives of phi) once, on first use, and holds
+it as a read-only cached attribute.
 """
 
 from dataclasses import dataclass, field
@@ -130,15 +130,12 @@ class Grid:
         return _read_only(np.linspace(-0.5 * self.ly, 0.5 * self.ly, self.ny))
 
     @cached_property
-    def _mesh(self):
-        return tuple(_read_only(c) for c in np.meshgrid(self.x, self.y, copy=False))
-
     def meshgrid(self):
         """Coordinate arrays (X, Y), each of shape (ny, nx).
 
         They are read-only broadcast views of :attr:`x` and :attr:`y`.
         """
-        return self._mesh
+        return tuple(_read_only(c) for c in np.meshgrid(self.x, self.y, copy=False))
 
     # -- differentiation -------------------------------------------------
 
@@ -233,7 +230,8 @@ class Grid:
     # -- quadrature and masks --------------------------------------------
 
     @cached_property
-    def _cell_weights(self):
+    def cell_weights(self):
+        """Per-node quadrature weight (dx*dy, trapezoidal on Dirichlet), read-only."""
         w = np.full((self.ny, self.nx), self.dx * self.dy)
         if not self.periodic:
             w[0, :] *= 0.5
@@ -241,10 +239,6 @@ class Grid:
             w[:, 0] *= 0.5
             w[:, -1] *= 0.5
         return _read_only(w)
-
-    def cell_weights(self):
-        """Per-node quadrature weight (dx*dy, trapezoidal on Dirichlet), read-only."""
-        return self._cell_weights
 
     def interior(self, margin=2):
         """Boolean mask excluding ``margin`` boundary rings (all-true if periodic)."""
@@ -289,15 +283,12 @@ class ConformalMetric:
         return _read_only(np.exp(2.0 * self.phi))
 
     @cached_property
-    def _matrix(self):
+    def matrix(self):
+        """Metric tensor as a read-only SPD field of shape (ny, nx, 2, 2)."""
         out = np.zeros((self.grid.ny, self.grid.nx, 2, 2))
         out[..., 0, 0] = self.conformal_factor
         out[..., 1, 1] = self.conformal_factor
         return _read_only(out)
-
-    def matrix(self):
-        """Metric tensor as a read-only SPD field of shape (ny, nx, 2, 2)."""
-        return self._matrix
 
     @cached_property
     def inverse_factor(self):
@@ -309,21 +300,18 @@ class ConformalMetric:
         return _read_only(np.exp(-2.0 * self.phi))
 
     @cached_property
-    def _phi_derivs(self):
-        return _read_only(self.grid.ddx(self.phi)), _read_only(self.grid.ddy(self.phi))
-
     def phi_derivs(self):
         """(phi_x, phi_y) central-difference derivatives, read-only."""
-        return self._phi_derivs
+        return _read_only(self.grid.ddx(self.phi)), _read_only(self.grid.ddy(self.phi))
 
     def area(self):
         """Total area of the chart in the metric."""
-        return float(np.sum(self.conformal_factor * self.grid.cell_weights()))
+        return float(np.sum(self.conformal_factor * self.grid.cell_weights))
 
     def integrate(self, f):
         """Integral of a scalar field against the metric area form."""
         f = self.grid.check_field(f)
-        return float(np.sum(f * self.conformal_factor * self.grid.cell_weights()))
+        return float(np.sum(f * self.conformal_factor * self.grid.cell_weights))
 
 
 def poincare_disk(grid):
@@ -331,7 +319,7 @@ def poincare_disk(grid):
 
     The chart must stay strictly inside the unit disk.  The curvature is -1.
     """
-    xx, yy = grid.meshgrid()
+    xx, yy = grid.meshgrid
     r2 = xx**2 + yy**2
     if np.any(r2 >= 1.0):
         raise ValueError("chart leaves the unit disk")

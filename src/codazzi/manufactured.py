@@ -61,7 +61,7 @@ def pullback_of_scaled_poincare(diffeo: ManufacturedDiffeo, grid: Grid):
     result is a manufactured non-critical target whose critical displacement
     is the inverse of psi.
     """
-    xx, yy = grid.meshgrid()
+    xx, yy = grid.meshgrid
     p = np.stack([xx, yy], axis=-1)
     q = diffeo.apply(p)
     r2 = q[..., 0] ** 2 + q[..., 1] ** 2
@@ -75,6 +75,6 @@ def pullback_of_scaled_poincare(diffeo: ManufacturedDiffeo, grid: Grid):
 
 def recovery_error(diffeo: ManufacturedDiffeo, grid: Grid, x):
     """L-infinity of psi(p + X(p)) - p: how well X inverts the diffeo."""
-    xx, yy = grid.meshgrid()
+    xx, yy = grid.meshgrid
     p = np.stack([xx, yy], axis=-1)
     return float(np.max(np.abs(diffeo.apply(p + x) - p)))

@@ -93,7 +93,7 @@ class FieldInterpolator:
 def map_points(grid: Grid, x, t=1.0):
     """Images p + t X(p) of all nodes under the displacement field x."""
     x = grid.check_field(x, rank=1)
-    xx, yy = grid.meshgrid()
+    xx, yy = grid.meshgrid
     pts = np.stack([xx, yy], axis=-1) + t * x
     return pts
 

@@ -57,7 +57,7 @@ def grad(f, g: ConformalMetric, order=2):
 def div_vec(x, g: ConformalMetric):
     """Divergence d_i x^i + Gamma^i_ij x^j, with sum_i Gamma^i_ij = 2 phi_j."""
     x = g.grid.check_field(x, rank=1)
-    px, py = g.phi_derivs()
+    px, py = g.phi_derivs
     return (
         g.grid.ddx(x[..., 0]) + g.grid.ddy(x[..., 1])
         + 2.0 * (px * x[..., 0] + py * x[..., 1])
@@ -77,7 +77,7 @@ def _div_columns(c0, c1, g: ConformalMetric, order=2):
     Since sum_i Gamma^p_ii = 0 it is
     e^{-2 phi} [d_i a^k_i + (a^T d phi)_k + (a d phi)_k - phi_k Tr a].
     """
-    px, py = g.phi_derivs()
+    px, py = g.phi_derivs
     skew = c0[..., 0] - c1[..., 1]  # a00 - a11
     sym = c0[..., 1] + c1[..., 0]  # a10 + a01
     out = g.grid.ddx(c0, order) + g.grid.ddy(c1, order)
@@ -102,7 +102,7 @@ def _cov_deriv_vecfield(g: ConformalMetric, v):
 
     Gamma^k_ip v^p = delta_ik <d phi, v> + phi_i v^k - phi_k v^i.
     """
-    px, py = g.phi_derivs()
+    px, py = g.phi_derivs
     nv = np.empty(v.shape[:-1] + (2, 2))
     nv[..., 0, :] = g.grid.ddx(v)
     nv[..., 1, :] = g.grid.ddy(v)
@@ -184,7 +184,7 @@ def hessian_endo(f, g: ConformalMetric):
     f = g.grid.check_field(f)
     grid = g.grid
     fx, fy = grid.ddx(f), grid.ddy(f)
-    px, py = g.phi_derivs()
+    px, py = g.phi_derivs
     dot = px * fx + py * fy
     mixed = px * fy + py * fx
     hess = np.empty((grid.ny, grid.nx, 2, 2))

@@ -80,7 +80,7 @@ def trig_spd(grid: Grid, rng, amp=0.2, **kw):
 
 def bump(grid: Grid):
     """Scalar cutoff vanishing (with its gradient) on the Dirichlet boundary."""
-    xx, yy = grid.meshgrid()
+    xx, yy = grid.meshgrid
     u = 2.0 * xx / grid.lx
     v = 2.0 * yy / grid.ly
     return ((1.0 - u**2) * (1.0 - v**2)) ** 2
@@ -94,7 +94,7 @@ def random_displacement(grid: Grid, rng, **kw):
 
 def harmonic_scalar(grid: Grid, rng, degmax=4):
     """Random harmonic polynomial: sum of Re/Im of c_n z^n, n = 2..degmax."""
-    xx, yy = grid.meshgrid()
+    xx, yy = grid.meshgrid
     z = xx + 1j * yy
     out = np.zeros((grid.ny, grid.nx))
     for n in range(2, degmax + 1):
@@ -105,7 +105,7 @@ def harmonic_scalar(grid: Grid, rng, degmax=4):
 
 def holomorphic_values(grid: Grid, rng, amp=1.0):
     """Values of a random cubic polynomial Q(z); returns (Re Q, Im Q)."""
-    xx, yy = grid.meshgrid()
+    xx, yy = grid.meshgrid
     z = xx + 1j * yy
     q = np.zeros((grid.ny, grid.nx), dtype=complex)
     for n in range(4):

@@ -28,9 +28,9 @@ as their oracle.  The coloured finite-difference Jacobian of Curtis,
 Powell and Reid (1974) is kept in the tests as the independent oracle of
 the assembled Jacobian.  SuperLU (``splu``) factors the CSC matrix with a
 minimum-degree ordering of A^T + A in symmetric mode (diagonal pivots only,
-about a fifth of the fill of partial pivoting at 128^2).  If that factor is
-refused as singular or gives a non-finite step, the matrix is refactored
-with partial pivoting before the solve gives up.
+about a fifth of the fill of partial pivoting at 128^2).  A factor that
+SuperLU refuses as singular, or whose step is not finite, is a
+:class:`SolverError`.
 
 Newton builds and factors a Jacobian only at the first step, after a step
 that needed a line-search halving, and after a step whose residual
@@ -229,7 +229,7 @@ def _jacobian_operators(g, idx):
     e, s, k = np.nonzero(pattern)
     central = np.array([wy[1, 0], wx[1, 0], 0.0, wx[1, 1], wy[1, 1]])[s] * pattern[e, s, k]
     w = g.inverse_factor.ravel()[idx, None]
-    px, py = (d.ravel()[idx, None, None] for d in g.phi_derivs())
+    px, py = (d.ravel()[idx, None, None] for d in g.phi_derivs)
     lvals = w * central
     # in each row the node's own four entries follow the one below and the one left
     lvals.reshape(nu, 2, 8)[:, :, 2:6] = w[..., None] * (px * _R_PX + py * _R_PY)
@@ -273,32 +273,23 @@ def _exact_jacobian(vec, g, h_interp, idx, ops):
         [unit + np.swapaxes(unit, -1, -2), ft[..., None, :, :] @ dh @ f[..., None, :, :]],
         axis=-3,
     )
-    ginv = inv2(g.matrix())
+    ginv = inv2(g.matrix)
     da = dspd_sqrt((ginv @ (fth @ f))[..., None, :, :], ginv[..., None, :, :] @ dhp)
     k = _block_diag(np.swapaxes(da.reshape(-1, 6, 4), -1, -2))
     return (L @ (k @ S) + stab).tocsc()
 
 
 def _factor_step(jac, r):
-    """Factor ``jac`` and solve for the Newton step; returns ``(lu, step)``.
+    """Factor ``jac`` in symmetric mode and solve for the Newton step; returns ``(lu, step)``.
 
-    The symmetric-mode factor (minimum degree on A^T + A, diagonal pivots)
-    is tried first; if SuperLU refuses it or its step is not finite, the
-    matrix is refactored with partial pivoting.
+    Raises :class:`SolverError` if SuperLU refuses the factor or its step is not finite.
     """
     import scipy.sparse.linalg
 
     # splu is called through the module, so perfbench's probe on it times it
     try:
         lu = scipy.sparse.linalg.splu(jac, **SYMMETRIC_SPLU)
-        step = lu.solve(-r)
-        if np.all(np.isfinite(step)):
-            return lu, step
-    except RuntimeError:  # SuperLU: "Factor is exactly singular"
-        pass
-    try:
-        lu = scipy.sparse.linalg.splu(jac, permc_spec="MMD_AT_PLUS_A")
-    except RuntimeError as exc:
+    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
         raise SolverError("singular Newton system") from exc
     step = lu.solve(-r)
     if not np.all(np.isfinite(step)):
@@ -395,7 +386,7 @@ def newton_solve(g: ConformalMetric, h, tol=1e-8):
 
 
 def continuation_solve(g: ConformalMetric, h, steps=10, tol=1e-8):
-    """March the solution from the trivial target g.matrix() to ``h`` on the background g.
+    """March the solution from the trivial target g.matrix to ``h`` on the background g.
 
     The target moves linearly in the matrix, h_t = (1 - t) g + t h
     (convexity keeps it SPD), and each step starts Newton from the last
@@ -410,7 +401,7 @@ def continuation_solve(g: ConformalMetric, h, steps=10, tol=1e-8):
     grid = g.grid
     h = grid.check_field(h, rank=2)
     idx, ops = _background_state(g)
-    g_mat = g.matrix()
+    g_mat = g.matrix
     report = SolveReport()
     vec = np.zeros(2 * idx.size)
     t = 0.0

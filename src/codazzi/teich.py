@@ -122,7 +122,7 @@ class DeformationFamily:
 
     def h_t_matrix(self, t):
         bt = self.b_t(t)
-        return np.swapaxes(bt, -1, -2) @ self.h0.matrix() @ bt
+        return np.swapaxes(bt, -1, -2) @ self.h0.matrix @ bt
 
     def e_hat_along(self, target, t):
         """Trace energy of a fixed target metric over the deformed base."""

@@ -113,11 +113,12 @@ def _converging(name, r1, r2, min_ratio=3.5):
 
     Passes when the coarse/fine ratio reaches ``min_ratio``, or when both
     residuals already sit at the round-off floor 1e-10.  A NaN residual
-    fails and reads as a NaN order.
+    fails and reads as a NaN order; a zero coarse residual reads as -inf.
     """
     if r1 <= 1e-10 and r2 <= 1e-10:
         return _record(name, r1, r2, r2, True)
-    order = math.log2(r1 / r2) if r2 != 0 else float("inf")
+    ratio = r1 / r2 if r2 != 0 else r1 * math.inf  # NaN * inf is NaN
+    order = math.log2(ratio) if ratio != 0 else -math.inf
     ok = r1 / np.maximum(r2, 1e-300) >= min_ratio
     return _record(name, r1, r2, r2, ok, order=np.minimum(order, 16.0))
 
@@ -236,7 +237,7 @@ def suite_fields(seed):
     )
 
     def curvature_gap(g):
-        kb = brioschi_curvature(g.grid, g.matrix())
+        kb = brioschi_curvature(g.grid, g.matrix)
         return _maxabs((kb - curvature(g))[g.grid.interior(3)])
 
     checks.append(
@@ -277,7 +278,7 @@ def suite_energy(seed):
     gaps = []
     for k in range(5):
         a = trig_spd(grid, rng_for(seed + 11 + k), amp=0.12, kmax=1)
-        h = metric_action(a, g.matrix())
+        h = metric_action(a, g.matrix)
         x = cut[..., None] * energy_gradient(h, g)
         x = 0.3 * x / np.max(np.abs(x))
         fd = flow_derivative_fd(h, g, x)
@@ -285,7 +286,7 @@ def suite_energy(seed):
         gaps.append(abs(fd - pair) / abs(pair))
     checks.append(_vanishes("gradient_fd_relative", 1e-3, *gaps))
 
-    h_conf = 2.25 * g.matrix()
+    h_conf = 2.25 * g.matrix
     checks.append(_vanishes("gradient_zero_at_conformal", 1e-10, energy_gradient(h_conf, g)))
 
     # FD second derivative at the critical point h = c^2 g vs the form.
@@ -317,7 +318,7 @@ def suite_energy(seed):
 
     gridf = Grid(N2, N2, 2.0, 2.0, "dirichlet")
     dif = ManufacturedDiffeo.seeded(gridf, seed + 11, amp=0.01)
-    xx, yy = gridf.meshgrid()
+    xx, yy = gridf.meshgrid
     jac = dif.jacobian(xx, yy)
     hflat = np.swapaxes(jac, -1, -2) @ jac
     kflat = brioschi_curvature(gridf, hflat)
@@ -330,7 +331,7 @@ def suite_energy(seed):
         e = trig_endo(g32.grid, rng_for(seed + 500 + k), amp=0.2)
         e = 0.5 * (e + np.swapaxes(e, -1, -2))
         a = np.broadcast_to(ID2, e.shape).copy() + cut[..., None, None] * e
-        h = metric_action(a, g32.matrix())
+        h = metric_action(a, g32.matrix)
         lhs, rhs = modified_inequality_check(h, g32)
         tol = 1e-8 + 1e-2 * abs(rhs)
         margins.append(lhs - rhs + tol)
@@ -366,7 +367,7 @@ def suite_teich(seed):
 
     c = 1.4
     a0 = np.broadcast_to(c * ID2, (grid.ny, grid.nx, 2, 2)).copy()
-    target = c * c * h0.matrix()
+    target = c * c * h0.matrix
     e_hat = partial(fam.e_hat_along, target)
     fd1 = central_difference(e_hat, 0.0, 1e-4, 1)
     cf1 = teich.e_hat_first_derivative(a0, b, h0)
@@ -379,7 +380,7 @@ def suite_teich(seed):
     ht = fam.h_t_matrix(t)
     at = spd_sqrt(inv2(ht) @ target)
     bdot = 2.0 * t * fam.phi0[..., None, None] * ID2 + b
-    aw = np.sqrt(det(ht)) * grid.cell_weights()
+    aw = np.sqrt(det(ht)) * grid.cell_weights
     cft = teich.first_derivative_general(at, bt, bdot, aw)
     checks.append(
         _equal("first_derivative_general", abs(fdt - cft) / max(1.0, abs(cft)), 0.0, 1e-2)
@@ -419,7 +420,7 @@ def _patch(n):
 
 
 def _hessian_pair(patch):
-    xx, yy = patch.grid.meshgrid()
+    xx, yy = patch.grid.meshgrid
     f = 2.0 + 0.3 * np.cos(3.0 * xx) * np.sin(2.0 * yy) + 0.2 * xx * yy
     return f, 0.5 * embedding.codazzi_generator(f, patch)
 
@@ -427,7 +428,7 @@ def _hessian_pair(patch):
 def suite_embed(seed):
     checks = []
     p = _patch(N2)
-    iota = p.nodes()
+    iota = p.nodes
     idf = np.broadcast_to(ID2, iota.shape[:2] + (2, 2)).copy()
     x_id = embedding.integrate_immersion(idf, p, iota[p.base_index], sign=1)
     checks.append(_vanishes("identity_reproduces_hyperboloid", 1e-10, x_id - iota))
@@ -439,7 +440,7 @@ def suite_embed(seed):
         q = _patch(n)
         _, a = _hessian_pair(q)
         pd = embedding.plaquette_defect(2.0 * a, q)
-        xq = embedding.integrate_immersion(2.0 * a, q, q.nodes()[q.base_index])
+        xq = embedding.integrate_immersion(2.0 * a, q, q.nodes[q.base_index])
         ime = embedding.induced_metric_error(xq, 2.0 * a, q)
         return pd, ime
 
@@ -458,7 +459,7 @@ def suite_embed(seed):
 
     po = _patch(65)
     ido = np.broadcast_to(ID2, (65, 65, 2, 2)).copy()
-    xo = embedding.integrate_immersion(ido, po, po.nodes()[po.base_index], sign=1)
+    xo = embedding.integrate_immersion(ido, po, po.nodes[po.base_index], sign=1)
     _, res_boost = embedding.equivariance_residual(
         xo, embedding.Isometry21.boost(0.1), ido, po
     )
@@ -466,11 +467,11 @@ def suite_embed(seed):
 
     def rot_resid(n):
         q = _patch(n)
-        xx, yy = q.grid.meshgrid()
+        xx, yy = q.grid.meshgrid
         r2 = xx**2 + yy**2
         f = 2.0 + 0.5 * r2 + 0.3 * r2**2
         a = 0.5 * embedding.codazzi_generator(f, q)
-        xq = embedding.integrate_immersion(a, q, q.nodes()[q.base_index])
+        xq = embedding.integrate_immersion(a, q, q.nodes[q.base_index])
         _, r = embedding.equivariance_residual(
             xq, embedding.Isometry21.rotation(0.4), a, q
         )
@@ -593,7 +594,7 @@ def suite_diagnostics(seed):
 
     def control_resid(n):
         grid = Grid(n, n, 1.0, 1.0, "dirichlet")
-        xx, _ = grid.meshgrid()
+        xx, _ = grid.meshgrid
         a = np.broadcast_to(ID2, (n, n, 2, 2)).copy()
         a[..., 1, 1] = 1.0 + 0.5 * xx
         return diagnostics.alpha_harmonic_residual(a, ConformalMetric.flat(grid))
@@ -610,9 +611,9 @@ def suite_diagnostics(seed):
     lhs, rhs = diagnostics.energy_identity_check(a_spd, g)
     checks.append(_equal("energy_identity_relative", abs(lhs - rhs) / abs(rhs), 0.0, 1e-10))
 
-    e_base = diagnostics.map_energy(g, g.matrix())
+    e_base = diagnostics.map_energy(g, g.matrix)
     g_scaled = ConformalMetric(g.grid, g.phi + 0.37)
-    e_scaled = diagnostics.map_energy(g_scaled, g.matrix())
+    e_scaled = diagnostics.map_energy(g_scaled, g.matrix)
     checks.append(
         _equal("map_energy_conformal_invariance", abs(e_base - e_scaled) / e_base, 0.0, 1e-12)
     )

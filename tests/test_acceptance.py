@@ -92,7 +92,7 @@ def test_criterion_04_second_variation(energy_suite):
     rel = checks["second_variation_fd_relative"]["lhs"]
     g = _disk(64)
     assert np.max(curvature(g)) < 0.0
-    h = 2.25 * g.matrix()
+    h = 2.25 * g.matrix
     values = [
         second_variation(h, g, random_displacement(g.grid, rng_for(41 + k), kmax=2))
         for k in range(20)
@@ -233,7 +233,7 @@ def test_criterion_12_cli_determinism(tmp_path):
 
     # failure injections exercising the exit contract
     g = poincare_disk(Grid(16, 16, 0.8, 0.8, "dirichlet"))
-    xx, yy = g.grid.meshgrid()
+    xx, yy = g.grid.meshgrid
     a = np.broadcast_to(ID2, (16, 16, 2, 2)).copy()
     a[..., 0, 0] += 2.0 * np.sin(5 * xx) * np.cos(4 * yy)
     fileio.save_field(tmp_path / "inject.json", g, endo=a)

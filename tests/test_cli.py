@@ -51,7 +51,7 @@ def test_verify_failure_injection_exits_one(tmp_path, capsys):
     # an endo far from Codazzi on the input metric fails the input check
     grid = Grid(16, 16, 0.8, 0.8, "dirichlet")
     g = poincare_disk(grid)
-    xx, yy = grid.meshgrid()
+    xx, yy = grid.meshgrid
     a = np.broadcast_to(ID2, (16, 16, 2, 2)).copy()
     a[..., 0, 0] += 2.0 * np.sin(5 * xx) * np.cos(4 * yy)
     path = tmp_path / "inject.json"
@@ -83,7 +83,7 @@ def test_solve_refuses_flat_background(tmp_path, capsys):
     gpath = tmp_path / "flat.json"
     fileio.save_field(gpath, flat)
     hpath = tmp_path / "h.json"
-    fileio.save_field(hpath, flat, h=2.0 * flat.matrix())
+    fileio.save_field(hpath, flat, h=2.0 * flat.matrix)
     assert run_cli("solve", "--g", gpath, "--h", hpath) == 1
     assert "negatively curved" in capsys.readouterr().err
 
@@ -94,7 +94,7 @@ def test_solve_refuses_non_spd_h_naming_file_key_and_node(tmp_path, capsys, entr
     gpath = tmp_path / "g.json"
     fileio.save_field(gpath, g)
     hpath = tmp_path / "badh.json"
-    fileio.save_field(hpath, g, h=g.matrix())
+    fileio.save_field(hpath, g, h=g.matrix)
     doc = json.loads(hpath.read_text())
     for entry, value in entries.items():
         doc["h"][4 * 16 + 9][entry] = value
@@ -224,7 +224,7 @@ def test_embed_nan_codazzi_residual_is_refused(tmp_path, capsys, monkeypatch):
 def test_embed_refuses_non_codazzi_naming_residual(tmp_path, capsys):
     grid = Grid(17, 17, 0.8, 0.8, "dirichlet")
     patch = embedding.HyperboloidPatch(grid)
-    xx, yy = grid.meshgrid()
+    xx, yy = grid.meshgrid
     a = np.broadcast_to(ID2, (17, 17, 2, 2)).copy()
     a[..., 0, 0] += 1.5 * np.sin(5 * xx) * np.cos(4 * yy)
     path = tmp_path / "nc.json"
@@ -297,6 +297,8 @@ def test_flags_a_subcommand_does_not_read_are_usage_errors(tmp_path, monkeypatch
         ("verify", "--suite", "jcalc", "--tol", "nan"),
         ("embed", "--endo", "{f}", "--tol", "nan"),
         ("embed", "--endo", "{f}", "--tol", "-0.05"),
+        ("solve", "--nx", "16", "--manufactured-seed", "-3"),
+        *[("verify", "--suite", suite, "--seed", "-1") for suite in verify.SUITE_NAMES + ("all",)],
     ],
 )
 def test_out_of_range_flag_values_are_usage_errors(tmp_path, monkeypatch, capsys, argv):
@@ -339,7 +341,7 @@ def test_embed_refuses_a_phi_other_than_the_charts_disk_metric(tmp_path, capsys,
 def test_solve_refuses_an_h_file_on_another_chart_with_the_same_node_counts(tmp_path, capsys):
     other = poincare_disk(Grid(16, 16, 0.6, 0.8, "dirichlet"))
     hpath = tmp_path / "h.json"
-    fileio.save_field(hpath, other, h=other.matrix())
+    fileio.save_field(hpath, other, h=other.matrix)
     assert run_cli("solve", "--h", hpath, "--nx", "16", "--out", tmp_path / "s") == 2
     err = capsys.readouterr().err
     assert "h.json" in err and "lx=0.6" in err and "lx=0.8" in err
@@ -361,7 +363,7 @@ def test_solve_refuses_an_h_file_whose_phi_is_not_the_backgrounds(
     if shift is not None:
         phi[3, 12] += shift * (1.0 + abs(phi[3, 12]))
     hpath = tmp_path / "otherphi.json"
-    fileio.save_field(hpath, ConformalMetric(g.grid, phi), h=2.25 * g.matrix())
+    fileio.save_field(hpath, ConformalMetric(g.grid, phi), h=2.25 * g.matrix)
     assert run_cli("solve", "--h", hpath, "--nx", "16", "--out", tmp_path / "s") == code
     assert (tmp_path / "s_report.json").exists() == (code == 0)
     if code:
@@ -394,7 +396,7 @@ def test_solve_refuses_h_together_with_a_manufactured_seed(tmp_path, capsys):
     # the manufactured run builds its own target and would ignore the file
     g = poincare_disk(Grid(16, 16, 0.8, 0.8, "dirichlet"))
     hpath = tmp_path / "h.json"
-    fileio.save_field(hpath, g, h=2.25 * g.matrix())
+    fileio.save_field(hpath, g, h=2.25 * g.matrix)
     with pytest.raises(SystemExit) as exc:
         run_cli("solve", "--manufactured-seed", "0", "--h", hpath, "--nx", "16",
                 "--out", tmp_path / "s")
@@ -415,7 +417,7 @@ def test_solve_manufactured_refuses_a_g_whose_phi_is_not_the_disk_metric(
     # so a background with phi = Poincare + 0.3 x would be solved against a
     # target built for another metric
     grid = Grid(16, 16, 0.8, 0.8, "dirichlet")
-    xx, _ = grid.meshgrid()
+    xx, _ = grid.meshgrid
     gpath = tmp_path / "tilted.json"
     fileio.save_field(gpath, ConformalMetric(grid, poincare_disk(grid).phi + tilt * xx))
     prefix = tmp_path / "s"
@@ -447,7 +449,7 @@ def test_solve_refuses_a_chart_naming_the_file_and_the_grid(
     gpath = tmp_path / "chart.json"
     if metric is not None:
         g = metric(grid)
-        fileio.save_field(gpath, g, h=2.25 * g.matrix())
+        fileio.save_field(gpath, g, h=2.25 * g.matrix)
     prefix = tmp_path / "s"
     assert run_cli("solve", *(a.format(g=gpath) for a in argv), "--out", prefix) == 2
     named = "" if metric is None else f"{gpath}: "
@@ -461,27 +463,27 @@ def refused_files(tmp_path_factory):
     d = tmp_path_factory.mktemp("refused")
     grid16 = Grid(16, 16, 0.8, 0.8, "dirichlet")
     disk16 = poincare_disk(grid16)
-    xx16, _ = grid16.meshgrid()
+    xx16, _ = grid16.meshgrid
     grid17 = Grid(17, 17, 0.8, 0.8, "dirichlet")
     disk17 = poincare_disk(grid17)
-    xx17, yy17 = grid17.meshgrid()
+    xx17, yy17 = grid17.meshgrid
     idf17 = np.broadcast_to(ID2, (17, 17, 2, 2))
 
     def save(name, g, **payload):
         fileio.save_field(d / name, g, **payload)
 
     save("disk16.json", disk16)
-    save("h16.json", disk16, h=2.25 * disk16.matrix())
+    save("h16.json", disk16, h=2.25 * disk16.matrix)
     doc = json.loads((d / "h16.json").read_text())
     (d / "truncated.json").write_text(json.dumps(dict(doc, phi=doc["phi"][:-3])))
     doc["h"][4 * 16 + 9] = [1.0, 2.0, 1.0]
     (d / "nonspd.json").write_text(json.dumps(doc))
     (d / "notjson.json").write_text("{")
     other = poincare_disk(Grid(16, 16, 0.6, 0.8, "dirichlet"))
-    save("othergrid.json", other, h=other.matrix())
+    save("othergrid.json", other, h=other.matrix)
     phi = disk16.phi.copy()
     phi[3, 12] += 1e-9 * (1.0 + abs(phi[3, 12]))
-    save("otherphi_h.json", ConformalMetric(grid16, phi), h=2.25 * disk16.matrix())
+    save("otherphi_h.json", ConformalMetric(grid16, phi), h=2.25 * disk16.matrix)
     save("tilted.json", ConformalMetric(grid16, disk16.phi + 0.3 * xx16))
     phi = disk17.phi.copy()
     phi[5, 11] = np.nan
@@ -501,9 +503,9 @@ def refused_files(tmp_path_factory):
     a[..., 0, 0] += 1.5 * np.sin(5 * xx17) * np.cos(4 * yy17)
     save("noncodazzi.json", disk17, endo=a)
     flat16 = ConformalMetric.flat(grid16)
-    save("flat16.json", flat16, h=2.0 * flat16.matrix())
+    save("flat16.json", flat16, h=2.0 * flat16.matrix)
     periodic_disk = poincare_disk(periodic.grid)
-    save("periodic_disk.json", periodic_disk, h=2.25 * periodic_disk.matrix())
+    save("periodic_disk.json", periodic_disk, h=2.25 * periodic_disk.matrix)
     return d
 
 

@@ -52,7 +52,7 @@ def files(tmp_path_factory):
     d = tmp_path_factory.mktemp("contract")
     g = poincare_disk(Grid(_N, _N, 0.8, 0.8, "dirichlet"))
     valid = d / "valid.json"
-    fileio.save_field(valid, g, h=g.matrix(), endo=np.broadcast_to(ID2, (_N, _N, 2, 2)))
+    fileio.save_field(valid, g, h=g.matrix, endo=np.broadcast_to(ID2, (_N, _N, 2, 2)))
     return d, valid, json.loads(valid.read_text())
 
 

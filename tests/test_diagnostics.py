@@ -43,7 +43,7 @@ def test_alpha_harmonic_negative_control():
     # alpha-harmonic residual must stay bounded away from zero
     def resid(n):
         grid = Grid(n, n, 1.0, 1.0, "dirichlet")
-        xx, _ = grid.meshgrid()
+        xx, _ = grid.meshgrid
         a = np.broadcast_to(ID2, (n, n, 2, 2)).copy()
         a[..., 1, 1] = 1.0 + 0.5 * xx
         return diagnostics.alpha_harmonic_residual(a, ConformalMetric.flat(grid))
@@ -60,9 +60,9 @@ def test_energy_identity():
 
 def test_map_energy_is_conformally_invariant_in_the_source():
     g = _disk(48)
-    e0 = diagnostics.map_energy(g, g.matrix())
+    e0 = diagnostics.map_energy(g, g.matrix)
     g2 = ConformalMetric(g.grid, g.phi + 0.37)
-    e1 = diagnostics.map_energy(g2, g.matrix())
+    e1 = diagnostics.map_energy(g2, g.matrix)
     assert abs(e0 - e1) / e0 < 1e-12
 
 

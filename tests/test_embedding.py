@@ -1,5 +1,7 @@
 """Immersion construction on the hyperboloid patch and its isometry group."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,14 +16,14 @@ def _patch(n, l=0.8):
 
 
 def _hessian_field(patch, scale=1.0):
-    xx, yy = patch.grid.meshgrid()
+    xx, yy = patch.grid.meshgrid
     f = 2.0 + 0.3 * np.cos(3.0 * xx) * np.sin(2.0 * yy) + 0.2 * xx * yy
     return f, scale * embedding.codazzi_generator(f, patch)
 
 
 def test_patch_nodes_lie_on_hyperboloid():
     p = _patch(33)
-    iota = p.nodes()
+    iota = p.nodes
     q = embedding.mdot(iota, iota)
     assert np.max(np.abs(q + 1.0)) < 1e-12
     assert np.min(iota[..., 2]) > 0.0
@@ -29,16 +31,18 @@ def test_patch_nodes_lie_on_hyperboloid():
 
 def test_patch_nodes_are_cached_read_only_and_equal_a_fresh_computation():
     p = embedding.HyperboloidPatch(Grid(24, 17, 0.8, 0.6, "dirichlet"))
-    nodes = p.nodes()
-    assert p.nodes() is nodes
+    nodes = p.nodes
+    assert p.nodes is nodes
     assert not nodes.flags.writeable
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.nodes = None
     fresh = embedding._disk_immersion(*np.meshgrid(p.grid.x, p.grid.y))
     assert nodes.shape == fresh.shape and nodes.tobytes() == fresh.tobytes()
 
 
 def test_identity_field_reproduces_hyperboloid():
     p = _patch(33)
-    iota = p.nodes()
+    iota = p.nodes
     idf = np.broadcast_to(ID2, iota.shape[:2] + (2, 2)).copy()
     x = embedding.integrate_immersion(idf, p, iota[p.base_index], sign=1)
     assert np.max(np.abs(x - iota)) < 1e-10
@@ -46,7 +50,7 @@ def test_identity_field_reproduces_hyperboloid():
 
 def test_support_function_of_hyperboloid():
     p = _patch(33)
-    iota = p.nodes()
+    iota = p.nodes
     assert np.max(np.abs(embedding.support_function(iota, p) + 1.0)) < 1e-10
 
 
@@ -63,7 +67,7 @@ def test_induced_metric_error_converges():
     def err(n):
         q = _patch(n)
         _, a = _hessian_field(q)
-        x = embedding.integrate_immersion(a, q, q.nodes()[q.base_index])
+        x = embedding.integrate_immersion(a, q, q.nodes[q.base_index])
         return embedding.induced_metric_error(x, a, q)
 
     assert err(32) / err(64) > 3.5
@@ -82,7 +86,7 @@ def test_support_pair_sums_to_f():
 def test_equivariance_under_boost():
     p = _patch(65)
     idf = np.broadcast_to(ID2, (65, 65, 2, 2)).copy()
-    x = embedding.integrate_immersion(idf, p, p.nodes()[p.base_index], sign=1)
+    x = embedding.integrate_immersion(idf, p, p.nodes[p.base_index], sign=1)
     _, res = embedding.equivariance_residual(
         x, embedding.Isometry21.boost(0.1), idf, p
     )
@@ -91,7 +95,7 @@ def test_equivariance_under_boost():
 
 def test_convexity_of_hyperboloid():
     p = _patch(33)
-    x = p.nodes()
+    x = p.nodes
     spacelike, definite, side = embedding.convexity_check(x, p)
     assert spacelike and definite and side == "future"
 
@@ -118,7 +122,7 @@ def test_isometries_preserve_minkowski_form():
 
 def test_certify_codazzi_rejects_non_codazzi():
     p = _patch(33)
-    xx, yy = p.grid.meshgrid()
+    xx, yy = p.grid.meshgrid
     a = np.broadcast_to(ID2, (33, 33, 2, 2)).copy()
     a[..., 0, 0] += 0.4 * np.sin(3 * xx) * np.cos(2 * yy)
     r = codazzi_residual(a, p.metric)
@@ -127,7 +131,7 @@ def test_certify_codazzi_rejects_non_codazzi():
         embedding.certify_codazzi(a, p, 1e-3)
     assert embedding.certify_codazzi(a, p, r) == r
     # the integration itself certifies nothing
-    x = embedding.integrate_immersion(a, p, p.nodes()[p.base_index])
+    x = embedding.integrate_immersion(a, p, p.nodes[p.base_index])
     assert np.all(np.isfinite(x))
 
 
@@ -148,14 +152,14 @@ def test_integrate_immersion_rejects_non_symmetric_or_non_finite(defect):
     else:
         a[8, 3, 0, 1] += 1e-6
     with pytest.raises(ValueError, match="non-symmetric or non-finite"):
-        embedding.integrate_immersion(a, p, p.nodes()[p.base_index])
+        embedding.integrate_immersion(a, p, p.nodes[p.base_index])
 
 
 def test_integrate_immersion_refuses_a_sign_other_than_one():
     p = _patch(17)
     a = np.broadcast_to(ID2, (17, 17, 2, 2)).copy()
     with pytest.raises(ValueError, match="sign must be \\+1 or -1"):
-        embedding.integrate_immersion(a, p, p.nodes()[p.base_index], sign=2)
+        embedding.integrate_immersion(a, p, p.nodes[p.base_index], sign=2)
 
 
 def test_isometry_refuses_an_improper_linear_part():
@@ -167,7 +171,7 @@ def test_isometry_refuses_an_improper_linear_part():
 def test_equivariance_refuses_an_isometry_that_moves_the_patch_off_itself():
     p = _patch(17)
     idf = np.broadcast_to(ID2, (17, 17, 2, 2)).copy()
-    x = embedding.integrate_immersion(idf, p, p.nodes()[p.base_index])
+    x = embedding.integrate_immersion(idf, p, p.nodes[p.base_index])
     with pytest.raises(ValueError, match="insufficient overlap"):
         embedding.equivariance_residual(x, embedding.Isometry21.boost(3.0), idf, p)
 
@@ -175,8 +179,8 @@ def test_equivariance_refuses_an_isometry_that_moves_the_patch_off_itself():
 def test_convexity_of_the_past_hyperboloid_and_of_a_saddle():
     p = _patch(33)
     idf = np.broadcast_to(ID2, (33, 33, 2, 2)).copy()
-    past = embedding.integrate_immersion(idf, p, -p.nodes()[p.base_index], sign=-1)
+    past = embedding.integrate_immersion(idf, p, -p.nodes[p.base_index], sign=-1)
     assert embedding.convexity_check(past, p) == (True, True, "past")
-    xx, yy = p.grid.meshgrid()
+    xx, yy = p.grid.meshgrid
     saddle = np.stack([xx, yy, 0.5 * (xx**2 - yy**2)], axis=-1)
     assert embedding.convexity_check(saddle, p) == (True, False, "mixed")

@@ -37,25 +37,25 @@ def disk64():
 
 def test_field_A_reproduces_target_metric(disk64):
     g = disk64
-    h = metric_action(trig_spd(g.grid, rng_for(1), amp=0.15), g.matrix())
+    h = metric_action(trig_spd(g.grid, rng_for(1), amp=0.15), g.matrix)
     a = field_A(h, g)
-    assert np.max(np.abs(metric_action(a, g.matrix()) - h)) < 1e-11
+    assert np.max(np.abs(metric_action(a, g.matrix) - h)) < 1e-11
 
 
 def test_energy_of_conformal_pair_is_exact(disk64):
     g = disk64
     # h = c^2 g gives A = c Id, sigma = c sqrt(2), energy = c sqrt(2) area
     c = 1.7
-    val = energy(c * c * g.matrix(), g)
+    val = energy(c * c * g.matrix, g)
     assert val == pytest.approx(np.sqrt(2.0) * c * g.area(), rel=1e-12)
-    assert trace_energy(c * c * g.matrix(), g) == pytest.approx(
+    assert trace_energy(c * c * g.matrix, g) == pytest.approx(
         2.0 * c * g.area(), rel=1e-12
     )
 
 
 def test_gradient_vanishes_at_conformal_target(disk64):
     g = disk64
-    assert np.max(np.abs(energy_gradient(2.25 * g.matrix(), g))) < 1e-10
+    assert np.max(np.abs(energy_gradient(2.25 * g.matrix, g))) < 1e-10
 
 
 @pytest.mark.parametrize("topology", ["dirichlet", "periodic"])
@@ -63,14 +63,14 @@ def test_gradient_is_exactly_minus_J_div_AJ(topology):
     # energy_gradient reads the columns of A instead of forming A J; the
     # arithmetic is the same, so the two routes agree bit for bit
     g = poincare_disk(Grid(32, 32, 0.8, 0.8, topology))
-    h = metric_action(trig_spd(g.grid, rng_for(5), amp=0.15), g.matrix())
+    h = metric_action(trig_spd(g.grid, rng_for(5), amp=0.15), g.matrix)
     expected = -apply_J(div_endo(field_A(h, g) @ J, g))
     assert np.array_equal(energy_gradient(h, g), expected)
 
 
 def test_flow_derivative_matches_weak_gradient(disk64):
     g = disk64
-    h = metric_action(trig_spd(g.grid, rng_for(13), amp=0.12, kmax=1), g.matrix())
+    h = metric_action(trig_spd(g.grid, rng_for(13), amp=0.12, kmax=1), g.matrix)
     x = bump(g.grid)[..., None] ** 2 * energy_gradient(h, g)
     x = 0.3 * x / np.max(np.abs(x))
     fd = flow_derivative_fd(h, g, x)
@@ -80,7 +80,7 @@ def test_flow_derivative_matches_weak_gradient(disk64):
 
 def test_second_variation_positive_under_negative_curvature(disk64):
     g = disk64
-    h = 2.25 * g.matrix()
+    h = 2.25 * g.matrix
     for k in range(5):
         x = random_displacement(g.grid, rng_for(60 + k), kmax=2)
         assert second_variation(h, g, x) > 0.0
@@ -109,7 +109,7 @@ def test_correction_G_matches_curvature_route(disk64):
         g = poincare_disk(Grid(n, n, 0.8, 0.8, "dirichlet"))
         a = np.broadcast_to(1.4 * ID2, (n, n, 2, 2)).copy()
         a = a + tracefree_codazzi_conformal(g, rng_for(77), amp=0.2)
-        h = metric_action(a, g.matrix())
+        h = metric_action(a, g.matrix)
         d = correction_G(h, g) - correction_G_oracle(h, g)
         return float(np.max(np.abs(d[g.grid.interior(max(3, n // 8))])))
 
@@ -124,7 +124,7 @@ def test_correction_G_matches_curvature_route_off_codazzi(seed):
     def gap_and_size(n):
         g = poincare_disk(Grid(n, n, 0.8, 0.8, "dirichlet"))
         a = trig_spd(g.grid, rng_for(seed), amp=0.2, kmax=1)
-        h = metric_action(a, g.matrix())
+        h = metric_action(a, g.matrix)
         G = correction_G(h, g)
         inner = g.grid.interior(n // 8)
         d = G - correction_G_oracle(h, g)
@@ -143,7 +143,7 @@ def test_modified_inequality_on_seeded_configs():
         e = trig_endo(g.grid, rng_for(500 + k), amp=0.2)
         e = 0.5 * (e + np.swapaxes(e, -1, -2))
         a = np.broadcast_to(ID2, e.shape).copy() + cut[..., None, None] * e
-        h = metric_action(a, g.matrix())
+        h = metric_action(a, g.matrix)
         lhs, rhs = modified_inequality_check(h, g)
         assert lhs >= rhs - (1e-8 + 1e-2 * abs(rhs))
 
@@ -155,7 +155,7 @@ def test_modified_inequality_equals_the_public_gradient_and_correction():
         e = trig_endo(g.grid, rng_for(500 + k), amp=0.2)
         e = 0.5 * (e + np.swapaxes(e, -1, -2))
         a = np.broadcast_to(ID2, e.shape).copy() + cut[..., None, None] * e
-        h = metric_action(a, g.matrix())
+        h = metric_action(a, g.matrix)
         ge = energy_gradient(h, g)
         y = np.einsum("...kj,...j->...k", inv2(field_A(h, g)), ge)
         w = g.conformal_factor

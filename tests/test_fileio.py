@@ -15,7 +15,7 @@ from codazzi.randfields import rng_for, trig_endo, trig_spd, trig_vector
 def sample(tmp_path):
     grid = Grid(12, 10, 0.8, 0.6, "dirichlet")
     g = poincare_disk(grid)
-    h = metric_action(trig_spd(grid, rng_for(1), amp=0.15), g.matrix())
+    h = metric_action(trig_spd(grid, rng_for(1), amp=0.15), g.matrix)
     endo = trig_endo(grid, rng_for(2), amp=0.3)
     x = trig_vector(grid, rng_for(3), amp=0.2)
     return tmp_path, grid, g, h, endo, x

@@ -1,5 +1,6 @@
 """Grids, conformal metrics and covariant operators on discretized charts."""
 
+import dataclasses
 import gc
 import weakref
 
@@ -62,13 +63,13 @@ def test_grid_rejects_non_finite_or_non_positive_extents(lx, ly):
 def test_cell_weights_sum_to_chart_area():
     grid = Grid(24, 40, 1.3, 0.7, "dirichlet")
     # trapezoid weights: total mass equals the physical area lx * ly
-    assert np.sum(grid.cell_weights()) == pytest.approx(1.3 * 0.7, rel=1e-12)
+    assert np.sum(grid.cell_weights) == pytest.approx(1.3 * 0.7, rel=1e-12)
 
 
 def test_flat_metric_integration_is_trapezoid():
     grid = Grid(64, 64, 1.0, 1.0, "dirichlet")
     flat = ConformalMetric.flat(grid)
-    xx, yy = grid.meshgrid()
+    xx, yy = grid.meshgrid
     val = flat.integrate(xx**2 + yy**2)
     # int over [-1/2,1/2]^2 of x^2+y^2 = 1/6, trapezoid is O(h^2) accurate
     assert val == pytest.approx(1.0 / 6.0, abs=2e-4)
@@ -99,8 +100,8 @@ def _periodic(n, seed=0):
 def test_div_vec_two_routes_converge():
     def gap(n):
         grid, g = _periodic(n)
-        x = np.stack([np.cos(2 * np.pi * grid.meshgrid()[0]),
-                      np.sin(2 * np.pi * grid.meshgrid()[1])], axis=-1)
+        x = np.stack([np.cos(2 * np.pi * grid.meshgrid[0]),
+                      np.sin(2 * np.pi * grid.meshgrid[1])], axis=-1)
         return float(np.max(np.abs(div_vec(x, g) - div_vec_oracle(x, g))))
 
     assert gap(32) / gap(64) > 3.4
@@ -150,14 +151,14 @@ def test_dnabla_endo_is_div_endo_of_aJ_bit_for_bit(topology):
 def test_hessian_endo_of_linear_function_vanishes():
     grid = Grid(32, 32, 1.0, 1.0, "dirichlet")
     flat = ConformalMetric.flat(grid)
-    xx, yy = grid.meshgrid()
+    xx, yy = grid.meshgrid
     hess = hessian_endo(0.3 * xx - 0.7 * yy, flat)
     assert np.max(np.abs(hess[grid.interior(2)])) < 1e-12
 
 
 def test_grad_of_radial_function_is_radial():
     g = poincare_disk(Grid(48, 48, 0.6, 0.6, "dirichlet"))
-    xx, yy = g.grid.meshgrid()
+    xx, yy = g.grid.meshgrid
     v = grad(xx**2 + yy**2, g)
     # gradient of r^2 points along the position vector
     cross = v[..., 0] * yy - v[..., 1] * xx
@@ -167,7 +168,7 @@ def test_grad_of_radial_function_is_radial():
 def test_brioschi_matches_conformal_curvature():
     def gap(n):
         _, g = _periodic(n, seed=5)
-        d = brioschi_curvature(g.grid, g.matrix()) - curvature(g)
+        d = brioschi_curvature(g.grid, g.matrix) - curvature(g)
         return float(np.max(np.abs(d[g.grid.interior(3)])))
 
     assert gap(32) / gap(64) > 3.4
@@ -175,7 +176,7 @@ def test_brioschi_matches_conformal_curvature():
 
 def _wave(grid):
     """A smooth test field with two components, and its exact x and y derivatives."""
-    xx, yy = grid.meshgrid()
+    xx, yy = grid.meshgrid
     u, v = 2 * np.pi * xx + 0.3, 4 * np.pi * yy - 0.2
     f = np.stack([np.sin(u) * np.cos(v), np.cos(u + v)], axis=-1)
     fx = np.stack([2 * np.pi * np.cos(u) * np.cos(v), -2 * np.pi * np.sin(u + v)], axis=-1)
@@ -310,7 +311,7 @@ def test_order2_taps_are_ddx_and_ddy_bit_for_bit(grid):
 
 
 def _christoffels(g):
-    dphi = np.stack(g.phi_derivs(), axis=-1)
+    dphi = np.stack(g.phi_derivs, axis=-1)
     eye = np.eye(2)
     return (np.einsum("ki,...j->...kij", eye, dphi)
             + np.einsum("kj,...i->...kij", eye, dphi)
@@ -392,12 +393,12 @@ def _cache_metric(topology):
 def _cached(g):
     """Every derived array of ``g`` and its grid, by name."""
     grid = g.grid
-    xx, yy = grid.meshgrid()
-    px, py = g.phi_derivs()
+    xx, yy = grid.meshgrid
+    px, py = g.phi_derivs
     return {
         "x": grid.x, "y": grid.y, "meshgrid X": xx, "meshgrid Y": yy,
-        "cell_weights": grid.cell_weights(), "phi": g.phi,
-        "conformal_factor": g.conformal_factor, "matrix": g.matrix(),
+        "cell_weights": grid.cell_weights, "phi": g.phi,
+        "conformal_factor": g.conformal_factor, "matrix": g.matrix,
         "inverse_factor": g.inverse_factor, "phi_x": px, "phi_y": py,
     }
 
@@ -440,7 +441,7 @@ def test_repeat_calls_return_the_same_cached_arrays(topology):
     for name, value in first.items():
         assert again[name] is value, name
     # the meshgrid is two broadcast views of the node coordinates
-    xx, yy = g.grid.meshgrid()
+    xx, yy = g.grid.meshgrid
     assert np.shares_memory(xx, g.grid.x) and np.shares_memory(yy, g.grid.y)
 
 
@@ -450,6 +451,16 @@ def test_cached_arrays_are_read_only(topology):
         with pytest.raises(ValueError, match="read-only"):
             value[(0,) * value.ndim] = 1.0
         assert not value.flags.writeable, name
+
+
+@pytest.mark.parametrize("topology", ["periodic", "dirichlet"])
+def test_derived_geometry_attributes_cannot_be_rebound(topology):
+    g = _cache_metric(topology)
+    for obj, name in [(g.grid, "meshgrid"), (g.grid, "cell_weights"), (g, "matrix"),
+                      (g, "phi_derivs")]:
+        getattr(obj, name)  # cached first, so a write would replace a computed value
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, None)
 
 
 @pytest.mark.parametrize("topology", ["periodic", "dirichlet"])

@@ -46,7 +46,7 @@ def test_importing_the_package_loads_no_scipy():
 
 def test_embed_runs_without_loading_scipy(tmp_path):
     patch = embedding.HyperboloidPatch(Grid(16, 16, 0.8, 0.8, "dirichlet"))
-    xx, yy = patch.grid.meshgrid()
+    xx, yy = patch.grid.meshgrid
     endo = 0.5 * embedding.codazzi_generator(2.0 + 0.1 * np.sin(xx) * np.cos(yy), patch)
     path = tmp_path / "field.json"
     fileio.save_field(path, patch.metric, endo=endo)

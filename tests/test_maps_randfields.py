@@ -32,7 +32,7 @@ def test_interpolator_reproduces_node_values():
     grid = Grid(32, 32, 1.0, 1.0, "dirichlet")
     vals = trig_scalar(grid, rng_for(5), amp=0.4)
     interp = FieldInterpolator(grid, vals)
-    xx, yy = grid.meshgrid()
+    xx, yy = grid.meshgrid
     pts = np.stack([xx, yy], axis=-1)
     assert np.max(np.abs(interp(pts) - vals)) < 1e-12
 
@@ -40,7 +40,7 @@ def test_interpolator_reproduces_node_values():
 def test_interpolator_cubic_accuracy():
     def err(n):
         grid = Grid(n, n, 1.0, 1.0, "dirichlet")
-        xx, yy = grid.meshgrid()
+        xx, yy = grid.meshgrid
         interp = FieldInterpolator(grid, np.sin(3 * xx) * np.cos(2 * yy))
         pts = np.stack([0.3 * xx, 0.3 * yy + 0.1], axis=-1)
         ref = np.sin(3 * pts[..., 0]) * np.cos(2 * pts[..., 1])
@@ -71,7 +71,7 @@ def _oracle_points(grid, rng):
     """Nodes, random interior points, edges, corners and points inside the pad."""
     x0, x1 = grid.x[0], grid.x[-1]
     y0, y1 = grid.y[0], grid.y[-1]
-    xx, yy = grid.meshgrid()
+    xx, yy = grid.meshgrid
     nodes = np.stack([xx, yy], axis=-1).reshape(-1, 2)
     interior = np.column_stack([rng.uniform(x0, x1, 200), rng.uniform(y0, y1, 200)])
     s = np.linspace(0.0, 1.0, 9)
@@ -148,16 +148,16 @@ def test_trig_spd_refuses_an_amplitude_that_leaves_the_spd_cone():
 def test_pullback_by_zero_displacement_is_identity():
     grid = Grid(24, 24, 1.0, 1.0, "dirichlet")
     g = poincare_disk(grid)
-    hi = FieldInterpolator(grid, g.matrix())
+    hi = FieldInterpolator(grid, g.matrix)
     x = np.zeros((24, 24, 2))
-    assert np.max(np.abs(pullback_metric(grid, hi, x) - g.matrix())) < 1e-12
+    assert np.max(np.abs(pullback_metric(grid, hi, x) - g.matrix)) < 1e-12
 
 
 def test_pullback_detects_fold_over():
     grid = Grid(24, 24, 1.0, 1.0, "dirichlet")
     g = poincare_disk(grid)
-    hi = FieldInterpolator(grid, g.matrix())
-    xx, _ = grid.meshgrid()
+    hi = FieldInterpolator(grid, g.matrix)
+    xx, _ = grid.meshgrid
     # displacement u = -2x folds the chart over itself
     x = np.stack([-2.0 * xx, np.zeros_like(xx)], axis=-1)
     with pytest.raises(FoldOverError):
@@ -166,7 +166,7 @@ def test_pullback_detects_fold_over():
 
 def test_map_jacobian_of_linear_displacement():
     grid = Grid(24, 24, 1.0, 1.0, "dirichlet")
-    xx, yy = grid.meshgrid()
+    xx, yy = grid.meshgrid
     x = np.stack([0.1 * xx + 0.2 * yy, -0.3 * xx], axis=-1)
     jac = map_jacobian(grid, x, t=1.0)
     ref = np.array([[1.1, 0.2], [-0.3, 1.0]])
@@ -175,7 +175,7 @@ def test_map_jacobian_of_linear_displacement():
 
 def _loop_trig_scalar(grid, rng, kmax=2, amp=1.0):
     """One sum of four modes, one mode at a time on the meshgrid: the generators' oracle."""
-    xx, yy = grid.meshgrid()
+    xx, yy = grid.meshgrid
     out = np.zeros((grid.ny, grid.nx))
     for _ in range(4):
         kx = rng.integers(-kmax, kmax + 1)

@@ -28,7 +28,7 @@ def _pullback_of_nan_displacement():
     grid = Grid(16, 16, 0.8, 0.8, "dirichlet")
     x = np.zeros((16, 16, 2))
     x[8, 8, 0] = np.nan
-    return pullback_metric(grid, FieldInterpolator(grid, poincare_disk(grid).matrix()), x)
+    return pullback_metric(grid, FieldInterpolator(grid, poincare_disk(grid).matrix), x)
 
 
 def _psi_tilde_of_nan_stack():
@@ -64,7 +64,7 @@ def test_positivity_gate_refuses_nan(call, error):
 def _equivariance_of_nan_field():
     patch = embedding.HyperboloidPatch(Grid(33, 33, 0.8, 0.8, "dirichlet"))
     a = np.broadcast_to(ID2, (33, 33, 2, 2)).copy()
-    x = embedding.integrate_immersion(a, patch, patch.nodes()[patch.base_index])
+    x = embedding.integrate_immersion(a, patch, patch.nodes[patch.base_index])
     a[20, 20, 0, 0] = np.nan
     return embedding.equivariance_residual(x, embedding.Isometry21.rotation(0.4), a, patch)
 
@@ -119,6 +119,16 @@ def test_a_record_helper_fails_on_a_nan_in_any_argument(helper, args, values, fi
         record = helper(*bad)
         assert not record["pass"], i
         assert np.isnan(record[field]) == (i in values), i
+
+
+@pytest.mark.parametrize(
+    "r1, r2, order, ok",
+    [(0.0, 1e-3, -np.inf, False), (np.nan, 0.0, np.nan, False), (1e-3, 0.0, 16.0, True)],
+)
+def test_converging_with_a_zero_residual_writes_a_record(r1, r2, order, ok):
+    record = verify._converging("c", r1, r2)
+    assert record["pass"] == ok
+    np.testing.assert_equal(record["order"], order)
 
 
 def test_maxabs_keeps_a_nan_after_a_number():

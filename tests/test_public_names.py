@@ -4,10 +4,16 @@ A public module-level function or class of ``src/codazzi``, or a public
 method of such a class, must be referenced at least once outside its own
 definition, in ``src/``, ``tests/``, ``demos/`` or ``perfbench/``.  A
 reference is a name or an attribute in the parsed code, so docstrings,
-comments and ``__all__`` strings do not count.  A public method that is not
-a property or cached property counts as used only when some
-``obj.method(...)`` call exists, so a module-level function of the same name
-does not hide it.
+comments and ``__all__`` strings do not count.  A property or cached
+property is read as an attribute, so any reference to its name counts; any
+other public method counts as used only when some ``obj.method(...)`` call
+exists, so a module-level function of the same name does not hide it.
+
+No method of a class in ``src/codazzi`` only returns an attribute of
+``self``: its body may not be, after an optional docstring, the single
+statement ``return self.<attr>``.  A value an object computes once is the
+``cached_property`` itself, read as an attribute, not a method over a
+private cached twin.
 
 A parameter with a default, of any function or method in ``src/codazzi``,
 must be passed by at least one call in the same four trees, by keyword or
@@ -79,6 +85,18 @@ def _public_definitions():
                     if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
                         full = f"{stem}.{node.name}.{item.name}"
                         yield full, item.name, not _is_property(item)
+
+
+def _returns_self_attribute(node):
+    """True for a function whose body, after an optional docstring, is ``return self.<attr>``."""
+    body = node.body[1:] if ast.get_docstring(node) is not None else node.body
+    return (
+        len(body) == 1
+        and isinstance(body[0], ast.Return)
+        and isinstance(body[0].value, ast.Attribute)
+        and isinstance(body[0].value.value, ast.Name)
+        and body[0].value.value.id == "self"
+    )
 
 
 def _references():
@@ -226,6 +244,18 @@ def test_no_public_name_is_unreferenced():
         if name not in (called if needs_call else names)
     ]
     assert not unused, f"public names nothing references: {unused}"
+
+
+def test_no_method_only_returns_an_attribute_of_self():
+    wrappers = [
+        f"{stem}.{cls.name}.{item.name}"
+        for stem, tree in _library_trees()
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for item in cls.body
+        if isinstance(item, ast.FunctionDef) and _returns_self_attribute(item)
+    ]
+    assert not wrappers, f"methods that only return an attribute of self: {wrappers}"
 
 
 def test_every_defaulted_parameter_is_passed_by_some_call():

@@ -65,7 +65,7 @@ def test_refuses_flat_background():
     grid = Grid(16, 16, 0.8, 0.8, "dirichlet")
     flat = ConformalMetric.flat(grid)
     with pytest.raises(CurvatureSignError):
-        newton_solve(flat, 2.0 * flat.matrix(), tol=1e-8)
+        newton_solve(flat, 2.0 * flat.matrix, tol=1e-8)
 
 
 def test_refuses_nan_curvature():
@@ -73,7 +73,7 @@ def test_refuses_nan_curvature():
     grid = Grid(16, 16, 0.8, 0.8, "dirichlet")
     g = ConformalMetric(grid, np.full((16, 16), -400.0))
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(CurvatureSignError):
-        newton_solve(g, poincare_disk(grid).matrix(), tol=1e-8)
+        newton_solve(g, poincare_disk(grid).matrix, tol=1e-8)
 
 
 def test_continuation_raises_curvature_sign_error_without_halving(monkeypatch):
@@ -82,7 +82,7 @@ def test_continuation_raises_curvature_sign_error_without_halving(monkeypatch):
     calls = []
     monkeypatch.setattr(solver, "curvature", lambda g: calls.append(g) or np.zeros(g.phi.shape))
     with pytest.raises(CurvatureSignError):
-        solver.continuation_solve(flat, 2.0 * flat.matrix(), steps=4)
+        solver.continuation_solve(flat, 2.0 * flat.matrix, steps=4)
     assert len(calls) == 1
 
 
@@ -91,7 +91,7 @@ def test_continuation_refuses_fewer_than_one_step(steps):
     # steps=0 used to divide by zero, and steps=-2 marched to t = -0.5, -1.0, ...
     g = poincare_disk(Grid(16, 16, 0.8, 0.8, "dirichlet"))
     with pytest.raises(ValueError, match=r"steps >= 1, got (0|-2|nan)$"):
-        solver.continuation_solve(g, g.matrix(), steps=steps)
+        solver.continuation_solve(g, g.matrix, steps=steps)
 
 
 def test_continuation_ends_at_the_direct_solution(monkeypatch):
@@ -115,7 +115,7 @@ def test_continuation_ends_at_the_direct_solution(monkeypatch):
 def test_trivial_pair_has_zero_solution():
     grid = Grid(16, 16, 0.8, 0.8, "dirichlet")
     g = poincare_disk(grid)
-    x, report = newton_solve(g, 2.25 * g.matrix(), tol=1e-10)
+    x, report = newton_solve(g, 2.25 * g.matrix, tol=1e-10)
     assert np.max(np.abs(x)) < 1e-8
 
 
@@ -240,7 +240,7 @@ def _kron_jacobian_operators(g, idx):
         + scipy.sparse.kron(sy[:, idx], to6[:, [1, 3]])
         + scipy.sparse.kron(eye(ny * nx, format="csr")[:, idx], to6[:, 4:])
     )
-    px, py = (d.ravel()[:, None, None] for d in g.phi_derivs())
+    px, py = (d.ravel()[:, None, None] for d in g.phi_derivs)
     w = np.exp(-2.0 * g.phi).ravel()
     wdiag = scipy.sparse.diags(w)
     L = (
@@ -375,26 +375,25 @@ class _NonFiniteLU:
         return np.full_like(rhs, np.nan)
 
 
-@pytest.mark.parametrize("failure", ["raises", "non-finite step"])
-def test_symmetric_mode_failure_falls_back_to_pivoted_factor(monkeypatch, failure):
+@pytest.mark.parametrize(
+    "failure, match",
+    [("raises", "singular Newton system"), ("non-finite step", "non-finite Newton step")],
+)
+def test_symmetric_mode_failure_raises_solver_error(monkeypatch, failure, match):
     _, g, _, h = _manufactured(16)
-    real_splu = scipy.sparse.linalg.splu
     modes = []
 
     def splu(jac, **kwargs):
-        symmetric = bool(kwargs.get("options", {}).get("SymmetricMode"))
-        modes.append(symmetric)
-        if not symmetric:
-            return real_splu(jac, **kwargs)
+        modes.append(bool(kwargs.get("options", {}).get("SymmetricMode")))
         if failure == "raises":
             raise RuntimeError("Factor is exactly singular")
         return _NonFiniteLU()
 
     monkeypatch.setattr(scipy.sparse.linalg, "splu", splu)
-    _, report = newton_solve(g, h, tol=1e-9)
-    assert report.residuals[-1] <= 1e-9
-    # every Jacobian is tried in symmetric mode, then refactored with pivoting
-    assert modes == [True, False] * report.jacobians
+    with pytest.raises(SolverError, match=match):
+        newton_solve(g, h, tol=1e-9)
+    # one symmetric-mode factor, and no refactor with partial pivoting
+    assert modes == [True]
 
 
 class _StaleLU:

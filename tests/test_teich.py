@@ -117,7 +117,7 @@ def test_phi0_plateau_value_on_large_flat_chart():
 def test_e_hat_conformal_value(family):
     h0, _, _ = family
     c = 1.4
-    assert trace_energy(c * c * h0.matrix(), h0) == pytest.approx(
+    assert trace_energy(c * c * h0.matrix, h0) == pytest.approx(
         2.0 * c * h0.area(), abs=1e-10
     )
 
@@ -125,14 +125,14 @@ def test_e_hat_conformal_value(family):
 @pytest.mark.parametrize("n", [32, 64])
 @pytest.mark.parametrize("conformal", [True, False])
 def test_family_at_t_zero_is_the_trace_energy_bit_for_bit(n, conformal):
-    # B_0 = Id, so the deformed base equals h0.matrix() entry for entry and
+    # B_0 = Id, so the deformed base equals h0.matrix entry for entry and
     # both routes run the same general-base integral
     h0 = poincare_disk(Grid(n, n, 0.8, 0.8, "dirichlet"))
     fam = teich.DeformationFamily.build(tracefree_codazzi_conformal(h0, rng_for(3), amp=0.25), h0)
     if conformal:
-        target = 1.96 * h0.matrix()
+        target = 1.96 * h0.matrix
     else:
-        target = metric_action(trig_spd(h0.grid, rng_for(8), amp=0.15), h0.matrix())
+        target = metric_action(trig_spd(h0.grid, rng_for(8), amp=0.15), h0.matrix)
     assert fam.e_hat_along(target, 0.0) == trace_energy(target, h0)
 
 
@@ -141,7 +141,7 @@ def test_first_derivative_matches_fd(family):
     c = 1.4
     grid = h0.grid
     a0 = np.broadcast_to(c * ID2, (grid.ny, grid.nx, 2, 2)).copy()
-    target = c * c * h0.matrix()
+    target = c * c * h0.matrix
     eps = 1e-4
     fd = (fam.e_hat_along(target, eps) - fam.e_hat_along(target, -eps)) / (2 * eps)
     cf = teich.e_hat_first_derivative(a0, b, h0)
@@ -153,7 +153,7 @@ def test_second_derivative_lower_bound(family):
     grid = h0.grid
     c = 1.4
     a0 = np.broadcast_to(c * ID2, (grid.ny, grid.nx, 2, 2)).copy()
-    target = c * c * h0.matrix()
+    target = c * c * h0.matrix
     lhs, rhs = teich.second_derivative_lower_bound(a0, fam, target)
     assert rhs > 0.0
     assert lhs >= rhs - (1e-8 + 1e-2 * abs(rhs))
