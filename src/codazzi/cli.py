@@ -20,17 +20,18 @@ mathematical precondition fails (wrong curvature sign, non-Codazzi input,
 failed suite, an ``embed`` file whose ``phi`` is not the Poincare sub-disk
 metric of its grid), 2 for usage and I/O errors (unknown flags, a ``--tol``
 that is not finite and positive, a negative ``--seed``, ``--manufactured-seed``
-or ``--continuation-steps``, missing or malformed files, a ``solve --h`` file
-on another grid or with another ``phi`` than the background's, ``solve --h``
-with ``--manufactured-seed``, a ``solve --manufactured-seed`` whose ``--g``
-``phi`` is not the Poincare sub-disk metric of its grid, a ``solve`` chart that
-is periodic or, where its Poincare sub-disk metric is needed, leaves the unit
-disk, an ``embed`` file whose chart cannot carry a hyperboloid patch).  Each
-refusal is raised where it is found, and its exception class sets the status:
-``_Refused`` 1, ``ValueError`` and ``OSError`` 2; :func:`main` alone prints
-``error: <message>`` and returns it.  All outputs are written through
-deterministic serializers, so two runs with the same configuration produce
-byte-identical artifacts.
+or ``--continuation-steps``, a ``solve --nx`` or ``--lx`` whose built-in chart
+:class:`~codazzi.grid.Grid` refuses, missing or malformed files, a ``solve
+--h`` file on another grid or with another ``phi`` than the background's,
+``solve --h`` with ``--manufactured-seed``, a ``solve --manufactured-seed``
+whose ``--g`` ``phi`` is not the Poincare sub-disk metric of its grid, a
+``solve`` chart that is periodic or, where its Poincare sub-disk metric is
+needed, leaves the unit disk, an ``embed`` file whose chart cannot carry a
+hyperboloid patch).  Each refusal is raised where it is found, and its
+exception class sets the status: ``_Refused`` 1, ``ValueError`` and
+``OSError`` 2; :func:`main` alone prints ``error: <message>`` and returns
+it.  All outputs are written through deterministic serializers, so two runs
+with the same configuration produce byte-identical artifacts.
 """
 
 import argparse
@@ -171,7 +172,10 @@ def cmd_solve(args, parser):
         parser.error("argument --manufactured-seed: must be 0 or more")
     # the background: a --g file, or the Poincare sub-disk chart of the grid flags
     if args.g is None:
-        grid = Grid(args.nx, args.nx, args.lx, args.lx, DIRICHLET)
+        try:
+            grid = Grid(args.nx, args.nx, args.lx, args.lx, DIRICHLET)
+        except ValueError as exc:
+            parser.error(f"argument --nx/--lx: {exc}")
         chart = f"grid {grid}"
         g = _disk(grid, chart)
     else:

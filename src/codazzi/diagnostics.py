@@ -130,9 +130,10 @@ def collar_and_modulus(sys, big_r, genus):
     reported via ``collar_valid`` rather than clamped), and ``mod_upper``
     (4 pi^2 (2 genus - 2) / sys^2).
     """
-    if sys <= 0.0 or big_r <= 0.0:
+    # written so that a NaN fails
+    if not (sys > 0.0 and big_r > 0.0):
         raise ValueError("systole and collar radius must be positive")
-    if genus < 2:
+    if not genus >= 2:
         raise ValueError("genus must be at least 2")
     return {
         "l2max": math.asinh(1.0 / math.sinh(0.5 * sys)),
@@ -148,7 +149,7 @@ def modulus_lower_via_flat(sys_flat, area_flat):
     A degenerating systole makes the bound infinite, which is returned
     explicitly rather than clamped.
     """
-    if sys_flat < 0.0 or area_flat < 0.0:
+    if not (sys_flat >= 0.0 and area_flat >= 0.0):  # written so that a NaN fails
         raise ValueError("systole and area must be non-negative")
     if sys_flat == 0.0:
         return math.inf
@@ -161,7 +162,7 @@ def intermediate_modulus_bounds(b):
     The formula gives 2 pi b^{7/2}; the looser figure 2 pi b^4 also
     circulates, so both are reported without adjudication.
     """
-    if b <= 0.0:
+    if not b > 0.0:  # written so that a NaN fails
         raise ValueError("b must be positive")
     return {
         "formula": 2.0 * math.pi * b ** 3.5,

@@ -26,7 +26,8 @@ The order-2 stencil also comes as taps, and the compact 5-point Laplacian
 in array and matrix form.  :func:`central_difference` is the central first
 or second difference in a scalar parameter, and :func:`central_jacobian`
 applies it along each chart axis of a closed-form map.  No other module
-holds a finite-difference weight, spatial or in a parameter.
+holds a finite-difference weight, spatial or in a parameter, nor builds a
+sparse matrix: ``_rows_csr`` turns fixed-width stencil rows into CSR.
 
 A grid and a metric are immutable, so each computes its derived geometry
 (node coordinates, meshgrid, quadrature weights, conformal factor and its
@@ -54,6 +55,23 @@ SYMMETRIC_SPLU = dict(
 def _read_only(a):
     a.flags.writeable = False
     return a
+
+
+def _rows_csr(cols, vals, shape):
+    """CSR matrix of ``shape`` whose row k holds ``vals`` at ``cols``, both reshaped to rows.
+
+    Each row lists its columns in ascending order.  Zero values are left
+    out, as scipy's sparse sums and products leave them out.
+    """
+    import scipy.sparse
+
+    width = vals.size // shape[0]
+    pos = np.flatnonzero(vals.ravel() != 0.0)
+    data, indices = vals.ravel().take(pos), cols.ravel().take(pos)
+    pos //= width  # the row of each entry kept
+    indptr = np.zeros(shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(pos, minlength=shape[0]), out=indptr[1:])
+    return scipy.sparse.csr_matrix((data, indices, indptr), shape=shape)
 
 
 def first_node(mask):
@@ -199,27 +217,32 @@ class Grid:
         )
         return out
 
+    def _lap5_taps(self):
+        """The rows of :meth:`lap5_matrix`, as :meth:`_edge2_taps` gives its stencil.
+
+        Returns ``(cols, vals)`` of shape ``(m, 5)`` on the ``m`` nodes of
+        ``interior(1)``, row-major: the nodes below, left, itself, right and
+        above, ascending, and their weights; a neighbour on the boundary ring
+        (value zero) gets weight zero.
+        """
+        mx, my = self.nx - 2, self.ny - 2
+        num = np.full((self.ny, self.nx), -1)
+        num[1:-1, 1:-1] = np.arange(mx * my).reshape(my, mx)
+        sides = (num[:-2, 1:-1], num[1:-1, :-2], num[1:-1, 1:-1], num[1:-1, 2:], num[2:, 1:-1])
+        cols = np.stack(sides, axis=-1).reshape(-1, 5)
+        cx, cy = 1.0 / self.dx**2, 1.0 / self.dy**2
+        vals = np.where(cols >= 0, [cy, cx, -2.0 * (cx + cy), cx, cy], 0.0)
+        return cols, vals
+
     def lap5_matrix(self):
         """:meth:`lap5` of a Dirichlet chart as CSR on the ``interior(1)`` nodes, row-major.
 
         A neighbour on the boundary ring (value zero) is not stored.
         """
-        import scipy.sparse
-
         if self.periodic:
             raise ValueError("lap5_matrix needs a Dirichlet chart")
-        mx, my = self.nx - 2, self.ny - 2
-        num = np.full((self.ny, self.nx), -1)
-        num[1:-1, 1:-1] = np.arange(mx * my).reshape(my, mx)
-        # the nodes below, left, itself, right and above: ascending numbers
-        sides = (num[:-2, 1:-1], num[1:-1, :-2], num[1:-1, 1:-1], num[1:-1, 2:], num[2:, 1:-1])
-        cols = np.stack(sides, axis=-1).reshape(-1, 5)
-        cx, cy = 1.0 / self.dx**2, 1.0 / self.dy**2
-        vals = np.broadcast_to([cy, cx, -2.0 * (cx + cy), cx, cy], cols.shape)
-        keep = cols >= 0
-        indptr = np.zeros(mx * my + 1, dtype=np.int64)
-        np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
-        return scipy.sparse.csr_matrix((vals[keep], cols[keep], indptr), shape=(mx * my,) * 2)
+        m = (self.nx - 2) * (self.ny - 2)
+        return _rows_csr(*self._lap5_taps(), (m, m))
 
     def laplace_flat(self, f):
         """Flat Laplacian: :meth:`lap5` if periodic, else nested order-2 derivatives."""

@@ -65,7 +65,7 @@ def pullback_of_scaled_poincare(diffeo: ManufacturedDiffeo, grid: Grid):
     p = np.stack([xx, yy], axis=-1)
     q = diffeo.apply(p)
     r2 = q[..., 0] ** 2 + q[..., 1] ** 2
-    if np.any(r2 >= 1.0):
+    if not np.all(r2 < 1.0):  # written so that a NaN fails
         raise ValueError("diffeomorphism leaves the unit disk")
     conf = (2.0 / (1.0 - r2)) ** 2
     jac = diffeo.jacobian(xx, yy)

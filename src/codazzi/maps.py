@@ -58,15 +58,14 @@ class FieldInterpolator:
         # clipping to the chart keeps the clamping for points inside the pad
         self._lo = np.array([grid.x[0], grid.y[0]])
         self._hi = np.array([grid.x[-1], grid.y[-1]])
+        pad = 1e-9 * max(grid.lx, grid.ly)
+        self._reach = np.array([0.5 * grid.lx + pad, 0.5 * grid.ly + pad])
 
     def _spline_points(self, points):
         """Chart points (..., 2) as the spline's (y, x) arguments, clamped to the chart."""
         points = np.asarray(points, dtype=float)
-        g = self.grid
-        px = points[..., 0]
-        py = points[..., 1]
-        pad = 1e-9 * max(g.lx, g.ly)
-        if np.any(np.abs(px) > 0.5 * g.lx + pad) or np.any(np.abs(py) > 0.5 * g.ly + pad):
+        # one pass over the points, written so that a NaN coordinate fails
+        if not np.all(np.abs(points) <= self._reach):
             raise ValueError("interpolation point outside the chart")
         # (x, y) -> (y, x): the spline's first axis is the grid's row axis
         return np.clip(points, self._lo, self._hi)[..., ::-1]
@@ -75,7 +74,7 @@ class FieldInterpolator:
         """Evaluate at chart points of shape (..., 2) -> (...,) + comp_shape.
 
         Points within a relative 1e-9 of the chart are clamped onto it;
-        points further out raise ValueError.
+        points further out, and points with a NaN coordinate, raise ValueError.
         """
         return self._spline(self._spline_points(points))
 

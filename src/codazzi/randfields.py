@@ -73,7 +73,7 @@ def trig_spd(grid: Grid, rng, amp=0.2, **kw):
     out[..., 1, 0] = c
     # keep eigenvalues safely positive
     lo = np.minimum(out[..., 0, 0], out[..., 1, 1]) - np.abs(c)
-    if np.any(lo <= 0.1):
+    if not np.all(lo > 0.1):  # written so that a NaN fails
         raise ValueError("perturbation amplitude too large for an SPD field")
     return out
 

@@ -19,14 +19,14 @@ and Walther, "Evaluating Derivatives", SIAM 2008).  S holds the map-Jacobian
 stencils, K the per-node derivatives of A through the spline's first
 derivatives and the closed-form derivative of the 2x2 SPD square root
 (:func:`~codazzi.jcalc.dspd_sqrt`), L the divergence and stab the
-checkerboard suppressor.  S, L and stab are written straight into CSR
-arrays from index arrays (the grid's stencil rows, the node numbering and
-the node weights), one constructor call each, instead of being composed from
-Kronecker products and sparse sums (Davis, "Direct Methods for Sparse
-Linear Systems", SIAM 2006, ch. 2); the Kronecker form stays in the tests
-as their oracle.  The coloured finite-difference Jacobian of Curtis,
-Powell and Reid (1974) is kept in the tests as the independent oracle of
-the assembled Jacobian.  SuperLU (``splu``) factors the CSC matrix with a
+checkerboard suppressor.  Each of S, L, stab and K is the grid's one CSR
+builder ``grid._rows_csr`` of fixed-width rows written from index arrays
+(the grid's stencil rows, the node numbering and the node weights), instead
+of being composed from Kronecker products and sparse sums (Davis, "Direct
+Methods for Sparse Linear Systems", SIAM 2006, ch. 2); the Kronecker form
+stays in the tests as their oracle.  The coloured finite-difference
+Jacobian of Curtis, Powell and Reid (1974) is kept in the tests as the
+independent oracle of the assembled Jacobian.  SuperLU (``splu``) factors the CSC matrix with a
 minimum-degree ordering of A^T + A in symmetric mode (diagonal pivots only,
 about a fifth of the fill of partial pivoting at 128^2).  A factor that
 SuperLU refuses as singular, or whose step is not finite, is a
@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import SYMMETRIC_SPLU, ConformalMetric, Grid
+from .grid import SYMMETRIC_SPLU, ConformalMetric, Grid, _rows_csr
 from .energy import codazzi_residual, energy_gradient, field_A
 from .jcalc import dspd_sqrt, inv2
 from .maps import FieldInterpolator, FoldOverError, map_jacobian, map_points, pullback_metric
@@ -138,14 +138,6 @@ def _residual_vec(vec, g, h_interp, idx):
     return _pack(r, idx)
 
 
-def _block_diag(blocks):
-    """Sparse block-diagonal matrix of a stack of equal-shape blocks."""
-    import scipy.sparse
-
-    n = len(blocks)
-    return scipy.sparse.bsr_matrix((blocks, np.arange(n), np.arange(n + 1)))
-
-
 # Residual rows of :func:`energy_gradient`: (r0, r1) = -J dnabla_endo(A), and
 # with the metric weight w = e^{-2 phi} and (px, py) = d phi that is
 #   r0 = w [(d_x + px) A11 - (d_y + py) A10 - px A00 - py A01]
@@ -157,29 +149,12 @@ _R_PX = _R_DX + [[-1.0, 0.0, 0.0, 0.0], [0.0, 0.0, -1.0, 0.0]]
 _R_PY = _R_DY + [[0.0, -1.0, 0.0, 0.0], [0.0, 0.0, 0.0, -1.0]]
 
 
-def _csr(cols, vals, shape):
-    """CSR matrix of ``shape`` whose row k holds ``vals`` at ``cols``, both reshaped to rows.
-
-    Each row lists its columns in ascending order.  Zero values are left
-    out, as scipy's sparse sums and products leave them out.
-    """
-    import scipy.sparse
-
-    width = vals.size // shape[0]
-    pos = np.flatnonzero(vals.ravel() != 0.0)
-    data, indices = vals.ravel().take(pos), cols.ravel().take(pos)
-    pos //= width  # the row of each entry kept
-    indptr = np.zeros(shape[0] + 1, dtype=np.int64)
-    np.cumsum(np.bincount(pos, minlength=shape[0]), out=indptr[1:])
-    return scipy.sparse.csr_matrix((data, indices, indptr), shape=shape)
-
-
 def _jacobian_operators(g, idx):
     """The state-independent sparse factors of :func:`_exact_jacobian`.
 
-    Returns ``(S, L, stab)`` as CSR matrices, each written in one call from
-    index arrays.  The unknowns and the residual are packed 2 per interior
-    node, A (row-major) 4 per grid node:
+    Returns ``(S, L, stab)`` as CSR matrices, each ``grid._rows_csr`` of
+    rows written from index arrays.  The unknowns and the residual are
+    packed 2 per interior node, A (row-major) 4 per grid node:
 
     * ``S`` maps the unknowns to 6 values per grid node: D = d_j x^k (entry
       2k + j), by the grid's order-2 taps including the one-sided rows of
@@ -193,8 +168,6 @@ def _jacobian_operators(g, idx):
     Their stored values are those of the Kronecker-product form (kept in the
     tests as the oracle of this one), entry for entry.
     """
-    import scipy.sparse
-
     grid = g.grid
     ny, nx = grid.ny, grid.nx
     nu = idx.size
@@ -218,7 +191,7 @@ def _jacobian_operators(g, idx):
     # take, unlike indexing an inner axis with a list, returns C-ordered arrays
     cols = 2 * taps.take(kind, axis=2)
     cols += comp
-    S = _csr(cols, weights.take(kind, axis=2), (6 * ny * nx, 2 * nu))
+    S = _rows_csr(cols, weights.take(kind, axis=2), (6 * ny * nx, 2 * nu))
 
     # L row e of an interior node reads A at the nodes below, left, itself,
     # right and above, in that (ascending) column order: at a neighbour the
@@ -233,21 +206,13 @@ def _jacobian_operators(g, idx):
     lvals = w * central
     # in each row the node's own four entries follow the one below and the one left
     lvals.reshape(nu, 2, 8)[:, :, 2:6] = w[..., None] * (px * _R_PX + py * _R_PY)
-    L = _csr(4 * idx[:, None] + (4 * offsets[s] + k), lvals, (2 * nu, 4 * ny * nx))
+    L = _rows_csr(4 * idx[:, None] + (4 * offsets[s] + k), lvals, (2 * nu, 4 * ny * nx))
 
-    # rows 2k and 2k + 1 of stab are row k of lap5_matrix (numbered as idx) read
-    # at x^0 and at x^1: each entry goes to slot `first` and a row's width on
-    lap = grid.lap5_matrix()
-    width = np.diff(lap.indptr)
-    indptr = np.zeros(2 * nu + 1, dtype=np.int64)
-    np.cumsum(np.repeat(width, 2), out=indptr[1:])
-    first = np.arange(lap.nnz) + np.repeat(lap.indptr[:-1], width)
-    slots = np.concatenate([first, first + np.repeat(width, width)])
-    data = np.empty(2 * lap.nnz)
-    data[slots] = -grid.dx * grid.dy * np.tile(lap.data, 2)
-    indices = np.empty(2 * lap.nnz, dtype=lap.indices.dtype)
-    indices[slots] = np.concatenate([2 * lap.indices, 2 * lap.indices + 1])
-    stab = scipy.sparse.csr_matrix((data, indices, indptr), shape=(2 * nu, 2 * nu))
+    # rows 2k and 2k + 1 of stab are row k of lap5_matrix (numbered as idx)
+    # read at x^0 and at x^1
+    lap_cols, lap_vals = grid._lap5_taps()
+    svals = np.repeat(-grid.dx * grid.dy * lap_vals[:, None], 2, axis=1)
+    stab = _rows_csr(2 * lap_cols[:, None] + [[0], [1]], svals, (2 * nu, 2 * nu))
     return S, L, stab
 
 
@@ -275,7 +240,10 @@ def _exact_jacobian(vec, g, h_interp, idx, ops):
     )
     ginv = inv2(g.matrix)
     da = dspd_sqrt((ginv @ (fth @ f))[..., None, :, :], ginv[..., None, :, :] @ dhp)
-    k = _block_diag(np.swapaxes(da.reshape(-1, 6, 4), -1, -2))
+    # K holds node n's 4x6 block in rows 4n to 4n + 3 and columns 6n to 6n + 5
+    n = g.grid.ny * g.grid.nx
+    kcols = np.broadcast_to(6 * np.arange(n)[:, None, None] + np.arange(6), (n, 4, 6))
+    k = _rows_csr(kcols, np.swapaxes(da.reshape(n, 6, 4), -1, -2), (4 * n, 6 * n))
     return (L @ (k @ S) + stab).tocsc()
 
 

@@ -52,14 +52,14 @@ def phi0_solve(b, h: ConformalMetric):
     :data:`~codazzi.grid.SYMMETRIC_SPLU` (minimum degree on A^T + A,
     symmetric mode), as the Newton solver factors its Jacobian.
     """
-    import scipy.sparse
     import scipy.sparse.linalg
 
     grid = h.grid
     b = _check_tracefree_symmetric(grid.check_field(b, rank=2))
     w = h.conformal_factor
     mask = grid.interior(1)
-    mat = grid.lap5_matrix() - scipy.sparse.diags(2.0 * w[mask])
+    mat = grid.lap5_matrix()
+    mat.setdiag(mat.diagonal() - 2.0 * w[mask])
     out = np.zeros((grid.ny, grid.nx))
     # mat is symmetric, so mat.T, a CSC view of its CSR arrays, is mat itself
     # with no copy; splu is called through the module, so perfbench's probe on

@@ -392,6 +392,23 @@ def test_embed_refuses_a_chart_without_a_hyperboloid_patch_naming_the_file(
     assert not (tmp_path / "e_mesh.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "flag, value, reason",
+    [
+        ("--nx", "7", "grids need at least 8 nodes per axis"),
+        ("--lx", "0", "chart extents must be positive and finite"),
+        ("--lx", "nan", "chart extents must be positive and finite"),
+    ],
+)
+def test_solve_chart_refusal_is_a_usage_error_naming_the_flags(tmp_path, capsys, flag, value,
+                                                               reason):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("solve", "--manufactured-seed", "0", flag, value, "--out", tmp_path / "s")
+    assert exc.value.code == 2
+    assert f"error: argument --nx/--lx: {reason}\n" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_solve_refuses_h_together_with_a_manufactured_seed(tmp_path, capsys):
     # the manufactured run builds its own target and would ignore the file
     g = poincare_disk(Grid(16, 16, 0.8, 0.8, "dirichlet"))

@@ -83,6 +83,7 @@ def test_modulus_lower_away_from_degeneration():
 
 
 _COLLAR_POSITIVE = "systole and collar radius must be positive"
+_FLAT_NON_NEGATIVE = "systole and area must be non-negative"
 
 
 @pytest.mark.parametrize(
@@ -91,11 +92,18 @@ _COLLAR_POSITIVE = "systole and collar radius must be positive"
         (diagnostics.collar_and_modulus, (0.0, 0.5, 2), _COLLAR_POSITIVE),
         (diagnostics.collar_and_modulus, (1.0, -0.5, 2), _COLLAR_POSITIVE),
         (diagnostics.collar_and_modulus, (1.0, 0.5, 1), "genus must be at least 2"),
-        (diagnostics.modulus_lower_via_flat, (-1.0, 1.0), "systole and area must be non-negative"),
-        (diagnostics.modulus_lower_via_flat, (1.0, -1.0), "systole and area must be non-negative"),
+        (diagnostics.modulus_lower_via_flat, (-1.0, 1.0), _FLAT_NON_NEGATIVE),
+        (diagnostics.modulus_lower_via_flat, (1.0, -1.0), _FLAT_NON_NEGATIVE),
         (diagnostics.intermediate_modulus_bounds, (0.0,), "b must be positive"),
+        (diagnostics.collar_and_modulus, (math.nan, 0.5, 2), _COLLAR_POSITIVE),
+        (diagnostics.collar_and_modulus, (1.0, math.nan, 2), _COLLAR_POSITIVE),
+        (diagnostics.collar_and_modulus, (1.0, 0.5, math.nan), "genus must be at least 2"),
+        (diagnostics.modulus_lower_via_flat, (math.nan, 1.0), _FLAT_NON_NEGATIVE),
+        (diagnostics.modulus_lower_via_flat, (1.0, math.nan), _FLAT_NON_NEGATIVE),
+        (diagnostics.intermediate_modulus_bounds, (math.nan,), "b must be positive"),
     ],
-    ids=["systole", "radius", "genus", "flat-systole", "flat-area", "b"],
+    ids=["systole", "radius", "genus", "flat-systole", "flat-area", "b", "nan-systole",
+         "nan-radius", "nan-genus", "nan-flat-systole", "nan-flat-area", "nan-b"],
 )
 def test_scalar_formulas_refuse_arguments_outside_their_range(formula, args, message):
     with pytest.raises(ValueError, match=f"^{message}$"):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from codazzi import cli
-from codazzi.grid import ConformalMetric, Grid, central_difference, poincare_disk
+from codazzi.grid import ConformalMetric, Grid, _rows_csr, central_difference, poincare_disk
 from codazzi.jcalc import J
 from codazzi.operators import (
     brioschi_curvature,
@@ -273,6 +273,22 @@ def test_lap5_matrix_is_lap5_on_the_inner_nodes_bit_for_bit(grid):
     mat = grid.lap5_matrix()
     assert mat.format == "csr" and mat.nnz == np.count_nonzero(mat.toarray())
     assert mat.toarray().tobytes() == grid.lap5(units)[inner].tobytes()
+
+
+def test_rows_csr_stores_each_rows_nonzero_entries_in_ascending_columns():
+    # rows of width 3 given as a (2, 2, 3) stack; row 1 is all zeros, row 2
+    # holds a -0.0, and row 3 repeats a column whose only nonzero weight counts
+    cols = np.array([[[0, 2, 5], [1, 3, 4]], [[0, 1, 5], [3, 3, 4]]])
+    vals = np.array([[[1.5, 2.0, -3.0], [0.0, 0.0, 0.0]], [[-0.0, 4.0, 0.5], [0.0, 7.0, -1.0]]])
+    mat = _rows_csr(cols, vals, (4, 7))
+    dense = np.zeros((4, 7))
+    for row, (c, v) in enumerate(zip(cols.reshape(4, 3), vals.reshape(4, 3))):
+        dense[row, c[v != 0.0]] = v[v != 0.0]
+    assert mat.format == "csr" and mat.shape == (4, 7)
+    assert mat.toarray().tobytes() == dense.tobytes()
+    assert mat.indptr.tolist() == [0, 3, 3, 5, 7]
+    assert mat.indices.tolist() == [0, 2, 5, 1, 5, 3, 4]
+    assert np.count_nonzero(mat.data) == mat.nnz == np.count_nonzero(dense)
 
 
 def test_lap5_matrix_refuses_a_periodic_chart():

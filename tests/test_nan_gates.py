@@ -1,4 +1,4 @@
-"""Positivity and tolerance gates refuse NaN input instead of passing it through.
+"""Positivity, range and tolerance gates refuse NaN input instead of passing it through.
 
 The same holds for the verify records: a NaN anywhere in a check's values
 makes the check fail, and the record shows the NaN.
@@ -12,8 +12,9 @@ import pytest
 from codazzi import diagnostics, embedding, symspace, teich, verify
 from codazzi.grid import Grid, poincare_disk
 from codazzi.jcalc import ID2, check_spd, dsigma, inv2, metric_action, metric_to_A, spd_sqrt
+from codazzi.manufactured import ManufacturedDiffeo, pullback_of_scaled_poincare
 from codazzi.maps import FieldInterpolator, FoldOverError, pullback_metric
-from codazzi.randfields import rng_for, tracefree_codazzi_conformal
+from codazzi.randfields import rng_for, tracefree_codazzi_conformal, trig_spd
 
 NAN_SPD = np.array([[np.nan, 0.0], [0.0, 1.0]])
 
@@ -58,6 +59,26 @@ def _psi_tilde_of_nan_stack():
 )
 def test_positivity_gate_refuses_nan(call, error):
     with pytest.raises(error):
+        call()
+
+
+_GRID16 = Grid(16, 16, 0.8, 0.8, "dirichlet")
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: FieldInterpolator(_GRID16, np.zeros((16, 16)))(np.array([np.nan, 0.0])),
+         "outside the chart"),
+        (lambda: pullback_of_scaled_poincare(
+            ManufacturedDiffeo.seeded(_GRID16, 0, amp=np.nan), _GRID16), "leaves the unit disk"),
+        (lambda: trig_spd(_GRID16, rng_for(0), amp=np.nan), "amplitude too large"),
+    ],
+    ids=["FieldInterpolator", "pullback_of_scaled_poincare", "trig_spd"],
+)
+def test_range_gate_refuses_nan(call, match):
+    # the scalar formulas of diagnostics are in the refusal table of test_diagnostics.py
+    with pytest.raises(ValueError, match=match):
         call()
 
 

@@ -39,6 +39,10 @@ and whose numerator is a subtraction or a sum that starts with one.  Such a
 quotient is a central difference, and ``grid.central_difference`` is the one
 implementation of it.  Tests keep their own finite-difference oracles.
 
+No module of ``src/codazzi`` calls a ``scipy.sparse`` constructor except
+``grid._rows_csr``, once: every sparse matrix of the library is built from
+fixed-width rows there.  ``scipy.sparse.linalg`` is not a constructor.
+
 Every entry of a module's ``__all__`` names a module-level definition or
 import, and every public name that another module of ``src/codazzi``
 imports from it, or reads as an attribute of it after ``from . import``,
@@ -329,6 +333,68 @@ def test_no_difference_quotient_outside_grid():
         and _starts_with_subtraction(node.left)
     ]
     assert not quotients, f"difference quotients outside grid.central_difference: {quotients}"
+
+
+_SPARSE_CONSTRUCTORS = frozenset(
+    ["csr_matrix", "csc_matrix", "bsr_matrix", "coo_matrix", "diags", "kron", "identity",
+     "eye", "block_diag"]
+)
+
+
+def _dotted(node):
+    """``a.b.c`` of an attribute chain over a name, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return ".".join([node.id] + parts[::-1]) if isinstance(node, ast.Name) else None
+
+
+def _sparse_constructor_calls(tree):
+    """(enclosing function, line) of each call of a ``scipy.sparse`` constructor.
+
+    The module may be imported under any name; ``scipy.sparse.linalg`` is
+    another module and does not count.
+    """
+    modules, direct = {"scipy.sparse"}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(a.asname for a in node.names if a.name == "scipy.sparse" and a.asname)
+        elif isinstance(node, ast.ImportFrom):
+            for a in node.names:
+                if node.module == "scipy" and a.name == "sparse":
+                    modules.add(a.asname or a.name)
+                elif node.module == "scipy.sparse" and a.name in _SPARSE_CONSTRUCTORS:
+                    direct.add(a.asname or a.name)
+    for call, scope in _calls_in(tree):
+        func = call.func
+        if (isinstance(func, ast.Name) and func.id in direct) or (
+            isinstance(func, ast.Attribute)
+            and func.attr in _SPARSE_CONSTRUCTORS
+            and _dotted(func.value) in modules
+        ):
+            yield getattr(scope, "name", "<module>"), call.lineno
+
+
+def test_sparse_constructor_calls_are_found_under_any_import():
+    tree = ast.parse(
+        "import scipy.sparse\nimport scipy.sparse as sp\nfrom scipy import sparse\n"
+        "from scipy.sparse import diags as d\nimport scipy.sparse.linalg\n"
+        "def f():\n    scipy.sparse.kron(a, b)\n    sp.eye(3)\n    sparse.coo_matrix(a)\n"
+        "    d(a)\n    scipy.sparse.linalg.splu(a)\n    a.tocsr()\n"
+    )
+    assert [line for _, line in _sparse_constructor_calls(tree)] == [7, 8, 9, 10]
+
+
+def test_only_grid_rows_csr_calls_a_sparse_constructor():
+    calls = [
+        (f"{stem}.{scope}", f"{stem}.py:{line}")
+        for stem, tree in _library_trees()
+        for scope, line in _sparse_constructor_calls(tree)
+    ]
+    others = [f"{scope} ({where})" for scope, where in calls if scope != "grid._rows_csr"]
+    assert not others, f"scipy.sparse constructors outside grid._rows_csr: {others}"
+    assert len(calls) == 1, calls
 
 
 def _module_level_names(tree):

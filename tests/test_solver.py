@@ -246,7 +246,7 @@ def _kron_jacobian_operators(g, idx):
     L = (
         scipy.sparse.kron(wdiag @ sx, solver._R_DX)
         + scipy.sparse.kron(wdiag @ sy, solver._R_DY)
-        + solver._block_diag(w[:, None, None] * (px * solver._R_PX + py * solver._R_PY))
+        + scipy.sparse.block_diag(w[:, None, None] * (px * solver._R_PX + py * solver._R_PY))
     )
     rows = (2 * idx[:, None] + np.arange(2)).ravel()
     # the unknowns fill the (ny - 2) x (nx - 2) inner grid, on which Grid.lap5
