@@ -14,8 +14,11 @@ construction (:mod:`codazzi.embedding`), the symmetric-space chart model
 ``codazzi verify``.
 
 Importing any module of the package loads numpy only: scipy is imported
-inside the functions that call it (the spline fit, the sparse matrices and
-solves, the Simpson quadrature), so ``codazzi embed`` never loads it.
+inside the functions that call it (the spline's banded fit, the sparse
+matrices and solves, the Simpson quadrature), so ``codazzi embed`` never
+loads it.  The spline itself is the package's own (:mod:`codazzi.maps`),
+so ``codazzi solve`` loads scipy's linear algebra but not
+scipy.interpolate.
 """
 
 from .energy import (

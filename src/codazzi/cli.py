@@ -2,7 +2,8 @@
 and immersion meshes.
 
 Each subcommand accepts only the flags it reads; any other flag, and any
-abbreviation of a flag, is a usage error:
+abbreviation of a flag, is a usage error, reported under the subcommand's
+usage line:
 
 * ``verify``: ``--suite --seed --g --tol --out``.  The suites run at their
   fixed resolutions (32 and 64 for the refinement checks);
@@ -59,7 +60,7 @@ def _build_parser():
     # refused, not read as an abbreviation of another (--help)
 
     pv = sub.add_parser("verify", help="run seeded verification suites", allow_abbrev=False)
-    pv.set_defaults(run=cmd_verify)
+    pv.set_defaults(run=cmd_verify, parser=pv)
     pv.add_argument(
         "--suite",
         default="all",
@@ -74,7 +75,7 @@ def _build_parser():
     ps = sub.add_parser(
         "solve", help="solve for a one-harmonic displacement field", allow_abbrev=False
     )
-    ps.set_defaults(run=cmd_solve)
+    ps.set_defaults(run=cmd_solve, parser=ps)
     ps.add_argument("--g", metavar="FILE", help="background metric field file (Dirichlet chart)")
     # a manufactured run builds its own target, so it takes no --h
     target = ps.add_mutually_exclusive_group(required=True)
@@ -94,7 +95,7 @@ def _build_parser():
     pe = sub.add_parser(
         "embed", help="integrate a Codazzi field to a Minkowski mesh", allow_abbrev=False
     )
-    pe.set_defaults(run=cmd_embed)
+    pe.set_defaults(run=cmd_embed, parser=pe)
     pe.add_argument("--endo", metavar="FILE", required=True, help="endomorphism field file")
     pe.add_argument("--tol", type=float, default=0.05, help="Codazzi residual bound of the endo")
     pe.add_argument("--out", default="embed", help="output prefix")
@@ -271,8 +272,9 @@ def cmd_embed(args, parser):
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    # a usage error prints the usage line of the subcommand it concerns
+    parser = args.parser
     # every subcommand has --tol; the test is written so that NaN fails it
     if not 0.0 < args.tol < np.inf:
         parser.error(f"argument --tol: must be finite and positive, got {args.tol}")

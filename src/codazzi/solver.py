@@ -9,9 +9,10 @@ small diffeomorphisms) make the solver testable to tight tolerances.
 
 Every solve has one background g; :func:`continuation_solve` moves only the
 target, h_t = (1 - t) g + t h (natural-parameter continuation, Allgower and
-Georg, SIAM 2003).  The curvature check, the interior index and the
-operators S, L and stab below depend on g alone, so each public call builds
-them once and all its continuation steps share them.
+Georg, SIAM 2003).  The curvature check, the interior index, the
+operators S, L and stab below and the column array of K depend on g alone,
+so each public call builds them once and all its continuation steps share
+them.
 
 The Newton Jacobian is exact: :func:`_exact_jacobian` assembles the chain
 rule of :func:`solver_residual` as a sparse matrix, L K S + stab (Griewank
@@ -150,10 +151,11 @@ _R_PY = _R_DY + [[0.0, -1.0, 0.0, 0.0], [0.0, 0.0, 0.0, -1.0]]
 
 
 def _jacobian_operators(g, idx):
-    """The state-independent sparse factors of :func:`_exact_jacobian`.
+    """The state-independent parts of :func:`_exact_jacobian`.
 
-    Returns ``(S, L, stab)`` as CSR matrices, each ``grid._rows_csr`` of
-    rows written from index arrays.  The unknowns and the residual are
+    Returns ``(S, L, stab, kcols)``: three CSR matrices, each
+    ``grid._rows_csr`` of rows written from index arrays, and the column
+    array of the per-node blocks K.  The unknowns and the residual are
     packed 2 per interior node, A (row-major) 4 per grid node:
 
     * ``S`` maps the unknowns to 6 values per grid node: D = d_j x^k (entry
@@ -163,10 +165,12 @@ def _jacobian_operators(g, idx):
     * ``L`` maps A to the residual's energy gradient -J div(A J); its rows
       read A at the node and its four neighbours;
     * ``stab`` is the residual's stabiliser, -dx dy
-      :meth:`~codazzi.grid.Grid.lap5_matrix` on each component.
+      :meth:`~codazzi.grid.Grid.lap5_matrix` on each component;
+    * ``kcols`` (ny nx, 4, 6) holds the columns 6n .. 6n + 5 of each of the
+      four rows of node n's block.
 
-    Their stored values are those of the Kronecker-product form (kept in the
-    tests as the oracle of this one), entry for entry.
+    The matrices' stored values are those of the Kronecker-product form
+    (kept in the tests as the oracle of this one), entry for entry.
     """
     grid = g.grid
     ny, nx = grid.ny, grid.nx
@@ -213,19 +217,20 @@ def _jacobian_operators(g, idx):
     lap_cols, lap_vals = grid._lap5_taps()
     svals = np.repeat(-grid.dx * grid.dy * lap_vals[:, None], 2, axis=1)
     stab = _rows_csr(2 * lap_cols[:, None] + [[0], [1]], svals, (2 * nu, 2 * nu))
-    return S, L, stab
+    kcols = np.repeat(6 * np.arange(ny * nx)[:, None, None] + np.arange(6), 4, axis=1)
+    return S, L, stab, kcols
 
 
 def _exact_jacobian(vec, g, h_interp, idx, ops):
     """Jacobian of the packed residual at ``vec`` by the chain rule, as CSC.
 
-    With ``(S, L, stab) = ops`` from :func:`_jacobian_operators` it is
+    With ``(S, L, stab, kcols) = ops`` from :func:`_jacobian_operators` it is
     L K S + stab, where the 4x6 block K = [K1 K2] of a node holds the
     derivatives of A = spd_sqrt(e^{-2 phi} F^T h(p + x) F), F = I + D, with
     respect to D (K1) and to the node's own x (K2, through the spline's
     first derivatives at p + x).
     """
-    S, L, stab = ops
+    S, L, stab, kcols = ops
     x = _unpack(vec, g.grid, idx)
     pts = map_points(g.grid, x)
     f = map_jacobian(g.grid, x)
@@ -241,8 +246,7 @@ def _exact_jacobian(vec, g, h_interp, idx, ops):
     ginv = inv2(g.matrix)
     da = dspd_sqrt((ginv @ (fth @ f))[..., None, :, :], ginv[..., None, :, :] @ dhp)
     # K holds node n's 4x6 block in rows 4n to 4n + 3 and columns 6n to 6n + 5
-    n = g.grid.ny * g.grid.nx
-    kcols = np.broadcast_to(6 * np.arange(n)[:, None, None] + np.arange(6), (n, 4, 6))
+    n = len(kcols)
     k = _rows_csr(kcols, np.swapaxes(da.reshape(n, 6, 4), -1, -2), (4 * n, 6 * n))
     return (L @ (k @ S) + stab).tocsc()
 

@@ -311,6 +311,31 @@ def test_out_of_range_flag_values_are_usage_errors(tmp_path, monkeypatch, capsys
     assert not list(tmp_path.glob("*_report.json"))
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--suite", "jcalc", "--seed", "-1"),
+        ("verify", "--suite", "jcalc", "--tol", "nan"),
+        ("solve", "--manufactured-seed", "0", "--nx", "7"),
+        ("solve", "--manufactured-seed", "0", "--lx", "nan"),
+        ("solve", "--nx", "16", "--manufactured-seed", "-3"),
+        ("solve", "--manufactured-seed", "0", "--nx", "16", "--continuation-steps", "-3"),
+        ("solve", "--manufactured-seed", "0", "--nx", "16", "--tol", "0"),
+        ("embed", "--endo", "{f}", "--tol", "-0.05"),
+    ],
+)
+def test_a_usage_error_prints_its_subcommands_usage_line(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    f = _identity_endo_file(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*(a.format(f=f) for a in argv))
+    assert exc.value.code == 2
+    usage, *_, error = capsys.readouterr().err.splitlines()
+    assert usage.startswith(f"usage: codazzi {argv[0]} [-h]")
+    assert error.startswith(f"codazzi {argv[0]}: error: argument ")
+    assert not list(tmp_path.glob("*_report.json"))
+
+
 def test_embed_refuses_non_integral_header_naming_file_and_key(tmp_path, capsys):
     path = _identity_endo_file(tmp_path)
     doc = json.loads(path.read_text())

@@ -1,9 +1,11 @@
-"""Importing the package, and running ``codazzi embed``, load no scipy.
+"""Importing the package, and running ``codazzi embed``, load no scipy;
+``codazzi solve`` loads only scipy's sparse and dense linear algebra.
 
 scipy is imported inside the functions that call it, so a process that
 never fits a spline, builds a sparse matrix or runs a Simpson quadrature
-never pays for its import.  Each check runs in a fresh interpreter, since
-the test process itself has scipy loaded.
+never pays for its import, and the spline is the package's own, so no
+process loads scipy.interpolate for it.  Each check runs in a fresh
+interpreter, since the test process itself has scipy loaded.
 """
 
 import json
@@ -55,3 +57,18 @@ def test_embed_runs_without_loading_scipy(tmp_path):
     assert seen["result"] == 0
     assert (tmp_path / "e_mesh.csv").exists()
     assert seen["scipy"] == []
+
+
+# subpackages that scipy.interpolate pulls in, and that nothing in a solve needs
+_NOT_IN_A_SOLVE = ("interpolate", "optimize", "spatial", "special", "fft")
+
+
+def test_solve_loads_no_interpolation_optimisation_or_special_functions(tmp_path):
+    argv = ["solve", "--manufactured-seed", "0", "--nx", "16", "--out", str(tmp_path / "s")]
+    seen = _fresh(f"from codazzi import cli\nresult = cli.main({argv!r})")
+    assert seen["result"] == 0
+    assert (tmp_path / "s_report.json").exists()
+    # the solve did fit its spline and factor its Jacobian
+    assert {"scipy.linalg", "scipy.sparse.linalg"} <= set(seen["scipy"])
+    loaded = {m.split(".")[1] for m in seen["scipy"] if m.count(".")}
+    assert loaded.isdisjoint(_NOT_IN_A_SOLVE), sorted(loaded)

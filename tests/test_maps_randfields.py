@@ -121,6 +121,84 @@ def test_interpolator_gradient_matches_per_component_fitpack_derivatives(comp_sh
         assert np.max(np.abs(got - ref)) <= 1e-13 * (1.0 + np.max(np.abs(ref)))
 
 
+def _scipy_spline(grid, values, check_finite=True):
+    """scipy's not-a-knot fits along x, then y, and their ``NdBSpline`` on (y, x)."""
+    from scipy.interpolate import NdBSpline, make_interp_spline
+
+    along_x = make_interp_spline(grid.x, values, k=3, axis=1, check_finite=check_finite)
+    along_y = make_interp_spline(grid.y, along_x.c, k=3, axis=1, check_finite=check_finite)
+    return NdBSpline((along_y.t, along_x.t), along_y.c, 3)
+
+
+def _same_bits(got, want):
+    return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def _symmetric(values):
+    return 0.5 * (values + np.swapaxes(values, -1, -2))
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        Grid(8, 8, 0.8, 0.8, "dirichlet"),
+        Grid(32, 32, 0.8, 0.8, "dirichlet"),
+        Grid(129, 129, 1.0, 1.0, "dirichlet"),
+        Grid(21, 13, 0.9, 0.5, "dirichlet"),
+    ],
+    ids=lambda gr: f"{gr.nx}x{gr.ny}",
+)
+@pytest.mark.parametrize(
+    "comp_shape, make",
+    [((), None), ((3,), None), ((2, 2), None), ((2, 2), _symmetric)],
+    ids=["scalar", "vector3", "matrix", "symmetric"],
+)
+def test_interpolator_equals_scipys_spline_bit_for_bit(grid, comp_shape, make):
+    # values and both first derivatives at nodes, interior points, edges,
+    # corners and inside the pad; a symmetric field's equal off-diagonals
+    # share their coefficients
+    rng = np.random.default_rng(31)
+    values = rng.standard_normal((grid.ny, grid.nx) + comp_shape)
+    if make is not None:
+        values = make(values)
+    points = _oracle_points(grid, rng)
+    interp = FieldInterpolator(grid, values)
+    spline = _scipy_spline(grid, values)
+    # NdBSpline extrapolates, so its pad points go in clamped onto the chart
+    yx = np.clip(points, [grid.x[0], grid.y[0]], [grid.x[-1], grid.y[-1]])[:, ::-1]
+    assert _same_bits(interp(points), spline(yx))
+    d_dx, d_dy = interp.gradient(points)
+    assert _same_bits(d_dx, spline(yx, nu=(0, 1)))
+    assert _same_bits(d_dy, spline(yx, nu=(1, 0)))
+    # one point of shape (2,), and a grid of points
+    assert _same_bits(interp(points[0]), spline(yx[0]))
+    assert _same_bits(interp(points[:6].reshape(2, 3, 2)), spline(yx[:6].reshape(2, 3, 2)))
+
+
+def test_interpolator_carries_a_nan_into_its_component_as_scipy_does():
+    grid = Grid(21, 13, 0.9, 0.5, "dirichlet")
+    rng = np.random.default_rng(37)
+    values = _symmetric(rng.standard_normal((grid.ny, grid.nx, 2, 2)))
+    values[5, 7, 0, 0] = np.nan
+    points = _oracle_points(grid, rng)
+    yx = np.clip(points, [grid.x[0], grid.y[0]], [grid.x[-1], grid.y[-1]])[:, ::-1]
+    spline = _scipy_spline(grid, values, check_finite=False)
+    got = FieldInterpolator(grid, values)(points)
+    assert _same_bits(got, spline(yx))
+    assert np.all(np.isnan(got[:, 0, 0])) and np.all(np.isfinite(got.reshape(-1, 4)[:, 1:]))
+
+
+@pytest.mark.parametrize("comp_shape", [(), (1,), (2, 2)])
+def test_interpolator_leaves_the_callers_values_unchanged(comp_shape):
+    # LAPACK may solve in place, and a scalar field's values reach the first
+    # fit as a view of the caller's array
+    grid = Grid(12, 9, 1.0, 1.0, "dirichlet")
+    values = np.random.default_rng(41).standard_normal((grid.ny, grid.nx) + comp_shape)
+    kept = values.copy()
+    FieldInterpolator(grid, values)
+    assert values.tobytes() == kept.tobytes()
+
+
 def test_interpolator_refuses_points_beyond_the_pad():
     grid = Grid(16, 16, 1.0, 1.0, "dirichlet")
     interp = FieldInterpolator(grid, np.zeros((16, 16)))
