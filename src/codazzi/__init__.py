@@ -15,10 +15,10 @@ construction (:mod:`codazzi.embedding`), the symmetric-space chart model
 
 Importing any module of the package loads numpy only: scipy is imported
 inside the functions that call it (the spline's banded fit, the sparse
-matrices and solves, the Simpson quadrature), so ``codazzi embed`` never
-loads it.  The spline itself is the package's own (:mod:`codazzi.maps`),
-so ``codazzi solve`` loads scipy's linear algebra but not
-scipy.interpolate.
+matrices and solves), so ``codazzi embed`` never loads it.  The spline
+(:mod:`codazzi.maps`) and the Simpson quadrature (:mod:`codazzi.energy`)
+are the package's own, so ``codazzi solve`` and ``codazzi verify`` load
+scipy's linear algebra and nothing else of it.
 """
 
 from .energy import (

@@ -128,55 +128,77 @@ def _converging(name, r1, r2, min_ratio=3.5):
 # --------------------------------------------------------------------------
 
 
+# Rows per block of suite_jcalc's batched identities, so that no identity
+# holds a 100,000-matrix temporary.
+_JCALC_BLOCK = 10_000
+
+
+def _vanishes_by_block(name, tol, residuals, *arrays):
+    """Record of :func:`_vanishes` over ``residuals(*rows)``, taken on blocks of rows.
+
+    ``residuals`` returns a tuple of arrays for :data:`_JCALC_BLOCK` rows of
+    each of ``arrays``.  Only each block's largest |entry| is kept, and
+    :func:`_maxabs` combines them, so a NaN in any block comes through.
+    """
+    return _vanishes(name, tol, *(
+        _maxabs(*residuals(*(x[i:i + _JCALC_BLOCK] for x in arrays)))
+        for i in range(0, len(arrays[0]), _JCALC_BLOCK)
+    ))
+
+
 def suite_jcalc(seed):
     rng = rng_for(seed)
     a = rng.standard_normal((100_000, 2, 2))
-    checks = []
-    # each 100,000-matrix intermediate is dropped once its check is recorded
-    sig = sigma(a)
-
-    fro = np.sqrt(np.sum(jlin_part(a) ** 2, axis=(-2, -1)))
-    checks.append(_vanishes("sigma_frobenius_oracle", 1e-12, sig - fro))
-    del fro
-
     th = rng.uniform(0.0, 2.0 * np.pi, size=a.shape[0])
-    cos, sin = np.cos(th), np.sin(th)
-    rot = np.empty_like(a)
-    rot[:, 0, 0] = cos
-    rot[:, 0, 1] = -sin
-    rot[:, 1, 0] = sin
-    rot[:, 1, 1] = cos
-    del th, cos, sin
-    checks.append(_vanishes(
-        "sigma_rotation_invariance", 1e-12, sigma(rot @ a) - sig, sigma(a @ rot) - sig
-    ))
-    del rot, sig
-
-    anti = a - np.swapaxes(a, -1, -2) + trace(a @ J)[..., None, None] * J
-    checks.append(_vanishes("antisymmetric_part_relation", 1e-14, anti))
-    del anti
-
-    b = a[np.abs(det(a)) > 0.1]
-    adj = J @ np.swapaxes(b, -1, -2) @ J + det(b)[..., None, None] * inv2(b)
-    checks.append(_vanishes("adjugate_relation", 1e-13, adj))
-    del b, adj
-
     m = rng.standard_normal((20_000, 2, 2))
-    spd = np.swapaxes(m, -1, -2) @ m + 0.1 * ID2
-    root = spd_sqrt(spd)
-    checks.append(_vanishes("spd_sqrt_roundtrip", 1e-12, root @ root - spd))
+
+    def spd_of(m):
+        return np.swapaxes(m, -1, -2) @ m + 0.1 * ID2
+
+    def frobenius(a):
+        return (sigma(a) - np.sqrt(np.sum(jlin_part(a) ** 2, axis=(-2, -1))),)
+
+    def rotation(a, th):
+        cos, sin = np.cos(th), np.sin(th)
+        rot = np.empty_like(a)
+        rot[:, 0, 0] = cos
+        rot[:, 0, 1] = -sin
+        rot[:, 1, 0] = sin
+        rot[:, 1, 1] = cos
+        sig = sigma(a)
+        return sigma(rot @ a) - sig, sigma(a @ rot) - sig
+
+    def antisymmetric(a):
+        return (a - np.swapaxes(a, -1, -2) + trace(a @ J)[..., None, None] * J,)
+
+    def adjugate(a):
+        b = a[np.abs(det(a)) > 0.1]
+        return (J @ np.swapaxes(b, -1, -2) @ J + det(b)[..., None, None] * inv2(b),)
+
+    def sqrt_roundtrip(m):
+        spd = spd_of(m)
+        root = spd_sqrt(spd)
+        return (root @ root - spd,)
+
+    def dsigma_fd(m):
+        spd = spd_of(m)
+        bsym = 0.5 * (m + np.swapaxes(m, -1, -2))
+        fd = central_difference(lambda t: sigma(spd + t * bsym), 0.0, 1e-6, 1)
+        return (fd - dsigma(spd, bsym),)
 
     g0 = np.swapaxes(m[:64], -1, -2) @ m[:64] + 0.2 * ID2
-    h0 = spd[:64]
+    h0 = spd_of(m[:64])
     a0 = metric_to_A(g0, h0)
-    checks.append(_vanishes("metric_to_A_roundtrip", 1e-12, metric_action(a0, g0) - h0))
-
-    bsym = 0.5 * (m + np.swapaxes(m, -1, -2))
-    fd = central_difference(lambda t: sigma(spd + t * bsym), 0.0, 1e-6, 1)
-    checks.append(_vanishes("dsigma_fd_oracle", 1e-8, fd - dsigma(spd, bsym)))
-
-    checks.append(_vanishes("b_form_det", 1e-13, b_form(a) + det(a)))
-    return checks
+    return [
+        _vanishes_by_block("sigma_frobenius_oracle", 1e-12, frobenius, a),
+        _vanishes_by_block("sigma_rotation_invariance", 1e-12, rotation, a, th),
+        _vanishes_by_block("antisymmetric_part_relation", 1e-14, antisymmetric, a),
+        _vanishes_by_block("adjugate_relation", 1e-13, adjugate, a),
+        _vanishes_by_block("spd_sqrt_roundtrip", 1e-12, sqrt_roundtrip, m),
+        _vanishes("metric_to_A_roundtrip", 1e-12, metric_action(a0, g0) - h0),
+        _vanishes_by_block("dsigma_fd_oracle", 1e-8, dsigma_fd, m),
+        _vanishes_by_block("b_form_det", 1e-13, lambda a: (b_form(a) + det(a),), a),
+    ]
 
 
 # --------------------------------------------------------------------------

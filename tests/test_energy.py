@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from scipy.integrate import simpson
 
 from codazzi.energy import (
+    _simpson,
+    _simpson2,
     codazzi_residual,
     correction_G,
     correction_G_oracle,
@@ -169,3 +172,33 @@ def test_curvature_identity_rejects_nonsymmetric(disk64):
     a[..., 0, 1] += 0.1
     with pytest.raises(ValueError):
         curvature_identity_residual(a, disk64)
+
+
+@pytest.mark.parametrize("dx", [0.8 / 63, 0.1, 1 / 3])
+@pytest.mark.parametrize(
+    "shape, axis",
+    [((n,), 0) for n in (3, 4, 8, 33, 64)]
+    + [(shape, axis) for shape in ((21, 13), (13, 21), (64, 64)) for axis in (0, 1)],
+)
+def test_simpson_equals_scipy_bit_for_bit(shape, axis, dx):
+    # an even node count takes Cartwright's last-interval correction
+    y = rng_for(sum(shape)).standard_normal(shape)
+    ours = np.asarray(_simpson(y, dx, axis))
+    assert ours.tobytes() == np.asarray(simpson(y, dx=dx, axis=axis)).tobytes()
+
+
+@pytest.mark.parametrize("axis, row", [(0, 7), (1, 4)])
+def test_simpson_carries_a_nan_node_into_its_row(axis, row):
+    y = rng_for(5).standard_normal((13, 21))
+    y[4, 7] = np.nan
+    out = _simpson(y, 0.1, axis)
+    assert np.array_equal(np.isnan(out), np.arange(out.size) == row)
+    assert out.tobytes() == simpson(y, dx=0.1, axis=axis).tobytes()
+
+
+@pytest.mark.parametrize("n", [33, 64])
+def test_chart_quadrature_equals_scipy_bit_for_bit(n):
+    g = poincare_disk(Grid(n, n + 3, 0.8, 0.7, "dirichlet"))
+    dens = trig_spd(g.grid, rng_for(n), amp=0.3)[..., 0, 1]
+    expected = float(simpson(simpson(dens, dx=g.grid.dx, axis=1), dx=g.grid.dy))
+    assert np.float64(_simpson2(g.grid, dens)).tobytes() == np.float64(expected).tobytes()

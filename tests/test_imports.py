@@ -1,11 +1,13 @@
 """Importing the package, and running ``codazzi embed``, load no scipy;
-``codazzi solve`` loads only scipy's sparse and dense linear algebra.
+``codazzi solve`` and ``codazzi verify`` load only scipy's sparse and dense
+linear algebra.
 
 scipy is imported inside the functions that call it, so a process that
-never fits a spline, builds a sparse matrix or runs a Simpson quadrature
-never pays for its import, and the spline is the package's own, so no
-process loads scipy.interpolate for it.  Each check runs in a fresh
-interpreter, since the test process itself has scipy loaded.
+never fits a spline, builds a sparse matrix or factors one never pays for
+its import.  The spline and the Simpson quadrature are the package's own,
+so no process loads scipy.interpolate or scipy.integrate for them.  Each
+check runs in a fresh interpreter, since the test process itself has scipy
+loaded.
 """
 
 import json
@@ -59,8 +61,15 @@ def test_embed_runs_without_loading_scipy(tmp_path):
     assert seen["scipy"] == []
 
 
-# subpackages that scipy.interpolate pulls in, and that nothing in a solve needs
-_NOT_IN_A_SOLVE = ("interpolate", "optimize", "spatial", "special", "fft")
+# subpackages that scipy.interpolate and scipy.integrate pull in, and that
+# nothing in a solve or a verify run needs
+_NOT_LINEAR_ALGEBRA = ("integrate", "interpolate", "optimize", "spatial", "special", "fft")
+
+
+def _assert_only_linear_algebra(scipy_modules):
+    assert {"scipy.linalg", "scipy.sparse.linalg"} <= set(scipy_modules)
+    loaded = {m.split(".")[1] for m in scipy_modules if m.count(".")}
+    assert loaded.isdisjoint(_NOT_LINEAR_ALGEBRA), sorted(loaded)
 
 
 def test_solve_loads_no_interpolation_optimisation_or_special_functions(tmp_path):
@@ -69,6 +78,13 @@ def test_solve_loads_no_interpolation_optimisation_or_special_functions(tmp_path
     assert seen["result"] == 0
     assert (tmp_path / "s_report.json").exists()
     # the solve did fit its spline and factor its Jacobian
-    assert {"scipy.linalg", "scipy.sparse.linalg"} <= set(seen["scipy"])
-    loaded = {m.split(".")[1] for m in seen["scipy"] if m.count(".")}
-    assert loaded.isdisjoint(_NOT_IN_A_SOLVE), sorted(loaded)
+    _assert_only_linear_algebra(seen["scipy"])
+
+
+def test_verify_loads_only_linear_algebra(tmp_path):
+    argv = ["verify", "--suite", "all", "--seed", "0", "--out", str(tmp_path / "v.json")]
+    seen = _fresh(f"from codazzi import cli\nresult = cli.main({argv!r})")
+    assert seen["result"] == 0
+    assert (tmp_path / "v.json").exists()
+    # the run did fit splines, factor the Teichmueller solves and integrate by Simpson's rule
+    _assert_only_linear_algebra(seen["scipy"])

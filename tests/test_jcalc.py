@@ -1,8 +1,12 @@
 """Pointwise 2x2 matrix calculus against independent oracles."""
 
+import json
+
 import numpy as np
 import pytest
 
+from codazzi import verify
+from codazzi.grid import central_difference
 from codazzi.jcalc import (
     ID2,
     J,
@@ -122,3 +126,60 @@ def test_metric_to_A_rejects_non_spd():
 
 def test_b_form_is_minus_det(batch):
     assert np.max(np.abs(b_form(batch) + det(batch))) < 1e-13
+
+
+def _one_batch_suite_jcalc(seed):
+    """The jcalc suite with each identity on the whole 100,000-matrix batch at once.
+
+    The oracle of the blocked suite: the same draws in the same order, and
+    every record from one reduction over the batch.
+    """
+    vanishes = verify._vanishes
+    rng = rng_for(seed)
+    a = rng.standard_normal((100_000, 2, 2))
+    checks = []
+    sig = sigma(a)
+
+    fro = np.sqrt(np.sum(jlin_part(a) ** 2, axis=(-2, -1)))
+    checks.append(vanishes("sigma_frobenius_oracle", 1e-12, sig - fro))
+
+    th = rng.uniform(0.0, 2.0 * np.pi, size=a.shape[0])
+    cos, sin = np.cos(th), np.sin(th)
+    rot = np.empty_like(a)
+    rot[:, 0, 0] = cos
+    rot[:, 0, 1] = -sin
+    rot[:, 1, 0] = sin
+    rot[:, 1, 1] = cos
+    checks.append(vanishes(
+        "sigma_rotation_invariance", 1e-12, sigma(rot @ a) - sig, sigma(a @ rot) - sig
+    ))
+
+    anti = a - np.swapaxes(a, -1, -2) + trace(a @ J)[..., None, None] * J
+    checks.append(vanishes("antisymmetric_part_relation", 1e-14, anti))
+
+    b = a[np.abs(det(a)) > 0.1]
+    adj = J @ np.swapaxes(b, -1, -2) @ J + det(b)[..., None, None] * inv2(b)
+    checks.append(vanishes("adjugate_relation", 1e-13, adj))
+
+    m = rng.standard_normal((20_000, 2, 2))
+    spd = np.swapaxes(m, -1, -2) @ m + 0.1 * ID2
+    root = spd_sqrt(spd)
+    checks.append(vanishes("spd_sqrt_roundtrip", 1e-12, root @ root - spd))
+
+    g0 = np.swapaxes(m[:64], -1, -2) @ m[:64] + 0.2 * ID2
+    h0 = spd[:64]
+    a0 = metric_to_A(g0, h0)
+    checks.append(vanishes("metric_to_A_roundtrip", 1e-12, metric_action(a0, g0) - h0))
+
+    bsym = 0.5 * (m + np.swapaxes(m, -1, -2))
+    fd = central_difference(lambda t: sigma(spd + t * bsym), 0.0, 1e-6, 1)
+    checks.append(vanishes("dsigma_fd_oracle", 1e-8, fd - dsigma(spd, bsym)))
+
+    checks.append(vanishes("b_form_det", 1e-13, b_form(a) + det(a)))
+    return checks
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_blocked_suite_equals_one_batch_bit_for_bit(seed):
+    # json writes each float by its shortest round-trip repr, so equal text is equal bits
+    assert json.dumps(verify.suite_jcalc(seed)) == json.dumps(_one_batch_suite_jcalc(seed))

@@ -183,3 +183,34 @@ def test_a_nan_in_one_draw_fails_its_check(monkeypatch, owner, name, n, suite, c
     _nan_on_call(monkeypatch, owner, name, n)
     records = {c["check"]: c for c in verify.run_suite(suite, 0)}
     assert not records[check]["pass"]
+
+
+class _LastMatrixNaN:
+    """A generator whose first ``standard_normal`` batch ends in a matrix holding a NaN."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self._first = True
+
+    def standard_normal(self, size):
+        out = self._rng.standard_normal(size)
+        if self._first:
+            out[-1, 0, 1] = np.nan
+        self._first = False
+        return out
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+def test_a_nan_in_the_last_block_fails_its_jcalc_checks(monkeypatch):
+    # the NaN matrix is the last of the 100,000, so it sits in the last block,
+    # where a builtin max over the block maxima would drop it
+    monkeypatch.setattr(verify, "rng_for", lambda seed: _LastMatrixNaN(rng_for(seed)))
+    records = {c["check"]: c for c in verify.suite_jcalc(0)}
+    for check in ("sigma_frobenius_oracle", "sigma_rotation_invariance",
+                  "antisymmetric_part_relation", "b_form_det"):
+        assert not records[check]["pass"], check
+        assert np.isnan(records[check]["lhs"]), check
+    # the matrices drawn after it are untouched
+    assert records["spd_sqrt_roundtrip"]["pass"]
