@@ -21,7 +21,9 @@ iota = patch.nodes
 
 # sanity: the identity field gives back the hyperboloid, support -1
 idf = np.broadcast_to(ID2, (65, 65, 2, 2)).copy()
-x_id = embedding.integrate_immersion(idf, patch, iota[patch.base_index], sign=1)
+x_id = embedding.integrate_immersion(
+    embedding.edge_segments(idf, patch), patch, iota[patch.base_index], sign=1
+)
 print(f"A = Id: max deviation from the hyperboloid {np.max(np.abs(x_id - iota)):.2e}")
 phi = embedding.support_function(x_id, patch, sign=1)
 print(f"        support function range [{phi.min():.6f}, {phi.max():.6f}]")
@@ -30,9 +32,10 @@ print(f"        support function range [{phi.min():.6f}, {phi.max():.6f}]")
 xx, yy = grid.meshgrid
 f = 2.0 + 0.3 * np.cos(3.0 * xx) * np.sin(2.0 * yy) + 0.2 * xx * yy
 a = embedding.codazzi_generator(f, patch)
-x = embedding.integrate_immersion(a, patch, iota[patch.base_index])
+segments = embedding.edge_segments(a, patch)
+x = embedding.integrate_immersion(segments, patch, iota[patch.base_index])
 
-print(f"\nHessian-type field: plaquette defect {embedding.plaquette_defect(a, patch):.3e}")
+print(f"\nHessian-type field: plaquette defect {embedding.plaquette_defect(segments):.3e}")
 print(f"                    induced-metric error {embedding.induced_metric_error(x, a, patch):.3e}")
 spacelike, definite, side = embedding.convexity_check(x, patch)
 print(f"                    spacelike={spacelike}, definite={definite}, side={side}")

@@ -247,14 +247,16 @@ def cmd_embed(args, parser):
         resid = embedding.certify_codazzi(a, patch, args.tol)
     except embedding.PathDependenceError as exc:
         raise _Refused(f"{args.endo}: refusing non-Codazzi input: {exc}") from None
-    u = patch.nodes[patch.base_index]
-    x = embedding.integrate_immersion(a, patch, u, sign=1)
+    segments = embedding.edge_segments(a, patch)
+    x = embedding.integrate_immersion(segments, patch, patch.nodes[patch.base_index], sign=1)
+    defect = embedding.plaquette_defect(segments)
+    del segments  # not alive through the mesh write
     phi = embedding.support_function(x, patch, sign=1)
     fileio.write_mesh_csv(f"{args.out}_mesh.csv", grid, x, phi)
     spacelike, definite, side = embedding.convexity_check(x, patch)
     companion = {
         "codazzi_residual": float(resid),
-        "plaquette_defect": float(embedding.plaquette_defect(a, patch)),
+        "plaquette_defect": float(defect),
         "induced_metric_error": float(embedding.induced_metric_error(x, a, patch)),
         "convexity": {
             "spacelike": bool(spacelike),

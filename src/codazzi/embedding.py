@@ -4,9 +4,11 @@ The hyperbolic plane is realized as the future unit hyperboloid in the
 Minkowski space R^{2,1} with metric diag(1, 1, -1); a chart over a
 sub-disk of the Poincare disk supplies the discretization.  A symmetric
 Codazzi endomorphism field A turns the closed 1-form A . d iota into an
-immersion X = U + sign * int A . d iota, integrated along canonical grid
-paths.  The integration does not certify its input: a caller whose field
-may be far from Codazzi checks it first with :func:`certify_codazzi`.
+immersion X = U + sign * int A . d iota.  :func:`edge_segments` takes the
+integral over every grid edge once; :func:`integrate_immersion` sums those
+segments along canonical grid paths and :func:`plaquette_defect` around
+each cell.  Neither certifies the field: a caller whose field may be far
+from Codazzi checks it first with :func:`certify_codazzi`.
 Support functions, pairs of immersions summing to a prescribed support,
 equivariance under isometries of the Minkowski space, and convexity are
 all verified numerically.
@@ -31,6 +33,7 @@ __all__ = [
     "PathDependenceError",
     "certify_codazzi",
     "codazzi_generator",
+    "edge_segments",
     "integrate_immersion",
     "plaquette_defect",
     "induced_metric_error",
@@ -183,6 +186,15 @@ def _segments_y(a, patch: HyperboloidPatch):
     )
 
 
+def edge_segments(a, patch: HyperboloidPatch):
+    """(+x, +y) edge displacements of ``a``, (ny, nx-1, 3) and (ny-1, nx, 3).
+
+    Raises ValueError unless ``a`` is finite and symmetric.
+    """
+    a = check_symmetric(patch.grid.check_field(a, rank=2))
+    return _segments_x(a, patch), _segments_y(a, patch)
+
+
 def _cum_from(seg, k0, n):
     """Cumulative sums of edge displacements anchored at node index k0.
 
@@ -197,38 +209,33 @@ def _cum_from(seg, k0, n):
     return out
 
 
-def integrate_immersion(a, patch: HyperboloidPatch, u, sign=1):
+def integrate_immersion(segments, patch: HyperboloidPatch, u, sign=1):
     """X = U + sign * int A . d iota along canonical grid paths.
 
-    Each node is reached from the base node along the base row, then up or
-    down its column; for a Codazzi field any other staircase agrees to
-    O(h^2) (:func:`plaquette_defect` bounds the difference per cell).  Raises
-    ValueError unless ``a`` is finite and symmetric and ``sign`` is +1 or
-    -1.  The Codazzi residual of ``a`` is not checked here; see
-    :func:`certify_codazzi`.
+    ``segments`` is :func:`edge_segments` of A on ``patch``.  Each node is
+    reached from the base node along the base row, then up or down its
+    column; for a Codazzi field any other staircase agrees to O(h^2)
+    (:func:`plaquette_defect` bounds the difference per cell).  Raises
+    ValueError unless ``sign`` is +1 or -1.  The Codazzi residual of A is
+    not checked here; see :func:`certify_codazzi`.
     """
     grid = patch.grid
-    a = check_symmetric(grid.check_field(a, rank=2))
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     j0, i0 = patch.base_index
-    seg_x = _segments_x(a, patch)
-    seg_y = _segments_y(a, patch)
+    seg_x, seg_y = segments
     along_x = _cum_from(np.swapaxes(seg_x, 0, 1)[:, j0], i0, grid.nx)
     total = along_x[None, :, :] + _cum_from(seg_y, j0, grid.ny)
     return np.asarray(u, dtype=float) + sign * total
 
 
-def plaquette_defect(a, patch: HyperboloidPatch):
+def plaquette_defect(segments):
     """Largest holonomy of the edge displacements around a grid cell.
 
-    Exact closedness of A . d iota makes every plaquette close; the
-    discrete defect is the path-dependence bound per cell.
+    ``segments`` is :func:`edge_segments` of A; exact closedness of A . d iota
+    makes every plaquette close.  The defect bounds path dependence per cell.
     """
-    grid = patch.grid
-    a = grid.check_field(a, rank=2)
-    seg_x = _segments_x(a, patch)
-    seg_y = _segments_y(a, patch)
+    seg_x, seg_y = segments
     loop = seg_x[:-1] + seg_y[:, 1:] - seg_x[1:] - seg_y[:, :-1]
     return float(np.max(np.linalg.norm(loop, axis=-1)))
 
@@ -249,8 +256,9 @@ def induced_metric_error(x, a, patch: HyperboloidPatch):
     gram[..., 0, 1] = mdot(dx_, dy_)
     gram[..., 1, 0] = gram[..., 0, 1]
     gram[..., 1, 1] = mdot(dy_, dy_)
+    # a contiguous A^T: numpy's own A^T A path makes one BLAS call per block
     target = patch.metric.conformal_factor[..., None, None] * (
-        np.swapaxes(a, -1, -2) @ a
+        np.ascontiguousarray(np.swapaxes(a, -1, -2)) @ a
     )
     mask = grid.interior(3)
     return float(np.max(np.abs((gram - target)[mask])))
@@ -281,8 +289,9 @@ def support_pair(f, patch: HyperboloidPatch):
     gfx, gfy = grad(f, g)[j0, i0]
     dio_x, dio_y = _disk_immersion_frame(x0, y0)
     udiff = gfx * dio_x + gfy * dio_y - f[j0, i0] * _disk_immersion(x0, y0)
-    xplus = integrate_immersion(a, patch, 0.5 * udiff, sign=-1)
-    xminus = integrate_immersion(a, patch, -0.5 * udiff, sign=1)
+    segments = edge_segments(a, patch)
+    xplus = integrate_immersion(segments, patch, 0.5 * udiff, sign=-1)
+    xminus = integrate_immersion(segments, patch, -0.5 * udiff, sign=1)
     return (
         xplus,
         xminus,

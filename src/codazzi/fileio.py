@@ -7,6 +7,7 @@ tools.
 """
 
 import json
+from itertools import chain, cycle, islice, repeat
 
 import numpy as np
 
@@ -21,8 +22,8 @@ __all__ = [
 ]
 
 
-# Payload rows per json.dumps call in save_field: bounds the memory of the
-# lists and strings being encoded, whatever the grid size.
+# Rows per json.dumps call in save_field and per write in write_mesh_csv:
+# bounds the memory of the lists and strings built, whatever the grid size.
 _ROWS_PER_CHUNK = 4096
 
 
@@ -153,12 +154,16 @@ def write_mesh_csv(path, grid: Grid, x, phi_support):
     if x.shape != (grid.ny, grid.nx, 3) or phi_support.shape != (grid.ny, grid.nx):
         raise ValueError(f"mesh x {x.shape} and phi_support {phi_support.shape} do not "
                          f"match grid ({grid.ny}, {grid.nx})")
-    # one repr per chart column (u) and per chart row (v), then whole columns
-    us = [repr(u) for u in grid.x.tolist()]
-    vs = [repr(v) for v in grid.y.tolist()]
-    uv = (f"{u},{v}" for v in vs for u in us)
-    cols = (x[..., 0], x[..., 1], x[..., 2], phi_support)
-    tail = [map(repr, c.ravel().tolist()) for c in cols]
+    # one repr per chart column (u) and per chart row (v), u fastest; the
+    # other values' reprs and the rows are made in C, a chunk of rows at a time
+    u_col = cycle(map(repr, grid.x.tolist()))
+    v_col = chain.from_iterable(map(repeat, map(repr, grid.y.tolist()), repeat(grid.nx)))
+    cols = (*x.reshape(-1, 3).T, phi_support.reshape(-1))
     with open(path, "w") as fh:
         fh.write("u,v,x1,x2,x3,phi_support\n")
-        fh.writelines(",".join(row) + "\n" for row in zip(uv, *tail))
+        for start in range(0, grid.nx * grid.ny, _ROWS_PER_CHUNK):
+            chunk = slice(start, start + _ROWS_PER_CHUNK)
+            # islice ends a full chunk without drawing a row's u or v ahead
+            rows = zip(islice(u_col, _ROWS_PER_CHUNK), islice(v_col, _ROWS_PER_CHUNK),
+                       *(map(repr, c[chunk].tolist()) for c in cols))
+            fh.write("\n".join(map(",".join, rows)) + "\n")

@@ -452,7 +452,7 @@ def suite_embed(seed):
     p = _patch(N2)
     iota = p.nodes
     idf = np.broadcast_to(ID2, iota.shape[:2] + (2, 2)).copy()
-    x_id = embedding.integrate_immersion(idf, p, iota[p.base_index], sign=1)
+    x_id = embedding.integrate_immersion(embedding.edge_segments(idf, p), p, iota[p.base_index])
     checks.append(_vanishes("identity_reproduces_hyperboloid", 1e-10, x_id - iota))
     checks.append(
         _vanishes("support_of_hyperboloid", 1e-10, embedding.support_function(iota, p) + 1.0)
@@ -461,10 +461,9 @@ def suite_embed(seed):
     def defects(n):
         q = _patch(n)
         _, a = _hessian_pair(q)
-        pd = embedding.plaquette_defect(2.0 * a, q)
-        xq = embedding.integrate_immersion(2.0 * a, q, q.nodes[q.base_index])
-        ime = embedding.induced_metric_error(xq, 2.0 * a, q)
-        return pd, ime
+        segments = embedding.edge_segments(2.0 * a, q)
+        xq = embedding.integrate_immersion(segments, q, q.nodes[q.base_index])
+        return embedding.plaquette_defect(segments), embedding.induced_metric_error(xq, 2.0 * a, q)
 
     pd1, ime1 = defects(N1)
     pd2, ime2 = defects(N2)
@@ -481,7 +480,8 @@ def suite_embed(seed):
 
     po = _patch(65)
     ido = np.broadcast_to(ID2, (65, 65, 2, 2)).copy()
-    xo = embedding.integrate_immersion(ido, po, po.nodes[po.base_index], sign=1)
+    seg_o = embedding.edge_segments(ido, po)
+    xo = embedding.integrate_immersion(seg_o, po, po.nodes[po.base_index])
     _, res_boost = embedding.equivariance_residual(
         xo, embedding.Isometry21.boost(0.1), ido, po
     )
@@ -493,7 +493,7 @@ def suite_embed(seed):
         r2 = xx**2 + yy**2
         f = 2.0 + 0.5 * r2 + 0.3 * r2**2
         a = 0.5 * embedding.codazzi_generator(f, q)
-        xq = embedding.integrate_immersion(a, q, q.nodes[q.base_index])
+        xq = embedding.integrate_immersion(embedding.edge_segments(a, q), q, q.nodes[q.base_index])
         _, r = embedding.equivariance_residual(
             xq, embedding.Isometry21.rotation(0.4), a, q
         )

@@ -62,7 +62,7 @@ def _run(argv):
     with pytest.MonkeyPatch.context() as mp:
         for module, name in [
             (verify, "run_suites"), (solver, "newton_solve"), (solver, "continuation_solve"),
-            (embedding, "integrate_immersion"),
+            (embedding, "edge_segments"),
         ]:
             mp.setattr(module, name, _work)
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):

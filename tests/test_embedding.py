@@ -1,11 +1,14 @@
 """Immersion construction on the hyperboloid patch and its isometry group."""
 
+import contextlib
 import dataclasses
+import hashlib
+import io
 
 import numpy as np
 import pytest
 
-from codazzi import embedding
+from codazzi import cli, embedding, fileio, verify
 from codazzi.energy import codazzi_residual
 from codazzi.grid import Grid
 from codazzi.jcalc import ID2
@@ -44,7 +47,8 @@ def test_identity_field_reproduces_hyperboloid():
     p = _patch(33)
     iota = p.nodes
     idf = np.broadcast_to(ID2, iota.shape[:2] + (2, 2)).copy()
-    x = embedding.integrate_immersion(idf, p, iota[p.base_index], sign=1)
+    segments = embedding.edge_segments(idf, p)
+    x = embedding.integrate_immersion(segments, p, iota[p.base_index], sign=1)
     assert np.max(np.abs(x - iota)) < 1e-10
 
 
@@ -58,7 +62,7 @@ def test_plaquette_defect_converges():
     def defect(n):
         q = _patch(n)
         _, a = _hessian_field(q)
-        return embedding.plaquette_defect(a, q)
+        return embedding.plaquette_defect(embedding.edge_segments(a, q))
 
     assert defect(32) / defect(64) > 3.5
 
@@ -67,7 +71,7 @@ def test_induced_metric_error_converges():
     def err(n):
         q = _patch(n)
         _, a = _hessian_field(q)
-        x = embedding.integrate_immersion(a, q, q.nodes[q.base_index])
+        x = embedding.integrate_immersion(embedding.edge_segments(a, q), q, q.nodes[q.base_index])
         return embedding.induced_metric_error(x, a, q)
 
     assert err(32) / err(64) > 3.5
@@ -86,7 +90,8 @@ def test_support_pair_sums_to_f():
 def test_equivariance_under_boost():
     p = _patch(65)
     idf = np.broadcast_to(ID2, (65, 65, 2, 2)).copy()
-    x = embedding.integrate_immersion(idf, p, p.nodes[p.base_index], sign=1)
+    segments = embedding.edge_segments(idf, p)
+    x = embedding.integrate_immersion(segments, p, p.nodes[p.base_index], sign=1)
     _, res = embedding.equivariance_residual(
         x, embedding.Isometry21.boost(0.1), idf, p
     )
@@ -131,7 +136,7 @@ def test_certify_codazzi_rejects_non_codazzi():
         embedding.certify_codazzi(a, p, 1e-3)
     assert embedding.certify_codazzi(a, p, r) == r
     # the integration itself certifies nothing
-    x = embedding.integrate_immersion(a, p, p.nodes[p.base_index])
+    x = embedding.integrate_immersion(embedding.edge_segments(a, p), p, p.nodes[p.base_index])
     assert np.all(np.isfinite(x))
 
 
@@ -144,7 +149,7 @@ def test_certify_codazzi_refuses_nan_residual(monkeypatch):
 
 
 @pytest.mark.parametrize("defect", ["asymmetric", "nan"])
-def test_integrate_immersion_rejects_non_symmetric_or_non_finite(defect):
+def test_edge_segments_rejects_non_symmetric_or_non_finite(defect):
     p = _patch(17)
     a = np.broadcast_to(ID2, (17, 17, 2, 2)).copy()
     if defect == "nan":
@@ -152,14 +157,14 @@ def test_integrate_immersion_rejects_non_symmetric_or_non_finite(defect):
     else:
         a[8, 3, 0, 1] += 1e-6
     with pytest.raises(ValueError, match="non-symmetric or non-finite"):
-        embedding.integrate_immersion(a, p, p.nodes[p.base_index])
+        embedding.edge_segments(a, p)
 
 
 def test_integrate_immersion_refuses_a_sign_other_than_one():
     p = _patch(17)
     a = np.broadcast_to(ID2, (17, 17, 2, 2)).copy()
     with pytest.raises(ValueError, match="sign must be \\+1 or -1"):
-        embedding.integrate_immersion(a, p, p.nodes[p.base_index], sign=2)
+        embedding.integrate_immersion(embedding.edge_segments(a, p), p, p.nodes[p.base_index], 2)
 
 
 def test_isometry_refuses_an_improper_linear_part():
@@ -171,7 +176,7 @@ def test_isometry_refuses_an_improper_linear_part():
 def test_equivariance_refuses_an_isometry_that_moves_the_patch_off_itself():
     p = _patch(17)
     idf = np.broadcast_to(ID2, (17, 17, 2, 2)).copy()
-    x = embedding.integrate_immersion(idf, p, p.nodes[p.base_index])
+    x = embedding.integrate_immersion(embedding.edge_segments(idf, p), p, p.nodes[p.base_index])
     with pytest.raises(ValueError, match="insufficient overlap"):
         embedding.equivariance_residual(x, embedding.Isometry21.boost(3.0), idf, p)
 
@@ -179,8 +184,39 @@ def test_equivariance_refuses_an_isometry_that_moves_the_patch_off_itself():
 def test_convexity_of_the_past_hyperboloid_and_of_a_saddle():
     p = _patch(33)
     idf = np.broadcast_to(ID2, (33, 33, 2, 2)).copy()
-    past = embedding.integrate_immersion(idf, p, -p.nodes[p.base_index], sign=-1)
+    segments = embedding.edge_segments(idf, p)
+    past = embedding.integrate_immersion(segments, p, -p.nodes[p.base_index], sign=-1)
     assert embedding.convexity_check(past, p) == (True, True, "past")
     xx, yy = p.grid.meshgrid
     saddle = np.stack([xx, yy, 0.5 * (xx**2 - yy**2)], axis=-1)
     assert embedding.convexity_check(saddle, p) == (True, False, "mixed")
+
+
+@pytest.fixture
+def segment_builds(monkeypatch):
+    """Every edge-segment build from here on: (builder, field shape, sha256 of the field)."""
+    builds = []
+    for name in ("_segments_x", "_segments_y"):
+        def spy(a, patch, name=name, build=getattr(embedding, name)):
+            builds.append((name, a.shape, hashlib.sha256(a.tobytes()).hexdigest()))
+            return build(a, patch)
+
+        monkeypatch.setattr(embedding, name, spy)
+    return builds
+
+
+def test_embed_builds_the_edge_segments_once(tmp_path, segment_builds):
+    p = _patch(17)
+    path = tmp_path / "id.json"
+    fileio.save_field(path, p.metric, endo=np.broadcast_to(ID2, (17, 17, 2, 2)))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["embed", "--endo", str(path), "--out", str(tmp_path / "e")]) == 0
+    assert sorted(name for name, *_ in segment_builds) == ["_segments_x", "_segments_y"]
+
+
+def test_suite_embed_builds_each_fields_edge_segments_once(segment_builds):
+    verify.suite_embed(0)
+    # the identity at two sizes, the Hessian field's defects and support pair
+    # at two sizes each, and the rotation-invariant field at two sizes
+    assert len(segment_builds) == 2 * 8
+    assert len(set(segment_builds)) == len(segment_builds)

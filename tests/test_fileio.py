@@ -214,6 +214,40 @@ def test_save_field_writes_the_one_call_document_byte_for_byte(tmp_path, grid, k
     assert path.read_text() == _one_call_document(g, **payloads)
 
 
+def _one_row_at_a_time_mesh(grid, x, phi):
+    """The mesh file written row by row, each value its own repr: write_mesh_csv's oracle."""
+    lines = ["u,v,x1,x2,x3,phi_support\n"]
+    for j in range(grid.ny):
+        for i in range(grid.nx):
+            row = [grid.x[i], grid.y[j], *x[j, i], phi[j, i]]
+            lines.append(",".join(repr(float(v)) for v in row) + "\n")
+    return "".join(lines)
+
+
+_MESH_SPECIAL = [-0.0, 5e-324, 1e300, -1e300, np.nan, np.inf, -np.inf]
+
+
+# 72 rows fill part of one chunk of rows, 4225 and 4171 one and a part
+@pytest.mark.parametrize(
+    "grid",
+    [
+        Grid(8, 9, 0.7, 0.9, "dirichlet"),
+        Grid(65, 65, 0.8, 0.8, "dirichlet"),
+        Grid(97, 43, 1.0, 0.5, "periodic"),
+    ],
+    ids=["8x9", "65x65", "97x43"],
+)
+def test_mesh_csv_writes_the_one_row_at_a_time_file_byte_for_byte(tmp_path, grid):
+    rng = np.random.default_rng(grid.nx)
+    x = rng.standard_normal((grid.ny, grid.nx, 3))
+    phi = rng.standard_normal((grid.ny, grid.nx))
+    x.reshape(-1)[rng.choice(x.size, len(_MESH_SPECIAL), replace=False)] = _MESH_SPECIAL
+    phi.reshape(-1)[rng.choice(phi.size, len(_MESH_SPECIAL), replace=False)] = _MESH_SPECIAL
+    path = tmp_path / "m.csv"
+    fileio.write_mesh_csv(path, grid, x, phi)
+    assert path.read_bytes() == _one_row_at_a_time_mesh(grid, x, phi).encode()
+
+
 def test_mesh_csv_refuses_shapes_that_do_not_match_the_grid(sample):
     tmp, *_ = sample
     grid = Grid(12, 9)

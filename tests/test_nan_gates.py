@@ -85,7 +85,9 @@ def test_range_gate_refuses_nan(call, match):
 def _equivariance_of_nan_field():
     patch = embedding.HyperboloidPatch(Grid(33, 33, 0.8, 0.8, "dirichlet"))
     a = np.broadcast_to(ID2, (33, 33, 2, 2)).copy()
-    x = embedding.integrate_immersion(a, patch, patch.nodes[patch.base_index])
+    x = embedding.integrate_immersion(
+        embedding.edge_segments(a, patch), patch, patch.nodes[patch.base_index]
+    )
     a[20, 20, 0, 0] = np.nan
     return embedding.equivariance_residual(x, embedding.Isometry21.rotation(0.4), a, patch)
 
