@@ -10,8 +10,8 @@ usage line:
 * ``solve``: ``--g --h --nx --lx --tol --out --continuation-steps
   --manufactured-seed``.  The solver runs on Dirichlet charts only; without
   ``--g`` the background is the Dirichlet Poincare sub-disk chart on the
-  square of ``--nx`` nodes and extent ``--lx`` on each side, and a
-  non-square chart comes in through ``--g``;
+  square of ``--nx`` nodes (32) and extent ``--lx`` (0.8) on each side, and
+  a non-square chart comes in through ``--g``, which takes neither flag;
 * ``embed``: ``--endo --tol --out``.  The field is certified once, by
   :func:`codazzi.embedding.certify_codazzi` at ``--tol``, before it is
   integrated.
@@ -22,7 +22,8 @@ failed suite, an ``embed`` file whose ``phi`` is not the Poincare sub-disk
 metric of its grid), 2 for usage and I/O errors (unknown flags, a ``--tol``
 that is not finite and positive, a negative ``--seed``, ``--manufactured-seed``
 or ``--continuation-steps``, a ``solve --nx`` or ``--lx`` whose built-in chart
-:class:`~codazzi.grid.Grid` refuses, missing or malformed files, a ``solve
+:class:`~codazzi.grid.Grid` refuses, a ``solve --nx`` or ``--lx`` together with
+``--g``, missing or malformed files, a ``solve
 --h`` file on another grid or with another ``phi`` than the background's,
 ``solve --h`` with ``--manufactured-seed``, a ``solve --manufactured-seed``
 whose ``--g`` ``phi`` is not the Poincare sub-disk metric of its grid, a
@@ -80,8 +81,9 @@ def _build_parser():
     # a manufactured run builds its own target, so it takes no --h
     target = ps.add_mutually_exclusive_group(required=True)
     target.add_argument("--h", metavar="FILE", help="target metric field file")
-    ps.add_argument("--nx", type=int, default=32, help="nodes per side of the square chart")
-    ps.add_argument("--lx", type=float, default=0.8, help="side of the square chart")
+    # no defaults here, so that a chart flag next to --g, which it cannot change, is refused
+    ps.add_argument("--nx", type=int, help="nodes per side of the built-in square chart (32)")
+    ps.add_argument("--lx", type=float, help="side of the built-in square chart (0.8)")
     ps.add_argument("--tol", type=float, default=1e-8, help="Newton residual tolerance")
     ps.add_argument("--out", default="solve", help="output prefix")
     ps.add_argument("--continuation-steps", type=int, default=0)
@@ -173,13 +175,17 @@ def cmd_solve(args, parser):
         parser.error("argument --manufactured-seed: must be 0 or more")
     # the background: a --g file, or the Poincare sub-disk chart of the grid flags
     if args.g is None:
+        nx = 32 if args.nx is None else args.nx
+        lx = 0.8 if args.lx is None else args.lx
         try:
-            grid = Grid(args.nx, args.nx, args.lx, args.lx, DIRICHLET)
+            grid = Grid(nx, nx, lx, lx, DIRICHLET)
         except ValueError as exc:
             parser.error(f"argument --nx/--lx: {exc}")
         chart = f"grid {grid}"
         g = _disk(grid, chart)
     else:
+        if args.nx is not None or args.lx is not None:
+            parser.error("argument --nx/--lx: not allowed with argument --g")
         g = fileio.load_field(args.g)["g"]
         chart = f"{args.g}: grid {g.grid}"
         if args.manufactured_seed is not None:

@@ -11,8 +11,8 @@ Every solve has one background g; :func:`continuation_solve` moves only the
 target, h_t = (1 - t) g + t h (natural-parameter continuation, Allgower and
 Georg, SIAM 2003).  The curvature check, the interior index, the
 operators S, L and stab below and the column array of K depend on g alone,
-so each public call builds them once and all its continuation steps share
-them.
+so each public call builds them once, in its private state :class:`_Solve`
+(which also holds its report and Newton factor), for all its steps.
 
 The Newton Jacobian is exact: :func:`_exact_jacobian` assembles the chain
 rule of :func:`solver_residual` as a sparse matrix, L K S + stab (Griewank
@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import SYMMETRIC_SPLU, ConformalMetric, Grid, _rows_csr
+from .grid import SYMMETRIC_SPLU, ConformalMetric, _rows_csr
 from .energy import codazzi_residual, energy_gradient, field_A
 from .jcalc import dspd_sqrt, inv2
 from .maps import FieldInterpolator, FoldOverError, map_jacobian, map_points, pullback_metric
@@ -93,15 +93,6 @@ class SolveReport:
     codazzi_residual: float = 0.0
 
 
-def _require_negative_curvature(g):
-    # written so that a NaN curvature fails
-    if not np.all(curvature(g) < 0.0):
-        raise CurvatureSignError(
-            "the background metric is not negatively curved everywhere; "
-            "the critical-point equation is elliptic only for kappa < 0"
-        )
-
-
 def solver_residual(x, g: ConformalMetric, h_interp):
     """Residual driven by Newton: grad E plus a checkerboard suppressor.
 
@@ -119,24 +110,39 @@ def solver_residual(x, g: ConformalMetric, h_interp):
     return energy_gradient(hp, g) - g.grid.dx * g.grid.dy * g.grid.lap5(x)
 
 
-def _interior_index(grid: Grid):
-    return np.where(grid.interior(1).ravel())[0]
+class _Solve:
+    """One solve's state on its background g, built once per public call.
+
+    Building it refuses a periodic chart and a g that is not negatively
+    curved.  It holds ``g``, the interior nodes' packed index ``idx``, their
+    ``ops`` from :func:`_jacobian_operators`, the ``report`` and the factor ``lu``.
+    """
+
+    def __init__(self, g):
+        if g.grid.periodic:
+            raise ValueError("the solver needs a Dirichlet chart")
+        # written so that a NaN curvature fails
+        if not np.all(curvature(g) < 0.0):
+            raise CurvatureSignError(
+                "the background metric is not negatively curved everywhere; "
+                "the critical-point equation is elliptic only for kappa < 0"
+            )
+        self.g = g
+        self.idx = np.where(g.grid.interior(1).ravel())[0]
+        self.ops = _jacobian_operators(g, self.idx)
+        self.report = SolveReport()
+        self.lu = None
+
+    def displacement(self, vec):
+        """The displacement field of the packed ``vec``, zero off the unknowns."""
+        x = np.zeros(self.g.phi.shape + (2,))
+        x.reshape(-1, 2)[self.idx] = vec.reshape(-1, 2)
+        return x
 
 
-def _pack(x, idx):
-    return x.reshape(-1, 2)[idx].ravel()
-
-
-def _unpack(vec, grid, idx):
-    x = np.zeros((grid.ny * grid.nx, 2))
-    x[idx] = vec.reshape(-1, 2)
-    return x.reshape(grid.ny, grid.nx, 2)
-
-
-def _residual_vec(vec, g, h_interp, idx):
-    x = _unpack(vec, g.grid, idx)
-    r = solver_residual(x, g, h_interp)
-    return _pack(r, idx)
+def _residual_vec(state, vec, h_interp):
+    r = solver_residual(state.displacement(vec), state.g, h_interp)
+    return r.reshape(-1, 2)[state.idx].ravel()
 
 
 # Residual rows of :func:`energy_gradient`: (r0, r1) = -J dnabla_endo(A), and
@@ -221,19 +227,19 @@ def _jacobian_operators(g, idx):
     return S, L, stab, kcols
 
 
-def _exact_jacobian(vec, g, h_interp, idx, ops):
+def _exact_jacobian(state, vec, h_interp):
     """Jacobian of the packed residual at ``vec`` by the chain rule, as CSC.
 
-    With ``(S, L, stab, kcols) = ops`` from :func:`_jacobian_operators` it is
-    L K S + stab, where the 4x6 block K = [K1 K2] of a node holds the
+    With ``(S, L, stab, kcols) = state.ops`` from :func:`_jacobian_operators`
+    it is L K S + stab, where the 4x6 block K = [K1 K2] of a node holds the
     derivatives of A = spd_sqrt(e^{-2 phi} F^T h(p + x) F), F = I + D, with
     respect to D (K1) and to the node's own x (K2, through the spline's
     first derivatives at p + x).
     """
-    S, L, stab, kcols = ops
-    x = _unpack(vec, g.grid, idx)
-    pts = map_points(g.grid, x)
-    f = map_jacobian(g.grid, x)
+    S, L, stab, kcols = state.ops
+    x = state.displacement(vec)
+    pts = map_points(state.g.grid, x)
+    f = map_jacobian(state.g.grid, x)
     ft = np.swapaxes(f, -1, -2)
     fth = ft @ h_interp(pts)
     dh = np.stack(h_interp.gradient(pts), axis=-3)
@@ -243,7 +249,7 @@ def _exact_jacobian(vec, g, h_interp, idx, ops):
         [unit + np.swapaxes(unit, -1, -2), ft[..., None, :, :] @ dh @ f[..., None, :, :]],
         axis=-3,
     )
-    ginv = inv2(g.matrix)
+    ginv = inv2(state.g.matrix)
     da = dspd_sqrt((ginv @ (fth @ f))[..., None, :, :], ginv[..., None, :, :] @ dhp)
     # K holds node n's 4x6 block in rows 4n to 4n + 3 and columns 6n to 6n + 5
     n = len(kcols)
@@ -269,7 +275,7 @@ def _factor_step(jac, r):
     return lu, step
 
 
-def _line_search(vec, step, rnorm, g, h, idx):
+def _line_search(state, vec, step, rnorm, h_interp):
     """Halve ``lam`` from 1 until the residual's max-norm drops below ``rnorm``.
 
     Returns ``(lam, r_new)``, or None if no admissible ``lam`` was found in
@@ -278,7 +284,7 @@ def _line_search(vec, step, rnorm, g, h, idx):
     lam = 1.0
     for _ in range(_MAX_HALVINGS + 1):
         try:
-            r_new = _residual_vec(vec + lam * step, g, h, idx)
+            r_new = _residual_vec(state, vec + lam * step, h_interp)
         except FoldOverError:
             lam *= 0.5
             continue
@@ -288,58 +294,53 @@ def _line_search(vec, step, rnorm, g, h, idx):
     return None
 
 
-def _background_state(g):
-    """``(idx, ops)`` of the background g, which must be a negatively curved Dirichlet chart."""
-    if g.grid.periodic:
-        raise ValueError("the solver needs a Dirichlet chart")
-    _require_negative_curvature(g)
-    idx = _interior_index(g.grid)
-    return idx, _jacobian_operators(g, idx)
-
-
-def _newton(vec, g, h_interp, idx, ops, tol, report):
+def _newton(state, vec, h_interp, tol):
     """Damped chord-Newton iteration from the packed start ``vec``.
 
-    Returns the packed solution and records each step in ``report``.
+    Returns the packed solution and records each step in ``state.report``;
+    its factor ``state.lu`` is cleared when it starts and when it returns.
     """
-    r = _residual_vec(vec, g, h_interp, idx)
+    r = _residual_vec(state, vec, h_interp)
     rnorm = float(np.max(np.abs(r)))
-    report.residuals.append(rnorm)
-    lu = None
+    state.report.residuals.append(rnorm)
+    state.lu = None
     for _ in range(_MAX_ITER):
         if rnorm <= tol:
             break
         found = None
-        if lu is not None:  # chord step on the factor of an earlier iterate
-            step = lu.solve(-r)
+        if state.lu is not None:  # chord step on the factor of an earlier iterate
+            step = state.lu.solve(-r)
             if np.all(np.isfinite(step)):
-                found = _line_search(vec, step, rnorm, g, h_interp, idx)
+                found = _line_search(state, vec, step, rnorm, h_interp)
         if found is None:  # no factor yet, or the stale one failed
-            jac = _exact_jacobian(vec, g, h_interp, idx, ops)
-            report.jacobians += 1
-            lu, step = _factor_step(jac, r)
-            found = _line_search(vec, step, rnorm, g, h_interp, idx)
+            jac = _exact_jacobian(state, vec, h_interp)
+            state.report.jacobians += 1
+            state.lu, step = _factor_step(jac, r)
+            found = _line_search(state, vec, step, rnorm, h_interp)
             if found is None:
                 raise SolverError("line search failed to reduce the residual")
         lam, r_new = found
         vec = vec + lam * step
         rnorm_new = float(np.max(np.abs(r_new)))
         if lam < 1.0 or not (rnorm_new <= _REFRESH_CONTRACTION * rnorm):
-            lu = None
+            state.lu = None
         r, rnorm = r_new, rnorm_new
-        report.iterations += 1
-        report.residuals.append(rnorm)
+        state.report.iterations += 1
+        state.report.residuals.append(rnorm)
     if not rnorm <= tol:  # written so that a NaN fails
         raise SolverError(f"Newton stalled at residual {rnorm:.3e}")
+    # freed while the Jacobian is still held: freed after it, the factor let glibc
+    # trim its heap top, and each 32^2 solve took ~430 more minor page faults
+    state.lu = None
     return vec
 
 
-def _finish(vec, g, h_interp, idx, report):
-    """The solution field of the packed ``vec``, and ``report`` with its Codazzi residual."""
-    x = _unpack(vec, g.grid, idx)
-    hp = pullback_metric(g.grid, h_interp, x)
-    report.codazzi_residual = codazzi_residual(field_A(hp, g), g)
-    return x, report
+def _finish(state, vec, h_interp):
+    """The solution field of the packed ``vec``, and the report with its Codazzi residual."""
+    x = state.displacement(vec)
+    hp = pullback_metric(state.g.grid, h_interp, x)
+    state.report.codazzi_residual = codazzi_residual(field_A(hp, state.g), state.g)
+    return x, state.report
 
 
 def newton_solve(g: ConformalMetric, h, tol=1e-8):
@@ -350,11 +351,10 @@ def newton_solve(g: ConformalMetric, h, tol=1e-8):
     the residual fails to reach ``tol`` in :data:`_MAX_ITER` accepted steps,
     or if a freshly factored Jacobian gives no admissible step.
     """
-    idx, ops = _background_state(g)
+    state = _Solve(g)
     h_interp = FieldInterpolator(g.grid, g.grid.check_field(h, rank=2))
-    report = SolveReport()
-    vec = _newton(np.zeros(2 * idx.size), g, h_interp, idx, ops, tol, report)
-    return _finish(vec, g, h_interp, idx, report)
+    vec = _newton(state, np.zeros(2 * state.idx.size), h_interp, tol)
+    return _finish(state, vec, h_interp)
 
 
 def continuation_solve(g: ConformalMetric, h, steps=10, tol=1e-8):
@@ -372,10 +372,9 @@ def continuation_solve(g: ConformalMetric, h, steps=10, tol=1e-8):
         raise ValueError(f"continuation_solve needs steps >= 1, got {steps!r}")
     grid = g.grid
     h = grid.check_field(h, rank=2)
-    idx, ops = _background_state(g)
+    state = _Solve(g)
     g_mat = g.matrix
-    report = SolveReport()
-    vec = np.zeros(2 * idx.size)
+    vec = np.zeros(2 * state.idx.size)
     t = 0.0
     dt = 1.0 / steps
     while t < 1.0:
@@ -383,13 +382,13 @@ def continuation_solve(g: ConformalMetric, h, steps=10, tol=1e-8):
         t_next = 1.0 if t + dt > 1.0 - 1e-12 else t + dt
         h_t = FieldInterpolator(grid, (1.0 - t_next) * g_mat + t_next * h)
         try:
-            vec = _newton(vec, g, h_t, idx, ops, tol, report)
+            vec = _newton(state, vec, h_t, tol)
         except (SolverError, FoldOverError):
             dt *= 0.5
             if dt < _MIN_STEP:
                 raise SolverError("continuation step underflow") from None
             continue
         t = t_next
-        report.steps.append(t)
+        state.report.steps.append(t)
     # the march ends on an accepted step, so h_t is the target h itself
-    return _finish(vec, g, h_t, idx, report)
+    return _finish(state, vec, h_t)

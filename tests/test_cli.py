@@ -321,6 +321,7 @@ def test_out_of_range_flag_values_are_usage_errors(tmp_path, monkeypatch, capsys
         ("solve", "--nx", "16", "--manufactured-seed", "-3"),
         ("solve", "--manufactured-seed", "0", "--nx", "16", "--continuation-steps", "-3"),
         ("solve", "--manufactured-seed", "0", "--nx", "16", "--tol", "0"),
+        ("solve", "--g", "{f}", "--manufactured-seed", "0", "--nx", "64", "--lx", "0.5"),
         ("embed", "--endo", "{f}", "--tol", "-0.05"),
     ],
 )
@@ -334,6 +335,19 @@ def test_a_usage_error_prints_its_subcommands_usage_line(tmp_path, monkeypatch, 
     assert usage.startswith(f"usage: codazzi {argv[0]} [-h]")
     assert error.startswith(f"codazzi {argv[0]}: error: argument ")
     assert not list(tmp_path.glob("*_report.json"))
+
+
+@pytest.mark.parametrize("flags", [("--nx", "64"), ("--lx", "0.5"), ("--nx", "16", "--lx", "0.8")])
+def test_solve_refuses_chart_flags_with_a_g_file(tmp_path, monkeypatch, capsys, flags):
+    # the chart is the --g file's, so a chart flag beside it would be ignored
+    monkeypatch.chdir(tmp_path)
+    f = _identity_endo_file(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run_cli("solve", "--g", f, "--manufactured-seed", "0", *flags)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith("error: argument --nx/--lx: not allowed with argument --g\n")
+    assert not list(tmp_path.glob("solve_*"))
 
 
 def test_embed_refuses_non_integral_header_naming_file_and_key(tmp_path, capsys):

@@ -121,9 +121,9 @@ def test_trivial_pair_has_zero_solution():
 
 def _packed_problem(n, state_seed=7):
     grid, g, _, h = _manufactured(n)
-    idx = solver._interior_index(grid)
-    vec = np.random.default_rng(state_seed).uniform(-1e-3, 1e-3, 2 * idx.size)
-    return g, FieldInterpolator(grid, h), idx, vec
+    state = solver._Solve(g)
+    vec = np.random.default_rng(state_seed).uniform(-1e-3, 1e-3, 2 * state.idx.size)
+    return state, FieldInterpolator(grid, h), vec
 
 
 # The coloured finite-difference Jacobian (Curtis, Powell and Reid, 1974), the
@@ -137,7 +137,7 @@ _STENCIL_REACH = 2
 _COLOR_STRIDE = 2 * _STENCIL_REACH + 1
 
 
-def _fd_jacobian(vec, g, h_interp, idx, base, eps=1e-6):
+def _fd_jacobian(state, vec, h_interp, base, eps=1e-6):
     """Coloured finite-difference Jacobian of the packed residual, as CSC.
 
     One residual evaluation per (colour, component) perturbs every unknown
@@ -145,7 +145,7 @@ def _fd_jacobian(vec, g, h_interp, idx, base, eps=1e-6):
     lies within :data:`_STENCIL_REACH` of exactly one perturbed node, so it
     is attributed to that node's column.
     """
-    grid = g.grid
+    grid, idx = state.g.grid, state.idx
     jj, ii = np.unravel_index(idx, (grid.ny, grid.nx))
     # packed node number at each grid node, -1 off the unknowns; the
     # padding lets every stencil window index in bounds
@@ -167,7 +167,7 @@ def _fd_jacobian(vec, g, h_interp, idx, base, eps=1e-6):
         for comp in range(2):
             pert = vec.copy()
             pert[2 * members + comp] += eps
-            dr = (solver._residual_vec(pert, g, h_interp, idx) - base) / eps
+            dr = (solver._residual_vec(state, pert, h_interp) - base) / eps
             r = (2 * row_node[:, None] + np.arange(2)).ravel()
             rows.append(r)
             cols.append(np.repeat(2 * owner + comp, 2))
@@ -184,34 +184,30 @@ def _fd_jacobian(vec, g, h_interp, idx, base, eps=1e-6):
 def test_residual_stencil_reach(node, comp):
     # the oracle's colouring is exact only if no unknown moves a residual
     # row further than _STENCIL_REACH nodes away
-    g, h, idx, vec = _packed_problem(16)
-    grid = g.grid
-    base = solver._residual_vec(vec, g, h, idx)
+    state, h, vec = _packed_problem(16)
+    grid, idx = state.g.grid, state.idx
+    base = solver._residual_vec(state, vec, h)
     k = int(np.where(idx == np.ravel_multi_index(node, (grid.ny, grid.nx)))[0][0])
     pert = vec.copy()
     pert[2 * k + comp] += 1e-6
-    changed = (solver._residual_vec(pert, g, h, idx) != base).reshape(-1, 2).any(axis=1)
+    changed = (solver._residual_vec(state, pert, h) != base).reshape(-1, 2).any(axis=1)
     jj, ii = np.unravel_index(idx[changed], (grid.ny, grid.nx))
     dist = np.maximum(np.abs(jj - node[0]), np.abs(ii - node[1]))
     assert dist.max() == _STENCIL_REACH
 
 
 def test_coloured_jacobian_equals_column_by_column():
-    g, h, idx, vec = _packed_problem(12)
+    state, h, vec = _packed_problem(12)
     eps = 1e-6
-    base = solver._residual_vec(vec, g, h, idx)
+    base = solver._residual_vec(state, vec, h)
     ref = np.empty((vec.size, vec.size))
     for col in range(vec.size):
         pert = vec.copy()
         pert[col] += eps
-        ref[:, col] = (solver._residual_vec(pert, g, h, idx) - base) / eps
-    jac = _fd_jacobian(vec, g, h, idx, base, eps=eps)
+        ref[:, col] = (solver._residual_vec(state, pert, h) - base) / eps
+    jac = _fd_jacobian(state, vec, h, base, eps=eps)
     assert scipy.sparse.issparse(jac)
     assert np.array_equal(jac.toarray(), ref)
-
-
-def _assembled_jacobian(g, h, idx, vec):
-    return solver._exact_jacobian(vec, g, h, idx, solver._jacobian_operators(g, idx))
 
 
 def _edge2_stencil(n, step):
@@ -274,8 +270,9 @@ _OPERATOR_GRIDS = [
 @pytest.mark.parametrize("grid", _OPERATOR_GRIDS, ids=lambda gr: f"{gr.nx}x{gr.ny}")
 def test_index_built_operators_equal_the_kron_oracle_bit_for_bit(grid):
     g = poincare_disk(grid)
-    idx = solver._interior_index(grid)
-    new = solver._jacobian_operators(g, idx)
+    # the state holds the index build of solver._jacobian_operators
+    state = solver._Solve(g)
+    idx, new = state.idx, state.ops
     oracle = _kron_jacobian_operators(g, idx)
     for name, a, b in zip(("S", "L", "stab"), new, oracle):
         assert a.format == "csr" and a.shape == b.shape, name
@@ -287,9 +284,10 @@ def test_index_built_operators_equal_the_kron_oracle_bit_for_bit(grid):
     diffeo = ManufacturedDiffeo.seeded(grid, 3)
     h = FieldInterpolator(grid, pullback_of_scaled_poincare(diffeo, grid))
     vec = np.random.default_rng(7).uniform(-1e-3, 1e-3, 2 * idx.size)
-    jac_new = solver._exact_jacobian(vec, g, h, idx, new)
+    jac_new = solver._exact_jacobian(state, vec, h)
     # the oracle's S, L and stab, with the index build's columns of K
-    jac_oracle = solver._exact_jacobian(vec, g, h, idx, (*oracle, new[3]))
+    state.ops = (*oracle, new[3])
+    jac_oracle = solver._exact_jacobian(state, vec, h)
     for part in ("indptr", "indices", "data"):
         assert getattr(jac_new, part).tobytes() == getattr(jac_oracle, part).tobytes(), part
 
@@ -297,8 +295,8 @@ def test_index_built_operators_equal_the_kron_oracle_bit_for_bit(grid):
 @pytest.mark.parametrize("n", [12, 32])
 @pytest.mark.parametrize("state_seed", [7, 8, 9])
 def test_exact_jacobian_agrees_with_central_differences_at_second_order(n, state_seed):
-    g, h, idx, vec = _packed_problem(n, state_seed)
-    jac = _assembled_jacobian(g, h, idx, vec)
+    state, h, vec = _packed_problem(n, state_seed)
+    jac = solver._exact_jacobian(state, vec, h)
     assert jac.format == "csc"
     rng = np.random.default_rng(state_seed)
     for _ in range(2):
@@ -306,8 +304,8 @@ def test_exact_jacobian_agrees_with_central_differences_at_second_order(n, state
         exact = jac @ d
         errs = []
         for eps in (1e-4, 1e-5):
-            plus = solver._residual_vec(vec + eps * d, g, h, idx)
-            minus = solver._residual_vec(vec - eps * d, g, h, idx)
+            plus = solver._residual_vec(state, vec + eps * d, h)
+            minus = solver._residual_vec(state, vec - eps * d, h)
             errs.append(np.max(np.abs((plus - minus) / (2 * eps) - exact)))
         # central differences converge to the exact derivative at O(eps^2):
         # a tenfold smaller eps must cut the error at least fiftyfold
@@ -317,9 +315,9 @@ def test_exact_jacobian_agrees_with_central_differences_at_second_order(n, state
 
 @pytest.mark.parametrize("n", [12, 32])
 def test_exact_jacobian_agrees_with_the_coloured_fd_oracle(n):
-    g, h, idx, vec = _packed_problem(n)
-    fd = _fd_jacobian(vec, g, h, idx, solver._residual_vec(vec, g, h, idx)).toarray()
-    exact = _assembled_jacobian(g, h, idx, vec).toarray()
+    state, h, vec = _packed_problem(n)
+    fd = _fd_jacobian(state, vec, h, solver._residual_vec(state, vec, h)).toarray()
+    exact = solver._exact_jacobian(state, vec, h).toarray()
     assert np.max(np.abs(exact - fd)) <= 1e-4 * np.max(np.abs(fd))
 
 
@@ -341,7 +339,7 @@ def test_recovery_error_decreases_under_refinement():
 def test_bad_newton_system_raises_solver_error(monkeypatch, scale, match):
     _, g, _, h = _manufactured(12)
 
-    def fake_jacobian(vec, *args, **kwargs):
+    def fake_jacobian(state, vec, h_interp):
         return scale * scipy.sparse.identity(vec.size, format="csc")
 
     monkeypatch.setattr(solver, "_exact_jacobian", fake_jacobian)
@@ -456,11 +454,11 @@ def fold_overs(monkeypatch):
     met = []
     real = solver._residual_vec
 
-    def residual_vec(*args):
+    def residual_vec(state, vec, h_interp):
         try:
-            return real(*args)
+            return real(state, vec, h_interp)
         except FoldOverError:
-            met.append(args[0])
+            met.append(vec)
             raise
 
     monkeypatch.setattr(solver, "_residual_vec", residual_vec)
@@ -483,6 +481,16 @@ def test_continuation_halves_a_failed_step_and_reaches_the_target():
     assert report.steps == pytest.approx(expected, abs=1e-12)
     assert report.steps[-1] == 1.0
     assert report.residuals[-1] <= 1e-9
+    # every step, the retried one too, starts Newton with no factor
+    assert (report.iterations, report.jacobians) == (211, 67)
+
+
+def test_continuation_steps_start_without_a_factor():
+    g, h = _far(16, 0.0025, 0)
+    _, report = solver.continuation_solve(g, h, steps=10, tol=1e-9)
+    # ten steps, ten factors: none is carried from one step to the next
+    assert len(report.steps) == 10
+    assert (report.iterations, report.jacobians) == (28, 10)
 
 
 def test_newton_stalls_after_the_iteration_limit():
