@@ -14,11 +14,12 @@ construction (:mod:`codazzi.embedding`), the symmetric-space chart model
 ``codazzi verify``.
 
 Importing any module of the package loads numpy only: scipy is imported
-inside the functions that call it (the spline's banded fit, the sparse
-matrices and solves), so ``codazzi embed`` never loads it.  The spline
-(:mod:`codazzi.maps`) and the Simpson quadrature (:mod:`codazzi.energy`)
-are the package's own, so ``codazzi solve`` and ``codazzi verify`` load
-scipy's linear algebra and nothing else of it.
+inside three functions (the spline's banded fit ``maps._fit_axis``, the
+sparse builder ``grid._rows_csr`` and the sparse factor ``grid._splu``), so
+``codazzi embed`` never loads it.  The spline (:mod:`codazzi.maps`) and the
+Simpson quadrature (:mod:`codazzi.energy`) are the package's own, so
+``codazzi solve`` and ``codazzi verify`` load scipy's linear algebra and
+nothing else of it.
 """
 
 from .energy import (

@@ -72,9 +72,17 @@ def save_field(path, g: ConformalMetric, h=None, endo=None, x=None):
         fh.write("}\n")
 
 
+def _header_number(header, key):
+    """A grid header value as a float; refuses "0.8", true or null instead of coercing them."""
+    value = header[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"'{key}' must be a JSON number, got {value!r}")
+    return float(value)
+
+
 def _node_count(header, key):
     """Integral node count from a grid header; refuses 17.9 instead of truncating."""
-    n = float(header[key])
+    n = _header_number(header, key)
     if not n.is_integer():
         raise ValueError(f"'{key}' must be a whole number, got {header[key]!r}")
     return int(n)
@@ -96,8 +104,8 @@ def load_field(path):
     try:
         gd = doc["grid"]
         grid = Grid(
-            _node_count(gd, "nx"), _node_count(gd, "ny"), float(gd["lx"]), float(gd["ly"]),
-            str(gd["topology"]),
+            _node_count(gd, "nx"), _node_count(gd, "ny"), _header_number(gd, "lx"),
+            _header_number(gd, "ly"), str(gd["topology"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: bad 'grid' header ({exc})") from None

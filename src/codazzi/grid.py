@@ -26,8 +26,9 @@ The order-2 stencil also comes as taps, and the compact 5-point Laplacian
 in array and matrix form.  :func:`central_difference` is the central first
 or second difference in a scalar parameter, and :func:`central_jacobian`
 applies it along each chart axis of a closed-form map.  No other module
-holds a finite-difference weight, spatial or in a parameter, nor builds a
-sparse matrix: ``_rows_csr`` turns fixed-width stencil rows into CSR.
+holds a finite-difference weight, spatial or in a parameter, nor builds or
+factors a sparse matrix: ``_rows_csr`` turns fixed-width stencil rows into
+CSR, and ``_splu`` is the one SuperLU factor, in symmetric mode.
 
 A grid and a metric are immutable, so each computes its derived geometry
 (node coordinates, meshgrid, quadrature weights, conformal factor and its
@@ -42,15 +43,6 @@ import numpy as np
 
 PERIODIC = "periodic"
 DIRICHLET = "dirichlet"
-
-# SuperLU options for a sparse matrix whose pattern is symmetric and whose
-# diagonal is a stable pivot sequence: minimum degree on A^T + A, diagonal
-# pivots only (Davis, "Direct Methods for Sparse Linear Systems", SIAM 2006).
-# Passed as ``scipy.sparse.linalg.splu(mat, **SYMMETRIC_SPLU)``.
-SYMMETRIC_SPLU = dict(
-    permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options=dict(SymmetricMode=True)
-)
-
 
 def _read_only(a):
     a.flags.writeable = False
@@ -72,6 +64,21 @@ def _rows_csr(cols, vals, shape):
     indptr = np.zeros(shape[0] + 1, dtype=np.int64)
     np.cumsum(np.bincount(pos, minlength=shape[0]), out=indptr[1:])
     return scipy.sparse.csr_matrix((data, indices, indptr), shape=shape)
+
+
+def _splu(mat):
+    """SuperLU factor of a square CSC ``mat`` with a symmetric pattern and a stable diagonal.
+
+    Minimum degree on A^T + A and diagonal pivots only, in symmetric mode
+    (Davis, "Direct Methods for Sparse Linear Systems", SIAM 2006).  A
+    singular ``mat`` raises SuperLU's RuntimeError.
+    """
+    import scipy.sparse.linalg
+
+    # splu is called through the module, so perfbench's probe on it times it
+    return scipy.sparse.linalg.splu(
+        mat, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options=dict(SymmetricMode=True)
+    )
 
 
 def first_node(mask):

@@ -27,11 +27,12 @@ of being composed from Kronecker products and sparse sums (Davis, "Direct
 Methods for Sparse Linear Systems", SIAM 2006, ch. 2); the Kronecker form
 stays in the tests as their oracle.  The coloured finite-difference
 Jacobian of Curtis, Powell and Reid (1974) is kept in the tests as the
-independent oracle of the assembled Jacobian.  SuperLU (``splu``) factors the CSC matrix with a
-minimum-degree ordering of A^T + A in symmetric mode (diagonal pivots only,
-about a fifth of the fill of partial pivoting at 128^2).  A factor that
-SuperLU refuses as singular, or whose step is not finite, is a
-:class:`SolverError`.
+independent oracle of the assembled Jacobian.  The grid's one SuperLU
+factor ``grid._splu``, which ``teich.phi0_solve`` shares, factors the CSC
+matrix with a minimum-degree ordering of A^T + A in symmetric mode
+(diagonal pivots only, about a fifth of the fill of partial pivoting at
+128^2).  A factor that SuperLU refuses as singular, or whose step is not
+finite, is a :class:`SolverError`.
 
 Newton builds and factors a Jacobian only at the first step, after a step
 that needed a line-search halving, and after a step whose residual
@@ -47,7 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import SYMMETRIC_SPLU, ConformalMetric, _rows_csr
+from .grid import ConformalMetric, _rows_csr, _splu
 from .energy import codazzi_residual, energy_gradient, field_A
 from .jcalc import dspd_sqrt, inv2
 from .maps import FieldInterpolator, FoldOverError, map_jacobian, map_points, pullback_metric
@@ -262,11 +263,8 @@ def _factor_step(jac, r):
 
     Raises :class:`SolverError` if SuperLU refuses the factor or its step is not finite.
     """
-    import scipy.sparse.linalg
-
-    # splu is called through the module, so perfbench's probe on it times it
     try:
-        lu = scipy.sparse.linalg.splu(jac, **SYMMETRIC_SPLU)
+        lu = _splu(jac)
     except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
         raise SolverError("singular Newton system") from exc
     step = lu.solve(-r)

@@ -17,7 +17,7 @@ from functools import partial
 import numpy as np
 
 from .energy import trace_energy_over
-from .grid import SYMMETRIC_SPLU, ConformalMetric, central_difference
+from .grid import ConformalMetric, _splu, central_difference
 from .jcalc import ID2, _block_max, _require, check_spd, check_symmetric, det, inv2, trace
 
 __all__ = [
@@ -48,12 +48,10 @@ def phi0_solve(b, h: ConformalMetric):
     the full node field.
 
     The matrix is symmetric and its negative is positive-definite, so
-    diagonal pivots are stable: SuperLU factors it with the options of
-    :data:`~codazzi.grid.SYMMETRIC_SPLU` (minimum degree on A^T + A,
-    symmetric mode), as the Newton solver factors its Jacobian.
+    diagonal pivots are stable: the grid's one SuperLU factor
+    ``grid._splu`` (minimum degree on A^T + A, symmetric mode) factors it,
+    as it factors the Newton solver's Jacobian.
     """
-    import scipy.sparse.linalg
-
     grid = h.grid
     b = _check_tracefree_symmetric(grid.check_field(b, rank=2))
     w = h.conformal_factor
@@ -62,9 +60,8 @@ def phi0_solve(b, h: ConformalMetric):
     mat.setdiag(mat.diagonal() - 2.0 * w[mask])
     out = np.zeros((grid.ny, grid.nx))
     # mat is symmetric, so mat.T, a CSC view of its CSR arrays, is mat itself
-    # with no copy; splu is called through the module, so perfbench's probe on
-    # it times it
-    lu = scipy.sparse.linalg.splu(mat.T, **SYMMETRIC_SPLU)
+    # with no copy
+    lu = _splu(mat.T)
     out[mask] = lu.solve(det(b)[mask] * w[mask])
     return out
 

@@ -34,7 +34,7 @@ _COMMANDS = {
 }
 _KINDS = [
     "missing key", "missing header key", "truncated payload", "short node", "non-finite",
-    "non-SPD h", "fractional count", "not JSON",
+    "non-SPD h", "fractional count", "header value of the wrong type", "not JSON",
 ]
 
 
@@ -95,6 +95,9 @@ def _corrupted(draw, doc, required):
         doc["h"][draw(_NODES)] = triple
     elif kind == "fractional count":
         doc["grid"][draw(st.sampled_from(["nx", "ny"]))] = _N + draw(st.floats(0.01, 0.99))
+    elif kind == "header value of the wrong type":
+        key = draw(st.sampled_from(["nx", "ny", "lx", "ly"]))
+        doc["grid"][key] = draw(st.sampled_from([str(doc["grid"][key]), True, False, None]))
     else:  # not JSON: the text cut before its closing brace, or bytes that are not UTF-8
         text = json.dumps(doc).encode()
         if draw(st.booleans()):

@@ -96,6 +96,22 @@ def test_load_refuses_non_integral_node_count(sample, key):
         fileio.load_field(path)
 
 
+@pytest.mark.parametrize("key", ["nx", "ny", "lx", "ly"])
+@pytest.mark.parametrize(
+    "wrong", [str, lambda v: True, lambda v: None], ids=["string", "true", "null"]
+)
+def test_load_refuses_a_header_value_that_is_not_a_number(sample, key, wrong):
+    # "8" and "0.8" would read as numbers through float(), and true as 1.0
+    tmp, grid, g, *_ = sample
+    path = tmp / "f.json"
+    fileio.save_field(path, g)
+    doc = json.load(open(path))
+    doc["grid"][key] = wrong(doc["grid"][key])
+    json.dump(doc, open(path, "w"))
+    with pytest.raises(ValueError, match=f"f.json: bad 'grid' header.*'{key}'"):
+        fileio.load_field(path)
+
+
 def test_load_accepts_integral_float_node_count(sample):
     import json
 

@@ -2,12 +2,13 @@
 ``codazzi solve`` and ``codazzi verify`` load only scipy's sparse and dense
 linear algebra.
 
-scipy is imported inside the functions that call it, so a process that
-never fits a spline, builds a sparse matrix or factors one never pays for
-its import.  The spline and the Simpson quadrature are the package's own,
-so no process loads scipy.interpolate or scipy.integrate for them.  Each
-check runs in a fresh interpreter, since the test process itself has scipy
-loaded.
+scipy is imported inside three functions, ``maps._fit_axis`` (the
+spline's banded fit), ``grid._rows_csr`` (the one sparse builder) and
+``grid._splu`` (the one sparse factor), so a process that never fits a
+spline, builds a sparse matrix or factors one never pays for its import.
+The spline and the Simpson quadrature are the package's own, so no process
+loads scipy.interpolate or scipy.integrate for them.  Each check runs in a
+fresh interpreter, since the test process itself has scipy loaded.
 """
 
 import json

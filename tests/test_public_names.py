@@ -43,6 +43,13 @@ No module of ``src/codazzi`` calls a ``scipy.sparse`` constructor except
 ``grid._rows_csr``, once: every sparse matrix of the library is built from
 fixed-width rows there.  ``scipy.sparse.linalg`` is not a constructor.
 
+scipy enters ``src/codazzi`` in three functions: ``grid._rows_csr`` (the
+sparse builder), ``grid._splu`` (the one SuperLU factor) and
+``maps._fit_axis`` (the spline's banded LAPACK solve).  Each imports it
+once, and no other function, class or module body holds an ``import
+scipy...`` or a ``from scipy... import``, so a second factor or a second
+builder cannot come in beside them.
+
 Every entry of a module's ``__all__`` names a module-level definition or
 import, and every public name that another module of ``src/codazzi``
 imports from it, or reads as an attribute of it after ``from . import``,
@@ -395,6 +402,50 @@ def test_only_grid_rows_csr_calls_a_sparse_constructor():
     others = [f"{scope} ({where})" for scope, where in calls if scope != "grid._rows_csr"]
     assert not others, f"scipy.sparse constructors outside grid._rows_csr: {others}"
     assert len(calls) == 1, calls
+
+
+_SCIPY_ENTRIES = ("grid._rows_csr", "grid._splu", "maps._fit_axis")
+
+
+def _scipy_imports(node, scope):
+    """(qualified scope, line) of each ``import scipy...`` or ``from scipy... import``.
+
+    The scope is the dotted path of the enclosing classes and functions
+    under ``scope``, the module's name.
+    """
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Import):
+            names = [a.name for a in child.names]
+        elif isinstance(child, ast.ImportFrom) and child.level == 0:
+            names = [child.module]
+        else:
+            names = []
+        if any(name.split(".")[0] == "scipy" for name in names):
+            yield scope, child.lineno
+        inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        yield from _scipy_imports(child, f"{scope}.{child.name}" if inner else scope)
+
+
+def test_scipy_imports_are_found_in_any_form():
+    tree = ast.parse(
+        "import scipy\nimport numpy, scipy.sparse as sp\nfrom . import grid\n"
+        "import scipyish\nclass C:\n    def m(self):\n        from scipy import linalg\n"
+        "def f():\n    def g():\n        from scipy.linalg.lapack import dgbsv\n"
+    )
+    assert list(_scipy_imports(tree, "mod")) == [
+        ("mod", 1), ("mod", 2), ("mod.C.m", 7), ("mod.f.g", 10)
+    ]
+
+
+def test_scipy_is_imported_only_by_its_three_entry_functions():
+    found = [
+        (scope, f"{stem}.py:{line}")
+        for stem, tree in _library_trees()
+        for scope, line in _scipy_imports(tree, stem)
+    ]
+    others = [f"{scope} ({where})" for scope, where in found if scope not in _SCIPY_ENTRIES]
+    assert not others, f"scipy imported outside {', '.join(_SCIPY_ENTRIES)}: {others}"
+    assert sorted(scope for scope, _ in found) == sorted(_SCIPY_ENTRIES), found
 
 
 def _module_level_names(tree):

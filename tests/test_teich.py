@@ -7,7 +7,7 @@ import scipy.sparse.linalg
 
 from codazzi import teich
 from codazzi.energy import trace_energy
-from codazzi.grid import SYMMETRIC_SPLU, ConformalMetric, Grid, poincare_disk
+from codazzi.grid import ConformalMetric, Grid, _splu, poincare_disk
 from codazzi.jcalc import ID2, det, metric_action
 from codazzi.randfields import rng_for, tracefree_codazzi_conformal, trig_spd
 
@@ -61,7 +61,7 @@ def _phi0_by_node_loop(b, h):
     n = int(mask.sum())
     mat = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
     out = np.zeros((grid.ny, grid.nx))
-    lu = scipy.sparse.linalg.splu(mat.tocsc(), **SYMMETRIC_SPLU)
+    lu = _splu(mat.tocsc())
     out[mask] = lu.solve((det(b) * w)[mask])
     return out
 
