@@ -22,13 +22,7 @@ Simpson quadrature (:mod:`codazzi.energy`) are the package's own, so
 nothing else of it.
 """
 
-from .energy import (
-    codazzi_residual,
-    energy,
-    energy_gradient,
-    field_A,
-    second_variation,
-)
+from .energy import codazzi_residual, energy_gradient, field_A, second_variation
 from .grid import ConformalMetric, Grid, poincare_disk
 from .jcalc import J, b_form, dsigma, metric_action, metric_to_A, sigma, spd_sqrt
 from .solver import continuation_solve, newton_solve
@@ -46,7 +40,6 @@ __all__ = [
     "ConformalMetric",
     "poincare_disk",
     "field_A",
-    "energy",
     "energy_gradient",
     "second_variation",
     "codazzi_residual",

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .grid import ConformalMetric, Grid
-from .jcalc import J, check_spd, det, inv2, trace
+from .jcalc import J, _mul2, check_spd, det, inv2, trace
 from .operators import general_christoffels
 
 __all__ = [
@@ -38,7 +38,7 @@ def intermediate_J(a):
     conformal background g, which therefore is not an argument.
     """
     a = check_spd(a)
-    return J / np.sqrt(det(a))[..., None, None] @ a
+    return _mul2(J / np.sqrt(det(a))[..., None, None], a)
 
 
 def _phi_field(a):
@@ -71,7 +71,7 @@ def alpha_harmonic_residual(a, g: ConformalMetric):
     """
     grid = g.grid
     a = check_spd(grid.check_field(a, rank=2))
-    h = g.matrix @ a
+    h = _mul2(g.matrix, a)
     hinv = inv2(h)
     dphi = np.stack(g.phi_derivs, axis=-1)
     # h^{mn} Gamma_g^k_mn = (h^{kn} + h^{nk}) phi_n - h^{mm} phi_k, from
@@ -95,7 +95,7 @@ def map_energy(gS: ConformalMetric, hN):
     (exactly, even discretely).
     """
     hN = gS.grid.check_field(hN, rank=2)
-    return gS.integrate(trace(inv2(gS.matrix) @ hN))
+    return gS.integrate(trace(_mul2(inv2(gS.matrix), hN)))
 
 
 def energy_identity_check(a, g: ConformalMetric):
@@ -108,13 +108,12 @@ def energy_identity_check(a, g: ConformalMetric):
     """
     grid = g.grid
     a = check_spd(grid.check_field(a, rank=2))
-    gm = g.matrix
-    h = gm @ a
+    h = _mul2(g.matrix, a)
     hinv = inv2(h)
     vol_h = np.sqrt(det(h))
     w = grid.cell_weights
-    e1 = float(np.sum(trace(hinv @ gm) * vol_h * w))
-    e2 = float(np.sum(trace(hinv @ (gm @ a @ a)) * vol_h * w))
+    e1 = float(np.sum(trace(_mul2(hinv, g.matrix)) * vol_h * w))
+    e2 = float(np.sum(trace(hinv @ (h @ a)) * vol_h * w))
     phi = _phi_field(a)
     rhs = g.integrate(2.0 * trace(a) * np.cosh(0.5 * phi))
     return e1 + e2, rhs

@@ -11,7 +11,7 @@ live here.
 import numpy as np
 
 from .grid import ConformalMetric, central_difference
-from .jcalc import J, check_symmetric, det, inv2, sigma, spd_sqrt_pair, trace
+from .jcalc import J, _mul2, check_symmetric, det, inv2, sigma, spd_sqrt, spd_sqrt_pair, trace
 from .maps import FieldInterpolator, pullback_metric
 from .operators import (
     apply_J,
@@ -42,9 +42,10 @@ __all__ = [
 
 
 def field_A(h, g: ConformalMetric):
-    """Positive g-self-adjoint A with h = g(A., A.), nodewise."""
+    """Positive g-self-adjoint A with h = g(A., A.), nodewise: the principal
+    square root of g^{-1} h, a product with a diagonal, so ``jcalc._mul2``."""
     h = g.grid.check_field(h, rank=2)
-    return spd_sqrt_pair(g.matrix, h)
+    return spd_sqrt(_mul2(inv2(g.matrix), h))
 
 
 def energy(h, g: ConformalMetric):
@@ -139,7 +140,7 @@ def gradient_pairing4(h, g: ConformalMetric, x):
     """
     x = g.grid.check_field(x, rank=1)
     a = field_A(h, g)
-    ge = -apply_J(div_endo(a @ J, g, order=4))
+    ge = -apply_J(div_endo(_mul2(a, J), g, order=4))
     w = g.conformal_factor
     dens = w * w * np.einsum("...k,...k->...", ge, x)
     return _simpson2(g.grid, dens)
@@ -173,7 +174,7 @@ def second_variation(h, g: ConformalMetric, x):
     """
     a = field_A(h, g)
     nx = nabla_vec_endo(x, g)
-    t1 = trace(a @ nx @ J) ** 2 / trace(a)
+    t1 = trace(_mul2(a @ nx, J)) ** 2 / trace(a)
     ax = np.einsum("...kj,...j->...k", a, x)
     pair = g.conformal_factor * np.einsum("...k,...k->...", x, ax)
     return g.integrate(t1 - curvature(g) * pair)
@@ -192,7 +193,7 @@ def _q_field(a_inv, dn, g: ConformalMetric):
     ``a_inv`` is inv2(A) and ``dn`` is dnabla_endo(A) = div(A J), both
     passed in by callers that also need them.
     """
-    w = np.einsum("...kj,...j->...k", a_inv @ J, dn)
+    w = np.einsum("...kj,...j->...k", _mul2(a_inv, J), dn)
     return div_vec(w, g)
 
 
@@ -206,7 +207,7 @@ def curvature_identity_residual(a, g: ConformalMetric, margin=3):
     Returns the interior L-infinity residual.
     """
     a = check_symmetric(g.grid.check_field(a, rank=2))
-    h = np.swapaxes(a, -1, -2) @ g.matrix @ a
+    h = _mul2(np.swapaxes(a, -1, -2), g.matrix) @ a
     kh = brioschi_curvature(g.grid, h)
     resid = det(a) * kh - curvature(g) - _q_field(inv2(a), dnabla_endo(a, g), g)
     mask = g.grid.interior(margin)

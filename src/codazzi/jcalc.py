@@ -14,6 +14,10 @@ Conventions
   conformal matrices).
 * A metric ``h`` acted on by ``A`` means the bilinear form
   ``(A h)(u, v) = h(Au, Av)``, i.e. ``A^T h A`` on matrices.
+* A product with J, ``ID2``, a unit or a diagonal matrix (a conformal
+  metric's ``matrix`` or its ``inv2``) as a factor is ``_mul2``, entry by
+  entry: each entry has one exact term, so it has the value of ``@``
+  without a BLAS call per block.  Every other product is ``@``.
 """
 
 import numpy as np
@@ -80,7 +84,25 @@ def jlin_part(a):
     Equals ``Tr(a)/2 * Id - Tr(aJ)/2 * J`` identically.
     """
     a = np.asarray(a, dtype=float)
-    return 0.5 * (a - J @ a @ J)
+    return 0.5 * (a - _mul2(_mul2(J, a), J))
+
+
+def _mul2(a, b):
+    """``a @ b`` of 2x2 blocks over broadcast leading axes, entry by entry.
+
+    Entry (i, j) is ``a[..., i, 0] * b[..., 0, j] + a[..., i, 1] * b[..., 1, j]``.
+    With J, ``ID2``, a unit or a diagonal matrix as a factor one term is
+    exact, so the value is that of ``@``'s fused BLAS sum (a zero's sign
+    aside); on a general product the two round differently.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    out = np.empty(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (2, 2))
+    for i in range(2):
+        for j in range(2):
+            np.multiply(a[..., i, 0], b[..., 0, j], out=out[..., i, j])
+            out[..., i, j] += a[..., i, 1] * b[..., 1, j]
+    return out
 
 
 def sigma(a):

@@ -15,7 +15,7 @@ O(h^2) on smooth fields, which is the module's main self-check.
 
 import numpy as np
 
-from .jcalc import J, inv2, trace
+from .jcalc import J, _mul2, inv2, trace
 from .grid import ConformalMetric
 
 __all__ = [
@@ -126,7 +126,7 @@ def nabla_vec_endo(x, g: ConformalMetric):
 def div_endo_oracle(a, g: ConformalMetric):
     """Divergence through -d^nabla(aJ)(e1, e2)."""
     a = g.grid.check_field(a, rank=2)
-    aj = a @ J
+    aj = _mul2(a, J)
     ny_ = _cov_deriv_vecfield(g, aj[..., :, 1])[..., 0, :]  # nabla_x (aJ dy)
     nx_ = _cov_deriv_vecfield(g, aj[..., :, 0])[..., 1, :]  # nabla_y (aJ dx)
     return -g.inverse_factor[..., None] * (ny_ - nx_)
@@ -160,11 +160,12 @@ def frame_identity_residual(a, g: ConformalMetric, order):
     identity and decays as O(h^2) under refinement.
     """
     a = g.grid.check_field(a, rank=2)
+    aj = _mul2(a, J)
     t = (
         grad(trace(a), g, order)
         - div_endo(a, g)
-        - apply_J(grad(trace(a @ J), g, order))
-        + apply_J(div_endo(a @ J, g))
+        - apply_J(grad(trace(aj), g, order))
+        + apply_J(div_endo(aj, g))
     )
     mask = g.grid.interior(2)
     return float(np.max(np.abs(t[mask])))

@@ -50,7 +50,7 @@ import numpy as np
 
 from .grid import ConformalMetric, _rows_csr, _splu
 from .energy import codazzi_residual, energy_gradient, field_A
-from .jcalc import dspd_sqrt, inv2
+from .jcalc import _mul2, dspd_sqrt, inv2
 from .maps import FieldInterpolator, FoldOverError, map_jacobian, map_points, pullback_metric
 from .operators import curvature
 
@@ -235,7 +235,8 @@ def _exact_jacobian(state, vec, h_interp):
     it is L K S + stab, where the 4x6 block K = [K1 K2] of a node holds the
     derivatives of A = spd_sqrt(e^{-2 phi} F^T h(p + x) F), F = I + D, with
     respect to D (K1) and to the node's own x (K2, through the spline's
-    first derivatives at p + x).
+    first derivatives at p + x).  Products with the units E_kj and with the
+    diagonal g^{-1} are ``jcalc._mul2``.
     """
     S, L, stab, kcols = state.ops
     x = state.displacement(vec)
@@ -245,13 +246,15 @@ def _exact_jacobian(state, vec, h_interp):
     fth = ft @ h_interp(pts)
     dh = np.stack(h_interp.gradient(pts), axis=-3)
     # d(F^T h F) along the unit D[k, j] is (F^T h E_kj) + its transpose
-    unit = fth[..., None, :, :] @ np.eye(4).reshape(4, 2, 2)
+    unit = _mul2(fth[..., None, :, :], np.eye(4).reshape(4, 2, 2))
     dhp = np.concatenate(
         [unit + np.swapaxes(unit, -1, -2), ft[..., None, :, :] @ dh @ f[..., None, :, :]],
         axis=-3,
     )
-    ginv = inv2(state.g.matrix)
-    da = dspd_sqrt((ginv @ (fth @ f))[..., None, :, :], ginv[..., None, :, :] @ dhp)
+    da = dspd_sqrt(
+        _mul2(inv2(state.g.matrix), fth @ f)[..., None, :, :],
+        _mul2(inv2(state.g.matrix)[..., None, :, :], dhp),
+    )
     # K holds node n's 4x6 block in rows 4n to 4n + 3 and columns 6n to 6n + 5
     n = len(kcols)
     k = _rows_csr(kcols, np.swapaxes(da.reshape(n, 6, 4), -1, -2), (4 * n, 6 * n))

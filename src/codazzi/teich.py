@@ -18,7 +18,7 @@ import numpy as np
 
 from .energy import trace_energy_over
 from .grid import ConformalMetric, _splu, central_difference
-from .jcalc import ID2, _block_max, _require, check_spd, check_symmetric, det, inv2, trace
+from .jcalc import ID2, _block_max, _mul2, _require, check_spd, check_symmetric, det, inv2, trace
 
 __all__ = [
     "phi0_solve",
@@ -119,7 +119,7 @@ class DeformationFamily:
 
     def h_t_matrix(self, t):
         bt = self.b_t(t)
-        return np.swapaxes(bt, -1, -2) @ self.h0.matrix @ bt
+        return _mul2(np.swapaxes(bt, -1, -2), self.h0.matrix) @ bt
 
     def e_hat_along(self, target, t):
         """Trace energy of a fixed target metric over the deformed base."""

@@ -28,6 +28,7 @@ from .grid import ConformalMetric, Grid, central_difference, poincare_disk
 from .jcalc import (
     ID2,
     J,
+    _mul2,
     b_form,
     det,
     dsigma,
@@ -169,11 +170,11 @@ def suite_jcalc(seed):
         return sigma(rot @ a) - sig, sigma(a @ rot) - sig
 
     def antisymmetric(a):
-        return (a - np.swapaxes(a, -1, -2) + trace(a @ J)[..., None, None] * J,)
+        return (a - np.swapaxes(a, -1, -2) + trace(_mul2(a, J))[..., None, None] * J,)
 
     def adjugate(a):
         b = a[np.abs(det(a)) > 0.1]
-        return (J @ np.swapaxes(b, -1, -2) @ J + det(b)[..., None, None] * inv2(b),)
+        return (_mul2(_mul2(J, np.swapaxes(b, -1, -2)), J) + det(b)[..., None, None] * inv2(b),)
 
     def sqrt_roundtrip(m):
         spd = spd_of(m)

@@ -9,11 +9,17 @@ spline, builds a sparse matrix or factors one never pays for its import.
 The spline and the Simpson quadrature are the package's own, so no process
 loads scipy.interpolate or scipy.integrate for them.  Each check runs in a
 fresh interpreter, since the test process itself has scipy loaded.
+
+``import codazzi.<name> as m`` gives the submodule for every module of the
+package: the package re-exports no name that is also one of its modules,
+since ``import ... as`` reads the package's attribute first.
 """
 
 import json
+import pkgutil
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +48,13 @@ def _fresh(body):
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     ).stdout
     return json.loads(out.splitlines()[-1])
+
+
+def test_every_submodule_imports_as_a_module():
+    for info in pkgutil.iter_modules(codazzi.__path__):
+        scope = {}
+        exec(f"import codazzi.{info.name} as m", scope)
+        assert isinstance(scope["m"], types.ModuleType), info.name
 
 
 def test_importing_the_package_loads_no_scipy():

@@ -9,6 +9,8 @@ from codazzi import teich
 from codazzi.grid import ConformalMetric, Grid
 from codazzi.jcalc import (
     ID2,
+    J,
+    _mul2,
     check_spd,
     check_symmetric,
     det,
@@ -67,6 +69,43 @@ def test_inv2_round_trips(a):
 def test_det_is_multiplicative(a, b):
     scale = np.max(np.abs(a)) ** 2 * np.max(np.abs(b)) ** 2
     assert abs(det(a @ b) - det(a) * det(b)) <= 1e-13 * (1.0 + scale)
+
+
+# Entries a structured product must carry through: signed zeros, infinities,
+# NaN, subnormals and values near the overflow and underflow thresholds.
+_WILD = st.one_of(
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.2e-308, 1e300, -1e-300]),
+    st.floats(),
+    st.floats(1e299, 1.7e308),
+    st.floats(-1e-299, 1e-299),
+)
+_FACTORS = {"J": J, "-J": -J, "ID2": ID2, **{f"E{k}": np.eye(4).reshape(4, 2, 2)[k] for k in range(4)}}
+
+
+@st.composite
+def _wild_stack(draw):
+    n = draw(st.integers(1, 4))
+    return np.array(draw(st.lists(_WILD, min_size=4 * n, max_size=4 * n))).reshape(n, 2, 2)
+
+
+@_PROPERTY
+@given(other=_wild_stack(), stacked=st.booleans(),
+       diagonal=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=8, max_size=8))
+@pytest.mark.parametrize("left", [True, False])
+@pytest.mark.parametrize("factor", [*_FACTORS, "diagonal"])
+def test_mul2_equals_matmul_with_one_structured_factor(factor, left, other, stacked, diagonal):
+    n = len(other)
+    if factor == "diagonal":
+        # off-diagonals -0.0, as inv2 of a conformal metric's matrix makes them
+        s = np.full((n, 2, 2), -0.0)
+        s[:, 0, 0], s[:, 1, 1] = diagonal[:n], diagonal[4:4 + n]
+    else:
+        s = np.repeat(_FACTORS[factor][None], n, axis=0) if stacked else _FACTORS[factor]
+    x, y = (s, other) if left else (other, s)
+    # equal values, NaN equal to NaN; the sign of a zero entry may differ,
+    # as it does between BLAS calls of different shapes
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.testing.assert_array_equal(_mul2(x, y), x @ y)
 
 
 @_PROPERTY

@@ -50,6 +50,15 @@ once, and no other function, class or module body holds an ``import
 scipy...`` or a ``from scipy... import``, so a second factor or a second
 builder cannot come in beside them.
 
+A product of 2x2 blocks in ``src/codazzi`` with J, ``ID2``, a unit matrix
+(an ``np.eye(...)`` expression) or a conformal metric's ``matrix``, bare or
+inside ``inv2(...)``, as an operand is ``jcalc._mul2``, not ``@``: each
+entry of such a product has one exact term, so the entrywise product has
+the value of the BLAS one without a BLAS call per block.  An operand
+counts as such a factor through an attribute, a method call, a
+subscript, a sign or a scaling (``J / s @ a``); a local alias hides it, so
+the library writes these factors in place.  General products stay ``@``.
+
 Every entry of a module's ``__all__`` names a module-level definition or
 import, and every public name that another module of ``src/codazzi``
 imports from it, or reads as an attribute of it after ``from . import``,
@@ -446,6 +455,61 @@ def test_scipy_is_imported_only_by_its_three_entry_functions():
     others = [f"{scope} ({where})" for scope, where in found if scope not in _SCIPY_ENTRIES]
     assert not others, f"scipy imported outside {', '.join(_SCIPY_ENTRIES)}: {others}"
     assert sorted(scope for scope, _ in found) == sorted(_SCIPY_ENTRIES), found
+
+
+def _structured(node):
+    """True for a 2x2 factor with one exact term per product entry.
+
+    That is J, ``ID2``, an ``np.eye(...)`` expression or a ``....matrix``
+    attribute, bare or inside ``inv2(...)``, or an attribute, a method
+    call, a subscript, a sign or a scaling of one.
+    """
+    if isinstance(node, ast.Name):
+        return node.id in ("J", "ID2")
+    if isinstance(node, ast.Attribute):
+        return node.attr == "matrix" or _structured(node.value)
+    if isinstance(node, ast.Subscript):
+        return _structured(node.value)
+    if isinstance(node, ast.UnaryOp):
+        return _structured(node.operand)
+    if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Mult, ast.Div)):
+        return _structured(node.left) or _structured(node.right)
+    if isinstance(node, ast.Call):
+        func = node.func
+        if _dotted(func) in ("np.eye", "numpy.eye"):
+            return True
+        if isinstance(func, ast.Name) and func.id == "inv2":
+            return any(_structured(arg) for arg in node.args)
+        return isinstance(func, ast.Attribute) and _structured(func)
+    return False
+
+
+def _structured_products(tree):
+    """Line of each ``@`` or ``@=`` with a structured operand."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+            operands = (node.left, node.right)
+        elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.MatMult):
+            operands = (node.target, node.value)
+        else:
+            continue
+        if any(map(_structured, operands)):
+            yield node.lineno
+
+
+def test_structured_factors_are_found_in_any_form():
+    tree = ast.parse(
+        "a @ J\nID2 @ a\n-J @ a\nJ / s[..., None] @ a\na @ np.eye(4).reshape(4, 2, 2)\n"
+        "g.matrix @ a\ninv2(g.matrix)[..., None, :, :] @ a\na @= self.h0.matrix\n"
+        "a @ b\ninv2(a) @ b\nnp.swapaxes(a, -1, -2) @ a\na @ J.T\n"
+    )
+    assert sorted(_structured_products(tree)) == [1, 2, 3, 4, 5, 6, 7, 8, 12]
+
+
+def test_structured_2x2_products_use_mul2():
+    found = [f"{stem}.py:{line}" for stem, tree in _library_trees()
+             for line in sorted(_structured_products(tree))]
+    assert not found, f"products with J, ID2, a unit or a metric matrix not through jcalc._mul2: {found}"
 
 
 def _module_level_names(tree):
