@@ -71,7 +71,7 @@ def alpha_harmonic_residual(a, g: ConformalMetric):
     """
     grid = g.grid
     a = check_spd(grid.check_field(a, rank=2))
-    h = _mul2(g.matrix, a)
+    h = g.conformal_factor[..., None, None] * a
     hinv = inv2(h)
     dphi = np.stack(g.phi_derivs, axis=-1)
     # h^{mn} Gamma_g^k_mn = (h^{kn} + h^{nk}) phi_n - h^{mm} phi_k, from
@@ -95,7 +95,7 @@ def map_energy(gS: ConformalMetric, hN):
     (exactly, even discretely).
     """
     hN = gS.grid.check_field(hN, rank=2)
-    return gS.integrate(trace(_mul2(inv2(gS.matrix), hN)))
+    return gS.integrate(trace(gS.inverse_factor[..., None, None] * hN))
 
 
 def energy_identity_check(a, g: ConformalMetric):
@@ -108,11 +108,11 @@ def energy_identity_check(a, g: ConformalMetric):
     """
     grid = g.grid
     a = check_spd(grid.check_field(a, rank=2))
-    h = _mul2(g.matrix, a)
+    h = g.conformal_factor[..., None, None] * a
     hinv = inv2(h)
     vol_h = np.sqrt(det(h))
     w = grid.cell_weights
-    e1 = float(np.sum(trace(_mul2(hinv, g.matrix)) * vol_h * w))
+    e1 = float(np.sum(trace(g.conformal_factor[..., None, None] * hinv) * vol_h * w))
     e2 = float(np.sum(trace(hinv @ (h @ a)) * vol_h * w))
     phi = _phi_field(a)
     rhs = g.integrate(2.0 * trace(a) * np.cosh(0.5 * phi))

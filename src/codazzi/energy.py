@@ -43,9 +43,10 @@ __all__ = [
 
 def field_A(h, g: ConformalMetric):
     """Positive g-self-adjoint A with h = g(A., A.), nodewise: the principal
-    square root of g^{-1} h, a product with a diagonal, so ``jcalc._mul2``."""
+    square root of g^{-1} h, h scaled by ``g.inverse_factor``: to round-off,
+    not bit for bit, ``jcalc.metric_to_A(g.matrix, h)``."""
     h = g.grid.check_field(h, rank=2)
-    return spd_sqrt(_mul2(inv2(g.matrix), h))
+    return spd_sqrt(g.inverse_factor[..., None, None] * h)
 
 
 def energy(h, g: ConformalMetric):
@@ -207,7 +208,7 @@ def curvature_identity_residual(a, g: ConformalMetric, margin=3):
     Returns the interior L-infinity residual.
     """
     a = check_symmetric(g.grid.check_field(a, rank=2))
-    h = _mul2(np.swapaxes(a, -1, -2), g.matrix) @ a
+    h = (g.conformal_factor[..., None, None] * np.swapaxes(a, -1, -2)) @ a
     kh = brioschi_curvature(g.grid, h)
     resid = det(a) * kh - curvature(g) - _q_field(inv2(a), dnabla_endo(a, g), g)
     mask = g.grid.interior(margin)

@@ -11,7 +11,7 @@ from itertools import chain, cycle, islice, repeat
 
 import numpy as np
 
-from .grid import ConformalMetric, Grid, first_node
+from .grid import ConformalMetric, Grid
 from .jcalc import check_spd
 
 __all__ = [
@@ -92,7 +92,8 @@ def load_field(path):
     """Read a field file; returns a dict with the metric and any payloads.
 
     Raises ValueError naming the file and offending key on malformed input,
-    and the first node (j, i) of a non-finite ``phi`` or of an ``h`` that
+    and the first node (j, i) of a ``phi`` that :class:`ConformalMetric`
+    refuses (a non-finite one) or of an ``h`` that
     :func:`codazzi.jcalc.check_spd` refuses.  A non-finite ``endo`` is left to
     :func:`codazzi.jcalc.check_symmetric` at its point of use.
     """
@@ -126,10 +127,10 @@ def load_field(path):
         phi = _payload("phi", 1).reshape(grid.ny, grid.nx)
     except KeyError:
         raise ValueError(f"{path}: missing required key 'phi'") from None
-    node = first_node(~np.isfinite(phi))
-    if node is not None:
-        raise ValueError(f"{path}: key 'phi' is not finite at node (j, i) = {node}")
-    out["g"] = ConformalMetric(grid, phi)
+    try:
+        out["g"] = ConformalMetric(grid, phi)
+    except ValueError as exc:
+        raise ValueError(f"{path}: key {exc}") from None
     if "h" in doc:
         # rows (h00, h01, h11) spread to [[h00, h01], [h01, h11]]
         h = _payload("h", 3)[:, [0, 1, 1, 2]].reshape(grid.ny, grid.nx, 2, 2)

@@ -293,7 +293,8 @@ class ConformalMetric:
     """Metric e^{2 phi} (dx^2 + dy^2) on a grid, phi a scalar field.
 
     ``phi`` is stored as a read-only copy, so a later write to the array
-    passed in leaves the metric unchanged.
+    passed in leaves the metric unchanged.  A non-finite ``phi`` is refused,
+    naming its first node (j, i).
     """
 
     grid: Grid
@@ -301,6 +302,9 @@ class ConformalMetric:
 
     def __post_init__(self):
         phi = self.grid.check_field(np.array(self.phi, dtype=float))
+        node = first_node(~np.isfinite(phi))
+        if node is not None:
+            raise ValueError(f"'phi' is not finite at node (j, i) = {node}")
         object.__setattr__(self, "phi", _read_only(phi))
 
     @classmethod
@@ -322,10 +326,11 @@ class ConformalMetric:
 
     @cached_property
     def inverse_factor(self):
-        """e^{-2 phi}, read-only.
+        """e^{-2 phi}, read-only: the one g^{-1} of the package.
 
-        Taken as exp(-2 phi), which is not 1 / :attr:`conformal_factor`
-        bit for bit.
+        Every product with g^{-1} is the scaling by this factor.  Taken as
+        exp(-2 phi), which is not 1 / :attr:`conformal_factor` bit for bit,
+        nor the c / (c c) of ``jcalc.inv2(matrix)``.
         """
         return _read_only(np.exp(-2.0 * self.phi))
 

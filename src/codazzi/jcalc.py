@@ -14,10 +14,11 @@ Conventions
   conformal matrices).
 * A metric ``h`` acted on by ``A`` means the bilinear form
   ``(A h)(u, v) = h(Au, Av)``, i.e. ``A^T h A`` on matrices.
-* A product with J, ``ID2``, a unit or a diagonal matrix (a conformal
-  metric's ``matrix`` or its ``inv2``) as a factor is ``_mul2``, entry by
+* A product with J, ``ID2`` or a unit as a factor is ``_mul2``, entry by
   entry: each entry has one exact term, so it has the value of ``@``
-  without a BLAS call per block.  Every other product is ``@``.
+  without a BLAS call per block.  A conformal metric g and its inverse are
+  scalars times the identity, so a product with either is the scaling by
+  ``conformal_factor`` or ``inverse_factor``.  Every other product is ``@``.
 """
 
 import numpy as np
@@ -91,9 +92,9 @@ def _mul2(a, b):
     """``a @ b`` of 2x2 blocks over broadcast leading axes, entry by entry.
 
     Entry (i, j) is ``a[..., i, 0] * b[..., 0, j] + a[..., i, 1] * b[..., 1, j]``.
-    With J, ``ID2``, a unit or a diagonal matrix as a factor one term is
-    exact, so the value is that of ``@``'s fused BLAS sum (a zero's sign
-    aside); on a general product the two round differently.
+    With J, ``ID2`` or a unit as a factor one term is exact, so the value is
+    that of ``@``'s fused BLAS sum (a zero's sign aside); on a general
+    product the two round differently.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)

@@ -50,7 +50,7 @@ import numpy as np
 
 from .grid import ConformalMetric, _rows_csr, _splu
 from .energy import codazzi_residual, energy_gradient, field_A
-from .jcalc import _mul2, dspd_sqrt, inv2
+from .jcalc import _mul2, dspd_sqrt
 from .maps import FieldInterpolator, FoldOverError, map_jacobian, map_points, pullback_metric
 from .operators import curvature
 
@@ -235,8 +235,9 @@ def _exact_jacobian(state, vec, h_interp):
     it is L K S + stab, where the 4x6 block K = [K1 K2] of a node holds the
     derivatives of A = spd_sqrt(e^{-2 phi} F^T h(p + x) F), F = I + D, with
     respect to D (K1) and to the node's own x (K2, through the spline's
-    first derivatives at p + x).  Products with the units E_kj and with the
-    diagonal g^{-1} are ``jcalc._mul2``.
+    first derivatives at p + x).  Products with the units E_kj are
+    ``jcalc._mul2``; g^{-1} is the scaling by ``inverse_factor``, as in
+    :func:`codazzi.energy.field_A`.
     """
     S, L, stab, kcols = state.ops
     x = state.displacement(vec)
@@ -251,10 +252,8 @@ def _exact_jacobian(state, vec, h_interp):
         [unit + np.swapaxes(unit, -1, -2), ft[..., None, :, :] @ dh @ f[..., None, :, :]],
         axis=-3,
     )
-    da = dspd_sqrt(
-        _mul2(inv2(state.g.matrix), fth @ f)[..., None, :, :],
-        _mul2(inv2(state.g.matrix)[..., None, :, :], dhp),
-    )
+    w = state.g.inverse_factor[..., None, None, None]
+    da = dspd_sqrt(w * (fth @ f)[..., None, :, :], w * dhp)
     # K holds node n's 4x6 block in rows 4n to 4n + 3 and columns 6n to 6n + 5
     n = len(kcols)
     k = _rows_csr(kcols, np.swapaxes(da.reshape(n, 6, 4), -1, -2), (4 * n, 6 * n))

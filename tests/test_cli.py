@@ -195,11 +195,12 @@ def test_bad_endo_is_refused_naming_file_key_and_node(tmp_path, capsys, command,
 def test_non_finite_phi_is_refused_naming_file_key_and_node(tmp_path, capsys, command):
     grid = Grid(17, 17, 0.8, 0.8, "dirichlet")
     patch = embedding.HyperboloidPatch(grid)
-    phi = patch.metric.phi.copy()
-    phi[5, 11] = np.nan
     path = tmp_path / "nanphi.json"
     endo = np.broadcast_to(ID2, (17, 17, 2, 2)).copy()
-    fileio.save_field(path, ConformalMetric(grid, phi), endo=endo)
+    fileio.save_field(path, patch.metric, endo=endo)
+    doc = json.loads(path.read_text())
+    doc["phi"][5 * 17 + 11] = np.nan
+    path.write_text(json.dumps(doc))
     argv = {
         "verify": ("verify", "--suite", "jcalc", "--g", path, "--out", tmp_path / "r.json"),
         "embed": ("embed", "--endo", path, "--out", tmp_path / "e"),
@@ -541,9 +542,10 @@ def refused_files(tmp_path_factory):
     phi[3, 12] += 1e-9 * (1.0 + abs(phi[3, 12]))
     save("otherphi_h.json", ConformalMetric(grid16, phi), h=2.25 * disk16.matrix)
     save("tilted.json", ConformalMetric(grid16, disk16.phi + 0.3 * xx16))
-    phi = disk17.phi.copy()
-    phi[5, 11] = np.nan
-    save("nanphi.json", ConformalMetric(grid17, phi), endo=idf17)
+    save("nanphi.json", disk17, endo=idf17)
+    doc = json.loads((d / "nanphi.json").read_text())
+    doc["phi"][5 * 17 + 11] = np.nan
+    (d / "nanphi.json").write_text(json.dumps(doc))
     phi = disk17.phi.copy()
     phi[3, 12] += 1e-9 * (1.0 + abs(phi[3, 12]))
     save("otherphi_endo.json", ConformalMetric(grid17, phi), endo=idf17)

@@ -21,7 +21,7 @@ from codazzi.energy import (
     trace_energy,
 )
 from codazzi.grid import Grid, poincare_disk
-from codazzi.jcalc import ID2, J, inv2, metric_action
+from codazzi.jcalc import ID2, J, inv2, metric_action, metric_to_A
 from codazzi.operators import apply_J, div_endo
 from codazzi.randfields import (
     bump,
@@ -43,6 +43,16 @@ def test_field_A_reproduces_target_metric(disk64):
     h = metric_action(trig_spd(g.grid, rng_for(1), amp=0.15), g.matrix)
     a = field_A(h, g)
     assert np.max(np.abs(metric_action(a, g.matrix) - h)) < 1e-11
+
+
+@pytest.mark.parametrize("n", [32, 256])
+def test_field_A_agrees_with_metric_to_A(n):
+    # field_A scales h by inverse_factor = exp(-2 phi), metric_to_A takes the
+    # closed-form inverse of g.matrix: the two routes differ by round-off only
+    g = poincare_disk(Grid(n, n, 0.8, 0.8, "dirichlet"))
+    h = metric_action(trig_spd(g.grid, rng_for(1), amp=0.15), g.matrix)
+    a = field_A(h, g)
+    assert np.max(np.abs(a - metric_to_A(g.matrix, h))) <= 1e-15 * np.max(np.abs(a))
 
 
 def test_energy_of_conformal_pair_is_exact(disk64):

@@ -222,7 +222,9 @@ def test_save_field_writes_the_one_call_document_byte_for_byte(tmp_path, grid, k
         f.reshape(-1)[rng.choice(f.size, len(_SPECIAL), replace=False)] = _SPECIAL
         return f
 
-    g = ConformalMetric(grid, field())
+    # a metric refuses a non-finite phi: its NaN and infinities become 0 and
+    # the largest finite magnitudes, and the other payloads keep them
+    g = ConformalMetric(grid, np.nan_to_num(field()))
     payloads = {"h": field(2, 2), "endo": field(2, 2), "x": field(2)}
     payloads = {k: (v if k in keys else None) for k, v in payloads.items()}
     path = tmp_path / "f.json"

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from codazzi import diagnostics, embedding, symspace, teich, verify
-from codazzi.grid import Grid, poincare_disk
+from codazzi.energy import field_A
+from codazzi.grid import ConformalMetric, Grid, poincare_disk
 from codazzi.jcalc import ID2, check_spd, dsigma, inv2, metric_action, metric_to_A, spd_sqrt
 from codazzi.manufactured import ManufacturedDiffeo, pullback_of_scaled_poincare
 from codazzi.maps import FieldInterpolator, FoldOverError, pullback_metric
@@ -30,6 +31,13 @@ def _pullback_of_nan_displacement():
     x = np.zeros((16, 16, 2))
     x[8, 8, 0] = np.nan
     return pullback_metric(grid, FieldInterpolator(grid, poincare_disk(grid).matrix), x)
+
+
+def _field_A_of_nan_h():
+    g = poincare_disk(Grid(16, 16, 0.8, 0.8, "dirichlet"))
+    h = 2.25 * g.matrix
+    h[8, 8] = NAN_SPD
+    return field_A(h, g)
 
 
 def _psi_tilde_of_nan_stack():
@@ -52,10 +60,11 @@ def _psi_tilde_of_nan_stack():
         (lambda: diagnostics.intermediate_J(NAN_SPD), ValueError),
         (lambda: check_spd(NAN_SPD), ValueError),
         (_psi_tilde_of_nan_stack, ValueError),
+        (_field_A_of_nan_h, ValueError),
     ],
     ids=["spd_sqrt", "metric_action", "quotient_metric", "geodesic", "exp_map",
          "DeformationFamily.b_t", "pullback_metric", "dsigma", "metric_to_A",
-         "intermediate_J", "check_spd", "psi_tilde_stack"],
+         "intermediate_J", "check_spd", "psi_tilde_stack", "field_A"],
 )
 def test_positivity_gate_refuses_nan(call, error):
     with pytest.raises(error):
@@ -109,6 +118,14 @@ def test_tolerance_gate_refuses_nan(call, match):
 def test_inv2_singular_gate_refuses_non_finite(bad):
     with pytest.raises(ValueError, match="singular or non-finite 2x2 matrix"):
         inv2(np.array([[bad, 0.0], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_conformal_metric_refuses_a_non_finite_phi(bad):
+    phi = np.zeros((16, 16))
+    phi[5, 11] = bad
+    with pytest.raises(ValueError, match=r"^'phi' is not finite at node \(j, i\) = \(5, 11\)$"):
+        ConformalMetric(_GRID16, phi)
 
 
 # -- verify records ------------------------------------------------------------

@@ -59,6 +59,14 @@ counts as such a factor through an attribute, a method call, a
 subscript, a sign or a scaling (``J / s @ a``); a local alias hides it, so
 the library writes these factors in place.  General products stay ``@``.
 
+A conformal metric's ``matrix``, bare or inside ``inv2(...)`` and in any of
+the forms above, is no operand of ``@`` or ``@=`` and no argument of
+``jcalc._mul2`` at all.  g = e^{2 phi} delta and its inverse are scalar
+fields times the identity, so a product with either is a scaling by
+``conformal_factor`` or ``inverse_factor``; ``inverse_factor``, exp(-2 phi),
+is then the one g^{-1} of the library, where ``inv2(g.matrix)`` would round
+to another value, c / (c c) with c = e^{2 phi}.
+
 Every entry of a module's ``__all__`` names a module-level definition or
 import, and every public name that another module of ``src/codazzi``
 imports from it, or reads as an attribute of it after ``from . import``,
@@ -457,43 +465,66 @@ def test_scipy_is_imported_only_by_its_three_entry_functions():
     assert sorted(scope for scope, _ in found) == sorted(_SCIPY_ENTRIES), found
 
 
+def _is_factor(node, leaf):
+    """True for a node that ``leaf`` accepts, bare or inside ``inv2(...)``,
+    or an attribute, a method call, a subscript, a sign or a scaling of one."""
+    if leaf(node):
+        return True
+    if isinstance(node, (ast.Attribute, ast.Subscript)):
+        return _is_factor(node.value, leaf)
+    if isinstance(node, ast.UnaryOp):
+        return _is_factor(node.operand, leaf)
+    if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Mult, ast.Div)):
+        return _is_factor(node.left, leaf) or _is_factor(node.right, leaf)
+    if isinstance(node, ast.Call):
+        func = node.func
+        if isinstance(func, ast.Name) and func.id == "inv2":
+            return any(_is_factor(arg, leaf) for arg in node.args)
+        return isinstance(func, ast.Attribute) and _is_factor(func, leaf)
+    return False
+
+
+def _is_metric_matrix(node):
+    """A ``....matrix`` attribute."""
+    return isinstance(node, ast.Attribute) and node.attr == "matrix"
+
+
 def _structured(node):
     """True for a 2x2 factor with one exact term per product entry.
 
     That is J, ``ID2``, an ``np.eye(...)`` expression or a ``....matrix``
-    attribute, bare or inside ``inv2(...)``, or an attribute, a method
-    call, a subscript, a sign or a scaling of one.
+    attribute, in any form that :func:`_is_factor` accepts.
     """
-    if isinstance(node, ast.Name):
-        return node.id in ("J", "ID2")
-    if isinstance(node, ast.Attribute):
-        return node.attr == "matrix" or _structured(node.value)
-    if isinstance(node, ast.Subscript):
-        return _structured(node.value)
-    if isinstance(node, ast.UnaryOp):
-        return _structured(node.operand)
-    if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Mult, ast.Div)):
-        return _structured(node.left) or _structured(node.right)
-    if isinstance(node, ast.Call):
-        func = node.func
-        if _dotted(func) in ("np.eye", "numpy.eye"):
-            return True
-        if isinstance(func, ast.Name) and func.id == "inv2":
-            return any(_structured(arg) for arg in node.args)
-        return isinstance(func, ast.Attribute) and _structured(func)
-    return False
+    return _is_factor(node, lambda n: (
+        (isinstance(n, ast.Name) and n.id in ("J", "ID2"))
+        or _is_metric_matrix(n)
+        or (isinstance(n, ast.Call) and _dotted(n.func) in ("np.eye", "numpy.eye"))
+    ))
+
+
+def _matmul_operands(node):
+    """The operands of an ``@`` or ``@=``, else ()."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+        return node.left, node.right
+    if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.MatMult):
+        return node.target, node.value
+    return ()
 
 
 def _structured_products(tree):
     """Line of each ``@`` or ``@=`` with a structured operand."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
-            operands = (node.left, node.right)
-        elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.MatMult):
-            operands = (node.target, node.value)
-        else:
-            continue
-        if any(map(_structured, operands)):
+        if any(map(_structured, _matmul_operands(node))):
+            yield node.lineno
+
+
+def _metric_products(tree):
+    """Line of each ``@``, ``@=`` or ``_mul2`` call with a conformal metric's matrix as a factor."""
+    for node in ast.walk(tree):
+        operands = _matmul_operands(node)
+        if isinstance(node, ast.Call) and _dotted(node.func) in ("_mul2", "jcalc._mul2"):
+            operands = node.args
+        if any(_is_factor(op, _is_metric_matrix) for op in operands):
             yield node.lineno
 
 
@@ -510,6 +541,25 @@ def test_structured_2x2_products_use_mul2():
     found = [f"{stem}.py:{line}" for stem, tree in _library_trees()
              for line in sorted(_structured_products(tree))]
     assert not found, f"products with J, ID2, a unit or a metric matrix not through jcalc._mul2: {found}"
+
+
+def test_metric_factors_are_found_in_any_form():
+    tree = ast.parse(
+        "_mul2(inv2(g.matrix), h)\n_mul2(a, g.matrix) @ b\ng.matrix @ a\na @= self.h0.matrix\n"
+        "_mul2(inv2(g.matrix)[..., None, :, :], d)\n_mul2(-g.matrix.T, a)\n"
+        "jcalc._mul2(a, 2.0 * g.matrix)\n_mul2(a, J)\ng.inverse_factor[..., None, None] * h\n"
+        "metric_action(a, g.matrix)\n_mul2(inv2(a), b)\nJ @ a\nf(g.matrix) @ a\n"
+    )
+    assert sorted(_metric_products(tree)) == [1, 2, 3, 4, 5, 6, 7]
+
+
+def test_no_2x2_product_has_a_conformal_metric_factor():
+    found = [f"{stem}.py:{line}" for stem, tree in _library_trees()
+             for line in sorted(_metric_products(tree))]
+    assert not found, (
+        "products with a conformal metric's matrix, not a scaling by conformal_factor "
+        f"or inverse_factor: {found}"
+    )
 
 
 def _module_level_names(tree):
