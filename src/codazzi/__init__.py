@@ -15,8 +15,9 @@ construction (:mod:`codazzi.embedding`), the symmetric-space chart model
 
 Importing any module of the package loads numpy only: scipy is imported
 inside three functions (the spline's banded fit ``maps._fit_axis``, the
-sparse builder ``grid._rows_csr`` and the sparse factor ``grid._splu``), so
-``codazzi embed`` never loads it.  The spline (:mod:`codazzi.maps`) and the
+sparse builder ``grid._rows_csr`` and the sparse factor ``grid._splu``, whose
+factor makes and certifies every sparse solve), so ``codazzi embed`` never
+loads it.  The spline (:mod:`codazzi.maps`) and the
 Simpson quadrature (:mod:`codazzi.energy`) are the package's own, so
 ``codazzi solve`` and ``codazzi verify`` load scipy's linear algebra and
 nothing else of it.

@@ -93,7 +93,8 @@ def load_field(path):
 
     Raises ValueError naming the file and offending key on malformed input,
     and the first node (j, i) of a ``phi`` that :class:`ConformalMetric`
-    refuses (a non-finite one) or of an ``h`` that
+    refuses (a non-finite one, or one whose e^{+-2 phi} over- or
+    underflows) or of an ``h`` that
     :func:`codazzi.jcalc.check_spd` refuses.  A non-finite ``endo`` is left to
     :func:`codazzi.jcalc.check_symmetric` at its point of use.
     """

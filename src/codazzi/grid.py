@@ -28,7 +28,8 @@ or second difference in a scalar parameter, and :func:`central_jacobian`
 applies it along each chart axis of a closed-form map.  No other module
 holds a finite-difference weight, spatial or in a parameter, nor builds or
 factors a sparse matrix: ``_rows_csr`` turns fixed-width stencil rows into
-CSR, and ``_splu`` is the one SuperLU factor, in symmetric mode.
+CSR, and ``_splu`` is the one SuperLU factor, in symmetric mode, whose solve
+is the one sparse solve: it refuses an x that is not finite or inaccurate.
 
 A grid and a metric are immutable, so each computes its derived geometry
 (node coordinates, meshgrid, quadrature weights, conformal factor and its
@@ -70,15 +71,34 @@ def _splu(mat):
     """SuperLU factor of a square CSC ``mat`` with a symmetric pattern and a stable diagonal.
 
     Minimum degree on A^T + A and diagonal pivots only, in symmetric mode
-    (Davis, "Direct Methods for Sparse Linear Systems", SIAM 2006).  A
-    singular ``mat`` raises SuperLU's RuntimeError.
+    (Davis, "Direct Methods for Sparse Linear Systems", SIAM 2006), as a
+    :class:`_Factor`.  A singular ``mat`` raises SuperLU's RuntimeError.
     """
     import scipy.sparse.linalg
 
     # splu is called through the module, so perfbench's probe on it times it
-    return scipy.sparse.linalg.splu(
+    return _Factor(mat, scipy.sparse.linalg.splu(
         mat, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options=dict(SymmetricMode=True)
-    )
+    ))
+
+
+class _Factor:
+    """The SuperLU factor ``lu`` of ``mat``; its :meth:`solve` is the package's one sparse solve."""
+
+    def __init__(self, mat, lu):
+        # norm is ||mat||_inf, the largest row sum of |mat|: CSC indices are row numbers
+        self.mat, self.lu, self.norm = mat, lu, np.bincount(mat.indices, np.abs(mat.data)).max()
+
+    def solve(self, b):
+        """x with mat x = b; a ValueError unless x is finite and its normwise backward error
+        max|mat x - b| / (||mat||_inf max|x| + max|b|) is at most 1e-12 (Rigal and Gaches,
+        J. ACM 14, 1967; Higham, SIAM 2002, ch. 7).  b = 0 gives x = 0, which passes."""
+        x = self.lu.solve(b)
+        xmax, err = np.max(np.abs(x)), np.max(np.abs(self.mat @ x - b))
+        # an infinite x passes the bound as inf <= inf; written so that a NaN fails
+        if not (xmax < np.inf and err <= 1e-12 * (self.norm * xmax + np.max(np.abs(b)))):
+            raise ValueError(f"sparse solve refused: max|x| {xmax:.3e}, max|mat x - b| {err:.3e}")
+        return x
 
 
 def first_node(mask):
@@ -293,8 +313,8 @@ class ConformalMetric:
     """Metric e^{2 phi} (dx^2 + dy^2) on a grid, phi a scalar field.
 
     ``phi`` is stored as a read-only copy, so a later write to the array
-    passed in leaves the metric unchanged.  A non-finite ``phi`` is refused,
-    naming its first node (j, i).
+    passed in leaves the metric unchanged.  A ``phi`` that is not finite, or
+    whose e^{+-2 phi} is not finite and positive, is refused, naming its first node (j, i).
     """
 
     grid: Grid
@@ -306,6 +326,11 @@ class ConformalMetric:
         if node is not None:
             raise ValueError(f"'phi' is not finite at node (j, i) = {node}")
         object.__setattr__(self, "phi", _read_only(phi))
+        # e^{2 phi} and e^{-2 phi} are both finite and positive iff e^{2 |phi|} is finite
+        with np.errstate(over="ignore"):
+            node = first_node(~(np.exp(2.0 * np.abs(phi)) < np.inf))
+        if node is not None:
+            raise ValueError(f"'phi' makes e^(+-2 phi) over- or underflow at node (j, i) = {node}")
 
     @classmethod
     def flat(cls, grid):

@@ -31,17 +31,17 @@ independent oracle of the assembled Jacobian.  The grid's one SuperLU
 factor ``grid._splu``, which ``teich.phi0_solve`` shares, factors the CSC
 matrix with a minimum-degree ordering of A^T + A in symmetric mode
 (diagonal pivots only, about a fifth of the fill of partial pivoting at
-128^2).  A factor that SuperLU refuses as singular, or whose step is not
-finite, is a :class:`SolverError`.
+128^2), and its solve refuses a step that is not finite or inaccurate.  A
+singular factor, or a fresh factor's refused step, is a :class:`SolverError`.
 
 Newton builds and factors a Jacobian only at the first step, after a step
 that needed a line-search halving, and after a step whose residual
 contraction (max-norm) was above :data:`_REFRESH_CONTRACTION`; every other
 step is a chord step on the factor it already has (Kelley, "Solving
 Nonlinear Equations with Newton's Method", SIAM 2003, ch. 5).  A chord
-step that is not finite or whose line search fails is retried with a
-fresh Jacobian at the same iterate; only a fresh factor's failure is a
-:class:`SolverError`.
+step, certified against the earlier Jacobian it solves, that is refused or
+whose line search fails is retried with a fresh Jacobian at the same
+iterate; only a fresh factor's failure is a :class:`SolverError`.
 """
 
 from dataclasses import dataclass, field
@@ -260,21 +260,6 @@ def _exact_jacobian(state, vec, h_interp):
     return (L @ (k @ S) + stab).tocsc()
 
 
-def _factor_step(jac, r):
-    """Factor ``jac`` in symmetric mode and solve for the Newton step; returns ``(lu, step)``.
-
-    Raises :class:`SolverError` if SuperLU refuses the factor or its step is not finite.
-    """
-    try:
-        lu = _splu(jac)
-    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
-        raise SolverError("singular Newton system") from exc
-    step = lu.solve(-r)
-    if not np.all(np.isfinite(step)):
-        raise SolverError("non-finite Newton step")
-    return lu, step
-
-
 def _line_search(state, vec, step, rnorm, h_interp):
     """Halve ``lam`` from 1 until the residual's max-norm drops below ``rnorm``.
 
@@ -309,13 +294,22 @@ def _newton(state, vec, h_interp, tol):
             break
         found = None
         if state.lu is not None:  # chord step on the factor of an earlier iterate
-            step = state.lu.solve(-r)
-            if np.all(np.isfinite(step)):
+            try:
+                step = state.lu.solve(-r)
+            except ValueError:  # the factor refused its solve
+                pass
+            else:
                 found = _line_search(state, vec, step, rnorm, h_interp)
         if found is None:  # no factor yet, or the stale one failed
             jac = _exact_jacobian(state, vec, h_interp)
             state.report.jacobians += 1
-            state.lu, step = _factor_step(jac, r)
+            try:
+                state.lu = _splu(jac)
+                step = state.lu.solve(-r)
+            except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+                raise SolverError("singular Newton system") from exc
+            except ValueError as exc:  # the factor refused its solve
+                raise SolverError("non-finite Newton step or inaccurate solve") from exc
             found = _line_search(state, vec, step, rnorm, h_interp)
             if found is None:
                 raise SolverError("line search failed to reduce the residual")

@@ -50,7 +50,7 @@ def phi0_solve(b, h: ConformalMetric):
     The matrix is symmetric and its negative is positive-definite, so
     diagonal pivots are stable: the grid's one SuperLU factor
     ``grid._splu`` (minimum degree on A^T + A, symmetric mode) factors it,
-    as it factors the Newton solver's Jacobian.
+    as it factors the Newton solver's Jacobian; a solve it refuses is its ValueError.
     """
     grid = h.grid
     b = _check_tracefree_symmetric(grid.check_field(b, rank=2))
@@ -61,8 +61,7 @@ def phi0_solve(b, h: ConformalMetric):
     out = np.zeros((grid.ny, grid.nx))
     # mat is symmetric, so mat.T, a CSC view of its CSR arrays, is mat itself
     # with no copy
-    lu = _splu(mat.T)
-    out[mask] = lu.solve(det(b)[mask] * w[mask])
+    out[mask] = _splu(mat.T).solve(det(b)[mask] * w[mask])
     return out
 
 

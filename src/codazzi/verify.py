@@ -38,6 +38,7 @@ from .jcalc import (
     metric_to_A,
     sigma,
     spd_sqrt,
+    spd_sqrt_pair,
     trace,
 )
 from .manufactured import ManufacturedDiffeo
@@ -401,7 +402,7 @@ def suite_teich(seed):
     fdt = central_difference(e_hat, t, 1e-4, 1)
     bt = fam.b_t(t)
     ht = fam.h_t_matrix(t)
-    at = spd_sqrt(inv2(ht) @ target)
+    at = spd_sqrt_pair(ht, target)
     bdot = 2.0 * t * fam.phi0[..., None, None] * ID2 + b
     aw = np.sqrt(det(ht)) * grid.cell_weights
     cft = teich.first_derivative_general(at, bt, bdot, aw)

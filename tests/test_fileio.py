@@ -69,6 +69,19 @@ def test_load_reports_missing_phi(sample, tmp_path):
         fileio.load_field(path)
 
 
+def test_load_refuses_a_phi_whose_factors_overflow_naming_file_key_and_node(sample):
+    tmp, grid, g, *_ = sample
+    path = tmp / "f.json"
+    fileio.save_field(path, g)
+    doc = json.loads(path.read_text())
+    doc["phi"][4 * grid.nx + 7] = 400.0
+    path.write_text(json.dumps(doc))
+    node = r"at node \(j, i\) = \(4, 7\)$"
+    match = rf"^{path}: key 'phi' makes e\^\(\+-2 phi\) over- or underflow {node}"
+    with pytest.raises(ValueError, match=match):
+        fileio.load_field(path)
+
+
 def test_load_reports_truncated_payload(sample):
     import json
 
@@ -222,9 +235,10 @@ def test_save_field_writes_the_one_call_document_byte_for_byte(tmp_path, grid, k
         f.reshape(-1)[rng.choice(f.size, len(_SPECIAL), replace=False)] = _SPECIAL
         return f
 
-    # a metric refuses a non-finite phi: its NaN and infinities become 0 and
-    # the largest finite magnitudes, and the other payloads keep them
-    g = ConformalMetric(grid, np.nan_to_num(field()))
+    # a metric refuses a non-finite phi and one whose e^{+-2 phi} over- or
+    # underflows (|phi| above about 354.9): its NaN and infinities become 0
+    # and +-354, and the other payloads keep them
+    g = ConformalMetric(grid, np.nan_to_num(field(), posinf=354.0, neginf=-354.0))
     payloads = {"h": field(2, 2), "endo": field(2, 2), "x": field(2)}
     payloads = {k: (v if k in keys else None) for k, v in payloads.items()}
     path = tmp_path / "f.json"

@@ -41,7 +41,8 @@ def _same_bits(a, b):
 @given(data=st.data())
 def test_field_file_round_trips_bit_for_bit(tmp_path, data):
     grid = data.draw(_grids())
-    phi = data.draw(_node_arrays(grid))
+    # a metric refuses a phi whose e^{+-2 phi} over- or underflows
+    phi = data.draw(_node_arrays(grid, elements=st.floats(-354.0, 354.0)))
     # an SPD h: positive diagonal, |h01| < sqrt(h00 h11)
     diag = data.draw(_node_arrays(grid, 2, elements=st.floats(1e-3, 1e3)))
     r = data.draw(_node_arrays(grid, elements=st.floats(-0.99, 0.99)))

@@ -128,6 +128,17 @@ def test_conformal_metric_refuses_a_non_finite_phi(bad):
         ConformalMetric(_GRID16, phi)
 
 
+@pytest.mark.parametrize("bad", [400.0, -400.0])
+def test_conformal_metric_refuses_a_phi_whose_factors_over_or_underflow(bad):
+    # e^{2 phi} and e^{-2 phi} are inf and 0 at phi = 400, 0 and inf at -400;
+    # accepted, such a phi made diagnostics.map_energy NaN
+    phi = np.zeros((16, 16))
+    phi[5, 11] = bad
+    match = r"^'phi' makes e\^\(\+-2 phi\) over- or underflow at node \(j, i\) = \(5, 11\)$"
+    with pytest.raises(ValueError, match=match):
+        ConformalMetric(_GRID16, phi)
+
+
 # -- verify records ------------------------------------------------------------
 
 # each helper's arguments for a passing record, the positions that hold values

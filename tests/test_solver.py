@@ -15,6 +15,7 @@ from codazzi.manufactured import (
     recovery_error,
 )
 from codazzi.maps import FieldInterpolator, FoldOverError
+from codazzi.operators import curvature
 from codazzi.solver import CurvatureSignError, SolverError, newton_solve
 
 
@@ -68,12 +69,16 @@ def test_refuses_flat_background():
         newton_solve(flat, 2.0 * flat.matrix, tol=1e-8)
 
 
-def test_refuses_nan_curvature():
-    # phi = -400: e^{-2 phi} overflows and the curvature is -inf * 0 = NaN
+def test_refuses_nan_curvature(monkeypatch):
+    # a metric refuses a phi whose e^{-2 phi} overflows (phi = -400 made the
+    # curvature -inf * 0 = NaN), so the NaN curvature is planted at one node
     grid = Grid(16, 16, 0.8, 0.8, "dirichlet")
-    g = ConformalMetric(grid, np.full((16, 16), -400.0))
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(CurvatureSignError):
-        newton_solve(g, poincare_disk(grid).matrix, tol=1e-8)
+    g = poincare_disk(grid)
+    kappa = curvature(g).copy()
+    kappa[5, 11] = np.nan
+    monkeypatch.setattr(solver, "curvature", lambda metric: kappa)
+    with pytest.raises(CurvatureSignError):
+        newton_solve(g, g.matrix, tol=1e-8)
 
 
 def test_continuation_raises_curvature_sign_error_without_halving(monkeypatch):
@@ -347,6 +352,23 @@ def test_bad_newton_system_raises_solver_error(monkeypatch, scale, match):
         newton_solve(g, h, tol=1e-12)
 
 
+def test_an_inaccurate_fresh_solve_raises_solver_error(monkeypatch):
+    # a first diagonal pivot of 1e-16 grows the factor by 1e16, so its solve
+    # is refused on its backward error, not for a non-finite step
+    _, g, _, h = _manufactured(12)
+    small_pivot = scipy.sparse.csc_matrix([[1e-16, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 3.0]])
+
+    def fake_jacobian(state, vec, h_interp):
+        return scipy.sparse.block_diag(
+            [small_pivot, scipy.sparse.identity(vec.size - 3)], format="csc"
+        )
+
+    monkeypatch.setattr(solver, "_exact_jacobian", fake_jacobian)
+    with pytest.raises(SolverError, match="^non-finite Newton step or inaccurate solve$") as info:
+        newton_solve(g, h, tol=1e-12)
+    assert "inf" not in str(info.value.__cause__)
+
+
 # Recovery errors at 32^2, tol=1e-9, of full Newton on the finite-difference
 # Jacobian (a fresh one at each of its three steps); chord steps on one exact
 # Jacobian must reproduce the same solution.
@@ -396,7 +418,8 @@ def test_symmetric_mode_failure_raises_solver_error(monkeypatch, failure, match)
 
 
 class _StaleLU:
-    """Solves correctly once, then returns the uphill direction."""
+    """Solves correctly once, then returns the uphill direction, which the
+    factor refuses, since it solves the negated system."""
 
     def __init__(self, lu):
         self.lu, self.calls = lu, 0
@@ -419,10 +442,31 @@ def test_stale_factor_line_search_failure_rebuilds_the_jacobian(monkeypatch):
     monkeypatch.setattr(scipy.sparse.linalg, "splu", splu)
     _, report = newton_solve(g, h, tol=1e-9)
     assert report.residuals[-1] <= 1e-9
-    # each chord step on an old factor fails its line search; a rebuilt
-    # Jacobian at the same iterate then gives the accepted step
+    # each chord step on an old factor is refused; a rebuilt Jacobian at the
+    # same iterate then gives the accepted step
     assert any(lu.calls > 1 for lu in factors)
     assert report.jacobians == report.iterations == len(factors)
+
+
+def test_chord_step_line_search_failure_rebuilds_the_jacobian(monkeypatch):
+    # kept for any contraction, the first factor gives chord steps that the
+    # factor certifies until one of them fails its line search; a rebuilt
+    # Jacobian at the same iterate then gives the accepted step
+    g, h = _far(16, 0.05, 0)
+    monkeypatch.setattr(solver, "_REFRESH_CONTRACTION", 1.0)
+    searches = []
+    real = solver._line_search
+
+    def line_search(state, vec, step, rnorm, h_interp):
+        searches.append((state.report.jacobians, real(state, vec, step, rnorm, h_interp)))
+        return searches[-1][1]
+
+    monkeypatch.setattr(solver, "_line_search", line_search)
+    _, report = newton_solve(g, h, tol=1e-9)
+    assert report.residuals[-1] <= 1e-9
+    assert (report.iterations, report.jacobians) == (12, 2)
+    failed = [k for k, (_, found) in enumerate(searches) if found is None]
+    assert len(failed) == 1 and searches[failed[0] + 1][0] == searches[failed[0]][0] + 1
 
 
 def test_recovery_error_order_rises_toward_two_under_refinement():

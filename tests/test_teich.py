@@ -99,6 +99,21 @@ def test_phi0_symmetric_factor_agrees_with_spsolve(chart):
     assert np.all(got[~mask] == 0.0)
 
 
+def test_phi0_refuses_a_solve_its_factor_refuses(family, monkeypatch):
+    # the factor of a matrix whose first diagonal pivot is 1e-16 solves
+    # inaccurately; phi0_solve passes the factor's refusal on
+    h0, b, _ = family
+    small_pivot = scipy.sparse.csc_matrix([[1e-16, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 3.0]])
+
+    def splu(mat):
+        rest = scipy.sparse.identity(mat.shape[0] - 3)
+        return _splu(scipy.sparse.block_diag([small_pivot, rest], format="csc"))
+
+    monkeypatch.setattr(teich, "_splu", splu)
+    with pytest.raises(ValueError, match="^sparse solve refused: max"):
+        teich.phi0_solve(b, h0)
+
+
 def test_phi0_vanishes_for_zero_direction():
     h0 = poincare_disk(Grid(24, 24, 0.8, 0.8, "dirichlet"))
     phi0 = teich.phi0_solve(np.zeros((24, 24, 2, 2)), h0)
